@@ -67,6 +67,8 @@ RationalLike = int | str | Fraction
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
+    if isinstance(v, bool):
+        raise ValueError(f"coefficient {v!r} is a boolean, not a number")
     if isinstance(v, str):
         return Fraction(v.strip())
     return Fraction(v)
@@ -169,12 +171,6 @@ class LatticeSummary:
     t: dict[int, int]
     b2: int
     pair_count_check: bool
-
-    def multiplicity_of(self, coords: tuple[int, int, int]) -> int:
-        for p in self.points:
-            if p.coords == coords:
-                return p.multiplicity
-        return 0
 
     @property
     def max_multiplicity(self) -> int:

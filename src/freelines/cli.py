@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .arrangement import (
     Arrangement,
@@ -56,21 +57,26 @@ def _emit(command: str, payload: dict, input_hash: str | None = None) -> None:
     print(json.dumps({"command": command, "input_hash": input_hash, "payload": payload}, indent=2))
 
 
+def _usage_error(command: str, message: str) -> NoReturn:
+    print(json.dumps({"command": command, "error": message}), file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _load(path: str) -> Arrangement:
     try:
         return read_arrangement(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(json.dumps({"command": "parse", "error": f"{path}: {exc}"}), file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("parse", f"{path}: {exc}")
 
 
-def _parse_exponents(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
+def _parse_exponents(command: str, text: str) -> tuple[int, int]:
+    """A "d1,d2" pair of positive integers; anything else is a usage error."""
     try:
         d1, d2 = (int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(command, f"expected d1,d2 as two integers, got {text!r}")
+    if d1 < 1 or d2 < 1:
+        _usage_error(command, f"exponents must be positive, got {text!r}")
     return d1, d2
 
 
@@ -79,11 +85,14 @@ def _als_config(args) -> ALSConfig:
 
 
 def _exponents_for(arr: Arrangement, args) -> tuple[int, int] | None:
-    exps = _parse_exponents(getattr(args, "exponents", None))
-    if exps is not None:
-        return exps
-    auto = candidate_exponents(arr)
-    return (auto.d1, auto.d2) if auto is not None else None
+    text = getattr(args, "exponents", None)
+    if text is None:
+        auto = candidate_exponents(arr)
+        return (auto.d1, auto.d2) if auto is not None else None
+    d1, d2 = _parse_exponents(args.command, text)
+    if d1 + d2 != arr.n - 1:
+        _usage_error(args.command, f"exponents {d1},{d2} do not sum to n - 1 = {arr.n - 1}")
+    return d1, d2
 
 
 def cmd_invariants(args) -> int:
@@ -217,8 +226,7 @@ def _file_config(args) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"command": "config", "error": str(exc)}), file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("config", str(exc))
     if not isinstance(data, dict):
         raise SystemExit(USAGE_ERROR)
     return data
@@ -303,10 +311,7 @@ def cmd_cascade(args) -> int:
     seeds = [_load(path) for path in args.seeds]
     targets = None
     if args.targets:
-        targets = []
-        for pair in args.targets.split(";"):
-            d1, d2 = (int(x) for x in pair.split(","))
-            targets.append((d1, d2))
+        targets = [_parse_exponents(args.command, pair) for pair in args.targets.split(";")]
     catalog = cascade(seeds, args.n_max, targets, _extension_config(args))
     payload = {
         "levels": {

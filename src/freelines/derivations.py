@@ -7,6 +7,11 @@ coefficient vector lies in the kernel of the integer derivation matrix built
 here: for each line, restricting theta(alpha) to a parameterization of the line
 must give the identically-zero binary form, one linear constraint per
 coefficient.
+
+The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
+of two null bases in one pass: with z = 1 each block becomes a bivariate
+polynomial on an (n+1) x (n+1) grid, and the determinant is a triple product
+of 2-D FFT spectra at each frequency.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .monomials import (
     basis_size,
     monomial_basis,
     poly_to_vector,
-    product_index_table,
     product_of_lines,
     variable_shift_indices,
 )
@@ -78,9 +82,6 @@ class DerivationMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.float64)
-
-    def dump_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
 def _binary_form_power(u: int, w: int, e: int) -> list[int]:
@@ -173,18 +174,13 @@ class NullBasisFloat:
 GAP_THRESHOLD = 1e3
 
 
-def null_space_float(
-    matrix: DerivationMatrix | np.ndarray,
-    tol: float = 1e-9,
-    force_nullity: int | None = None,
-) -> NullBasisFloat:
+def null_space_float(matrix: DerivationMatrix | np.ndarray, tol: float = 1e-9) -> NullBasisFloat:
     """Orthonormal basis of the numerical kernel via SVD.
 
     Nullity is the number of singular values below tol times the largest one
     (plus any structural deficit when there are fewer rows than columns). A
     spectral gap of at least 1e3 must separate kept from discarded values,
-    otherwise IllConditionedKernel is raised; callers may then recompute the
-    nullity exactly and pass it back via force_nullity.
+    otherwise IllConditionedKernel is raised.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
@@ -204,15 +200,12 @@ def null_space_float(
     smax = svals[0] if len(svals) else 0.0
     if smax == 0.0:
         return NullBasisFloat(degree, np.eye(ncols), svals, math.inf)
-    if force_nullity is not None:
-        r = ncols - force_nullity
-    else:
-        r = int(np.sum(svals > tol * smax))
+    r = int(np.sum(svals > tol * smax))
     if r == 0 or r >= len(svals):
         gap = math.inf
     else:
         gap = float(svals[r - 1] / svals[r]) if svals[r] > 0 else math.inf
-    if force_nullity is None and math.isfinite(gap) and gap < GAP_THRESHOLD:
+    if math.isfinite(gap) and gap < GAP_THRESHOLD:
         raise IllConditionedKernel(gap, GAP_THRESHOLD)
     basis = vt[r:].T.copy()
     return NullBasisFloat(degree, basis, svals, gap)
@@ -304,17 +297,12 @@ def exact_nullity(arr: Arrangement, d: int) -> int:
 # The bilinear determinant tensor
 # ---------------------------------------------------------------------------
 
-DENSE_TENSOR_BUDGET = 2_000_000_000  # entries
-
-
 @dataclass(frozen=True)
 class SaitoTensor:
     """Bilinear map sending null-space coordinates to determinant coefficients.
 
     tensor[beta, i, j] is the beta-th degree-n coefficient of the determinant
     det(euler, theta_i, theta_j) over columns theta_i of V1 and theta_j of V2.
-    When the dense array would exceed the entry budget, tensor is None and
-    contractions are computed lazily from the component polynomials.
     """
 
     n: int
@@ -324,7 +312,7 @@ class SaitoTensor:
     v2: np.ndarray
     q: np.ndarray  # float coefficient vector of the defining polynomial, unit norm
     q_exact: tuple
-    tensor: np.ndarray | None = field(repr=False, default=None)
+    tensor: np.ndarray = field(repr=False)
 
     @property
     def k1(self) -> int:
@@ -339,70 +327,57 @@ class SaitoTensor:
         return basis_size(self.n)
 
 
-def _components(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nd = basis_size(d)
-    return v[:nd], v[nd : 2 * nd], v[2 * nd :]
+@lru_cache(maxsize=None)
+def _xy_exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y exponents of basis(d), in basis order."""
+    exps = np.array(monomial_basis(d).monomials).T
+    return exps[0], exps[1]
 
 
-@lru_cache(maxsize=64)
-def _scatter_operators(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense 0/1 maps sending (m1, m2) product pairs to x/y/z-shifted outputs.
+@lru_cache(maxsize=None)
+def _xy_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of x and y on the (n+1) x (n+1) grid, shaped to broadcast over rfft2 output."""
+    w = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
+    return w[:, None, None], w[None, : (n + 1) // 2 + 1, None]
 
-    Row beta of the first operator marks the pairs whose product times x is
-    the beta-th monomial of basis(d1 + d2 + 1); matmul against these replaces
-    slow scatter-add during tensor assembly and lazy contraction.
+
+def _spectrum(v: np.ndarray, d: int, n: int) -> np.ndarray:
+    """rfft2 of the f, g, h blocks of each column of v, with z = 1.
+
+    Coefficients sit on an (n+1) x (n+1) grid indexed by their x and y
+    exponents; the result has shape (3, n+1, (n+1)//2 + 1, columns).
     """
-    flat = product_index_table(d1, d2).ravel()
-    xs, ys, zs = (np.array(ix) for ix in variable_shift_indices(d1 + d2))
-    m = flat.size
-    n_out = basis_size(d1 + d2 + 1)
-    cols = np.arange(m)
-    ops = []
-    for shift in (xs, ys, zs):
-        s = np.zeros((n_out, m))
-        s[shift[flat], cols] = 1.0
-        ops.append(s)
-    return ops[0], ops[1], ops[2]
+    xs, ys = _xy_exponents(d)
+    grid = np.zeros((3, n + 1, n + 1, v.shape[1]))
+    grid[:, xs, ys] = v.reshape(3, len(xs), -1)
+    return np.fft.rfft2(grid, axes=(1, 2))
 
 
-def _pair_products(a1: np.ndarray, b2: np.ndarray, b1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """(m1, m2)-indexed coefficients of a1*b2 - b1*a2, flattened over pairs.
+def _det_blocks(v1: np.ndarray, d1: int, v2: np.ndarray, d2: int, n: int) -> np.ndarray:
+    """Coefficients over basis(n) of det(E, theta_i, theta_j), shape (N_n, k1, k2).
 
-    Trailing axes of the degree-d1 and degree-d2 operands are kept and
-    flattened into a single column axis.
+    theta_i and theta_j run over the columns of v1 (degree d1) and v2 (degree
+    d2), with d1 + d2 + 1 = n. With z = 1 a degree-n product fits the
+    (n+1) x (n+1) grid without wrapping, so products of polynomials are
+    pointwise products of their spectra, and at each frequency the
+    determinant is the triple product (x, y, 1) . (theta_i x theta_j).
     """
-    prod = np.multiply.outer(a1, b2) - np.multiply.outer(b1, a2)
-    prod = np.moveaxis(prod, a1.ndim, 1)
-    m = prod.shape[0] * prod.shape[1]
-    return prod.reshape(m, -1)
+    f1, g1, h1 = _spectrum(v1, d1, n)
+    f2, g2, h2 = (f1, g1, h1) if v2 is v1 else _spectrum(v2, d2, n)
+    x, y = _xy_phases(n)
+    # (x, y, 1) . (theta_i x theta_j) = theta_i . (theta_j x (x, y, 1))
+    spec = f1[..., :, None] * (g2 - y * h2)[..., None, :]
+    spec += g1[..., :, None] * (x * h2 - f2)[..., None, :]
+    spec += h1[..., :, None] * (y * f2 - x * g2)[..., None, :]
+    grid = np.fft.irfft2(spec, s=(n + 1, n + 1), axes=(0, 1))
+    xs, ys = _xy_exponents(n)
+    return grid[xs, ys]
 
 
-def _det_blocks(
-    f1, g1, h1, f2, g2, h2, d1: int, d2: int, n: int
-) -> np.ndarray:
-    """Expand x(g1 h2 - g2 h1) - y(f1 h2 - f2 h1) + z(f1 g2 - f2 g1).
-
-    Inputs are coefficient arrays over basis(d1) and basis(d2) with an
-    arbitrary number of trailing axes; output is over basis(n).
-    """
-    sx, sy, sz = _scatter_operators(d1, d2)
-    out = sx @ _pair_products(g1, h2, h1, g2)
-    out -= sy @ _pair_products(f1, h2, h1, f2)
-    out += sz @ _pair_products(f1, g2, g1, f2)
-    trailing = f1.shape[1:] + f2.shape[1:]
-    return out.reshape((basis_size(n),) + trailing)
-
-
-def assemble_saito_tensor(
-    arr: Arrangement,
-    v1: NullBasisFloat,
-    v2: NullBasisFloat,
-    budget: int = DENSE_TENSOR_BUDGET,
-) -> SaitoTensor:
+def assemble_saito_tensor(arr: Arrangement, v1: NullBasisFloat, v2: NullBasisFloat) -> SaitoTensor:
     """Build the determinant tensor for a pair of float null bases.
 
-    Raises DegreeMismatch unless the degrees sum to n - 1. Falls back to the
-    lazy representation when the dense tensor would exceed the budget.
+    Raises DegreeMismatch unless the degrees sum to n - 1.
     """
     n = arr.n
     d1, d2 = v1.degree, v2.degree
@@ -411,12 +386,8 @@ def assemble_saito_tensor(
     q_exact = tuple(q_coefficient_vector(arr))
     q = np.array([float(v) for v in q_exact])
     q /= np.linalg.norm(q)
-    dense = None
-    if basis_size(n) * v1.nullity * v2.nullity <= budget:
-        f1, g1, h1 = _components(v1.basis, d1)
-        f2, g2, h2 = _components(v2.basis, d2)
-        dense = _det_blocks(f1, g1, h1, f2, g2, h2, d1, d2, n)
-    return SaitoTensor(n=n, d1=d1, d2=d2, v1=v1.basis, v2=v2.basis, q=q, q_exact=q_exact, tensor=dense)
+    tensor = _det_blocks(v1.basis, d1, v2.basis, d2, n)
+    return SaitoTensor(n=n, d1=d1, d2=d2, v1=v1.basis, v2=v2.basis, q=q, q_exact=q_exact, tensor=tensor)
 
 
 def contract(t: SaitoTensor, alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
@@ -425,11 +396,7 @@ def contract(t: SaitoTensor, alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarr
     alpha2 = np.asarray(alpha2, dtype=np.float64)
     if alpha1.shape != (t.k1,) or alpha2.shape != (t.k2,):
         raise DegreeMismatch("parameter vector lengths do not match the null bases")
-    if t.tensor is not None:
-        return np.einsum("bij,i,j->b", t.tensor, alpha1, alpha2)
-    f1, g1, h1 = _components(t.v1 @ alpha1, t.d1)
-    f2, g2, h2 = _components(t.v2 @ alpha2, t.d2)
-    return _det_blocks(f1, g1, h1, f2, g2, h2, t.d1, t.d2, t.n)
+    return np.einsum("bij,i,j->b", t.tensor, alpha1, alpha2)
 
 
 def contract_matrix(t: SaitoTensor, alpha: np.ndarray, side: int) -> np.ndarray:
@@ -439,14 +406,6 @@ def contract_matrix(t: SaitoTensor, alpha: np.ndarray, side: int) -> np.ndarray:
     side=1 fixes alpha1 and returns A2.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if t.tensor is not None:
-        if side == 2:
-            return np.einsum("bij,j->bi", t.tensor, alpha)
-        return np.einsum("bij,i->bj", t.tensor, alpha)
     if side == 2:
-        f2, g2, h2 = _components(t.v2 @ alpha, t.d2)
-        f1, g1, h1 = _components(t.v1, t.d1)
-        return _det_blocks(f1, g1, h1, f2, g2, h2, t.d1, t.d2, t.n)
-    f1, g1, h1 = _components(t.v1 @ alpha, t.d1)
-    f2, g2, h2 = _components(t.v2, t.d2)
-    return _det_blocks(f1, g1, h1, f2, g2, h2, t.d1, t.d2, t.n)
+        return np.einsum("bij,j->bi", t.tensor, alpha)
+    return np.einsum("bij,i->bj", t.tensor, alpha)

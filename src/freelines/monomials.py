@@ -103,21 +103,6 @@ def vector_to_poly(vec, d: int) -> Poly:
     return {m: v for m, v in zip(mons, vec) if v}
 
 
-def poly_scale(p: Poly, s) -> Poly:
-    return {e: s * v for e, v in p.items()} if s else {}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, v in q.items():
-        w = out.get(e, 0) + v
-        if w:
-            out[e] = w
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_equal_upto_scalar(p: Poly, q: Poly) -> Fraction | None:
     """Return c with p == c*q exactly (c nonzero), or None.
 
@@ -152,22 +137,3 @@ def variable_shift_indices(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tu
     ys = tuple(dst[(e[0], e[1] + 1, e[2])] for e in src)
     zs = tuple(dst[(e[0], e[1], e[2] + 1)] for e in src)
     return xs, ys, zs
-
-
-@lru_cache(maxsize=None)
-def product_index_table(d1: int, d2: int):
-    """Matrix of basis(d1+d2) indices for products of basis monomials.
-
-    table[i][j] is the index of basis(d1)[i] * basis(d2)[j] in basis(d1+d2).
-    Returned as a numpy int array for vectorized tensor assembly.
-    """
-    import numpy as np
-
-    m1 = monomial_basis(d1).monomials
-    m2 = monomial_basis(d2).monomials
-    dst = _index_map(d1 + d2)
-    table = np.empty((len(m1), len(m2)), dtype=np.int64)
-    for i, e1 in enumerate(m1):
-        for j, e2 in enumerate(m2):
-            table[i, j] = dst[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])]
-    return table

@@ -199,6 +199,13 @@ def test_json_rejects_malformed():
         arrangement_from_json({"nope": []})
 
 
+def test_json_rejects_boolean_coefficients():
+    # Fraction(True) == 1, so a boolean would otherwise pass as a coefficient
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            arrangement_from_json({"lines": [[bad, 0, 0], [0, 1, 0], [0, 0, 1]]})
+
+
 def test_hash_is_order_independent(boolean):
     reordered = build_arrangement(list(reversed(boolean.lines)))
     assert arrangement_hash(reordered) == arrangement_hash(boolean)

@@ -54,6 +54,34 @@ def test_invariants_malformed_file(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_invariants_boolean_coefficient_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"lines": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", str(bad)])
+    assert exc.value.code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "free13", "--exponents", "3,3"],
+        ["saito", "free13", "--exponents", "0,12"],
+        ["saito", "free13", "--exponents", "a,b"],
+        ["cascade", "near_pencil5", "--n-max", "6", "--targets", "1;2"],
+    ],
+)
+def test_bad_exponents_are_usage_errors(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == argv[0]
+    assert err["error"]
+
+
 def test_saito_boolean(files, capsys):
     code, data = run(capsys, ["saito", files["boolean"]])
     assert code == 0
