@@ -214,8 +214,10 @@ class CandidateExponents:
     discriminant: int
 
     def __post_init__(self):
-        assert 1 <= self.d1 <= self.d2
-        assert self.discriminant == (self.d2 - self.d1) ** 2
+        if not 1 <= self.d1 <= self.d2:
+            raise ValueError(f"exponents must satisfy 1 <= d1 <= d2, got ({self.d1}, {self.d2})")
+        if self.discriminant != (self.d2 - self.d1) ** 2:
+            raise ValueError(f"discriminant {self.discriminant} is not (d2 - d1)^2 = {(self.d2 - self.d1) ** 2}")
 
 
 def discriminant(arr: Arrangement) -> int:
@@ -285,10 +287,11 @@ def tjurina(arr: Arrangement) -> int:
     s = intersection_summary(arr)
     n = arr.n
     tau = n * (n - 1) - s.b2
-    assert tau == sum((p.multiplicity - 1) ** 2 for p in s.points)
+    if tau != sum((p.multiplicity - 1) ** 2 for p in s.points):
+        raise RuntimeError(f"Tjurina number {tau} disagrees with sum (m_p - 1)^2")
     exps = candidate_exponents(arr)
-    if exps is not None:
-        assert tau == (n - 1) ** 2 - exps.d1 * exps.d2
+    if exps is not None and tau != (n - 1) ** 2 - exps.d1 * exps.d2:
+        raise RuntimeError(f"Tjurina number {tau} disagrees with (n - 1)^2 - d1*d2")
     return tau
 
 

@@ -331,14 +331,27 @@ def _poly_to_json(p: Poly) -> dict[str, str]:
     }
 
 
-def _poly_from_json(data: dict) -> Poly:
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _poly_from_json(data: dict, what: str) -> Poly:
     out: Poly = {}
-    for key, val in data.items():
+    for key, val in _json_object(data, what).items():
         e = tuple(int(x) for x in key.split(","))
+        if len(e) != 3 or min(e) < 0:
+            raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
         v = Fraction(str(val))
         if v:
             out[e] = v if v.denominator != 1 else int(v)
     return out
+
+
+def _theta_from_json(data: dict, key: str) -> ExactDerivation:
+    theta = _json_object(data[key], key)
+    return tuple(_poly_from_json(theta[name], f"{key}.{name}") for name in "fgh")
 
 
 def certificate_to_json(cert: FreenessCertificate) -> dict:
@@ -358,9 +371,14 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> FreenessCertificate:
-    d1, d2 = (int(x) for x in data["exponents"])
-    theta1 = tuple(_poly_from_json(data["theta1"][name]) for name in "fgh")
-    theta2 = tuple(_poly_from_json(data["theta2"][name]) for name in "fgh")
+    """Certificate from its JSON form; a malformed shape raises ValueError."""
+    _json_object(data, "certificate")
+    exponents = data["exponents"]
+    if not isinstance(exponents, list) or len(exponents) != 2:
+        raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
+    d1, d2 = (int(str(x)) for x in exponents)
+    theta1 = _theta_from_json(data, "theta1")
+    theta2 = _theta_from_json(data, "theta2")
     c = Fraction(str(data["c"]))
     det = exact_determinant_from_parts(theta1, theta2)
     return FreenessCertificate(

@@ -228,7 +228,7 @@ def _file_config(args) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         _usage_error("config", str(exc))
     if not isinstance(data, dict):
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
     return data
 
 

@@ -99,7 +99,7 @@ def _conv(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     """Constraint matrix for degree-d tangent fields; entries are integers."""
     if d < 1:
@@ -264,7 +264,7 @@ def float_basis_from_exact(matrix: DerivationMatrix, exact: "NullBasisExact") ->
     return NullBasisFloat(matrix.degree, q[:, : exact.nullity], np.array([]), math.nan)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
     """Exact kernel basis: explicit Euler multiples plus a complement kernel.
 

@@ -1,18 +1,47 @@
 """Exact kernels of integer matrices over the rationals.
 
-Fraction-free row elimination: every update row is p*row_i - v*row_r followed
-by division of the row by its integer content, which keeps entries small on the
-structured matrices this package produces (measured: a few hundred bits at
-worst on 20-line inputs) while staying exact. Pivots are chosen per column by
-minimal bit length. Kernel vectors come out of back-substitution over Fraction
-and are returned as primitive integer vectors.
+kernel_basis is multimodular and Las Vegas: never wrong, only retried.
+
+- Per prime: the matrix is reduced modulo a batch of primes below 2^26 and
+  brought to row echelon form for all of them at once, in one int64 array of
+  shape (primes, rows, cols), with lazy reduction (only the pivot row and the
+  pivot column are reduced at each step, the whole block at least every
+  LAZY_STEPS steps). Back-substitution mod p then gives the reduced row echelon
+  (RREF) entries at the free columns.
+- Across primes: a prime whose pivot columns are not the lexicographically
+  smallest seen is unlucky and dropped. The residues of the others are
+  combined by CRT and lifted to rationals by reconstruction with a common
+  denominator, one held-out prime screening the lift. Primes are added until
+  the lifted vectors satisfy A x = 0 exactly over the integers.
+
+A vector that passes is the RREF kernel vector of its free column: its support
+is that column and the pivot columns before it, so it is unique. It is
+returned primitive with its first nonzero entry positive. After the first
+batch only the pivot rows of a lucky prime are eliminated; if a lift fails
+the exact check there, the remaining batches use every row again.
+
+References: Dixon, Numer. Math. 40 (1982); von zur Gathen and Gerhard, Modern
+Computer Algebra, section 5.10 (rational reconstruction).
+
+echelon_form is fraction-free elimination over Z with content control: every
+update row is p*row_i - v*row_r divided by its integer content. It gives rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt, log2, prod
+
+import numpy as np
+
+# A product of two residues is below 2^52, so int64 has room for sums of them.
+PRIME_LIMIT = 1 << 26
+# Each lazy step subtracts one such product from an entry that started in
+# [0, p): 2^11 - 1 steps stay above -2^63.
+LAZY_STEPS = (1 << 11) - 1
+FIRST_BATCH = 4
+PRIME_BLOCK = 32
 
 
 def _content_strip(row: list[int]) -> list[int]:
@@ -76,46 +105,327 @@ def rank(matrix: list[list[int]], ncols: int | None = None) -> int:
     return echelon_form(matrix, ncols).rank
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    """Clear denominators, strip content, make the first nonzero entry positive."""
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
+# ---------------------------------------------------------------------------
+# Word primes
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_block(i: int) -> tuple[int, ...]:
+    """Primes PRIME_BLOCK*i .. PRIME_BLOCK*(i+1)-1 below PRIME_LIMIT, largest first."""
+    n = _prime_block(i - 1)[-1] - 2 if i else PRIME_LIMIT - 1
+    block = []
+    while len(block) < PRIME_BLOCK:
+        if _is_prime(n):
+            block.append(n)
+        n -= 2
+    return tuple(block)
+
+
+def word_primes(count: int) -> list[int]:
+    """The `count` largest primes below 2^26, largest first, made on first use."""
+    blocks = -(-count // PRIME_BLOCK)
+    return [p for i in range(blocks) for p in _prime_block(i)][:count]
+
+
+# ---------------------------------------------------------------------------
+# Elimination modulo a batch of primes
+# ---------------------------------------------------------------------------
+
+
+class _Residues:
+    """The matrix modulo any batch of primes, as int64 (primes, rows, cols)."""
+
+    def __init__(self, rows: list, ncols: int):
+        try:
+            self.small = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+            self.bits = int(np.abs(self.small).max()).bit_length()
+        except OverflowError:
+            self.small = None
+            self.bits = max(abs(x).bit_length() for r in rows for x in r)
+            # two's complement bytes, little end first; value = sum b_i 256^i - top * 256^nbytes
+            nbytes = self.nbytes = self.bits // 8 + 1
+            raw = b"".join(x.to_bytes(nbytes, "little", signed=True) for r in rows for x in r)
+            self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), ncols, nbytes).astype(np.int64)
+
+    def __call__(self, primes: np.ndarray, keep_rows=None) -> np.ndarray:
+        pc = primes[:, None, None]
+        if self.small is not None:
+            a = self.small if keep_rows is None else self.small[keep_rows]
+            return a[None] % pc
+        b = self.bytes if keep_rows is None else self.bytes[keep_rows]
+        weights = np.array([[pow(256, i, int(p)) for i in range(self.nbytes)] for p in primes], dtype=np.int64)
+        top = np.array([pow(256, self.nbytes, int(p)) for p in primes], dtype=np.int64)
+        # each byte times its weight is below 2^34, so the sum over bytes stays small
+        res = (b @ weights.T) - (b[:, :, -1:] >= 128) * top
+        return np.ascontiguousarray(np.moveaxis(res, 2, 0)) % pc
+
+
+def _swap_rows(arrays, s, i, j) -> None:
+    """Swap rows i[k] and j[k] of prime s[k] in each array."""
+    for arr in arrays:
+        held = arr[s, i].copy()
+        arr[s, i] = arr[s, j]
+        arr[s, j] = held
+
+
+def _echelon_mod(a: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row echelon form of a[k] modulo primes[k] for every k, in place.
+
+    On return a holds residues in [0, p) with each pivot entry 1 and zeros
+    below it. Returns the pivot columns (primes, min(rows, cols)), the ranks
+    and, for each prime, the original row at each position. The pivot row is
+    the first with a nonzero residue.
+    """
+    nprimes, nrows, ncols = a.shape
+    pc = primes[:, None]
+    plist = primes.tolist()
+    ranks = np.zeros(nprimes, dtype=np.intp)
+    pivots = np.full((nprimes, min(nrows, ncols)), ncols, dtype=np.intp)
+    perm = np.tile(np.arange(nrows), (nprimes, 1))
+    offsets = np.arange(nrows)
+    lo, uniform, lazy = 0, True, 0  # lo: smallest rank; uniform: every rank is lo
+    for c in range(ncols):
+        if lo == nrows:
             break
-    return tuple(ints)
+        col = a[:, lo:, c] % pc
+        a[:, lo:, c] = col
+        cand = col != 0
+        if not uniform:
+            cand &= offsets[: nrows - lo] >= (ranks - lo)[:, None]
+        has = cand.any(axis=1)
+        if uniform and all(has.tolist()):
+            # every prime pivots on row lo: slices instead of per-prime indices
+            piv = cand.argmax(axis=1).tolist()
+            if min(piv) == max(piv):
+                if piv[0]:
+                    _swap_rows((a, perm), slice(None), lo + piv[0], lo)
+            else:
+                moved = np.flatnonzero(piv)
+                _swap_rows((a, perm), moved, lo + np.array(piv)[moved], lo)
+            prow = a[:, lo, c:] % pc
+            inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), plist)]
+            prow = prow * np.array(inv, dtype=np.int64)[:, None] % pc
+            a[:, lo, c:] = prow
+            a[:, lo + 1:, c:] -= a[:, lo + 1:, c, None] * prow[:, None, :]
+            pivots[:, lo] = c
+            ranks += 1
+            lo += 1
+        elif has.any():
+            sel = np.flatnonzero(has)
+            top = ranks[sel]
+            piv = cand[sel].argmax(axis=1) + lo
+            moved = piv != top
+            if moved.any():
+                _swap_rows((a, perm), sel[moved], piv[moved], top[moved])
+            ps = primes[sel, None]
+            prow = a[sel, top, c:] % ps
+            inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), primes[sel].tolist())]
+            prow = prow * np.array(inv, dtype=np.int64)[:, None] % ps
+            a[sel, top, c:] = prow
+            factor = np.zeros((nprimes, nrows - lo), dtype=np.int64)
+            factor[sel] = np.where(offsets[lo:] > top[:, None], a[sel, lo:, c], 0)
+            lead = np.zeros((nprimes, ncols - c), dtype=np.int64)
+            lead[sel] = prow
+            a[:, lo:, c:] -= factor[:, :, None] * lead[:, None, :]
+            pivots[sel, top] = c
+            ranks[sel] += 1
+            lo = int(ranks.min())
+            uniform = lo == ranks.max()
+        else:
+            continue
+        lazy += 1
+        if lazy == LAZY_STEPS:
+            a %= primes[:, None, None]
+            lazy = 0
+    a %= primes[:, None, None]
+    return pivots, ranks, perm
+
+
+def _rref_at_free(u: np.ndarray, primes: np.ndarray, pivots: list[int], free: list[int]) -> np.ndarray:
+    """RREF entries of pivot row i at free column free[j] modulo primes[k]: (primes, rank, free).
+
+    u holds echelon forms that share the pivot columns `pivots`, pivot entries 1.
+    """
+    r = len(pivots)
+    upper = u[:, :r][:, :, pivots]
+    w = u[:, :r][:, :, free]
+    pc = primes[:, None]
+    lazy = 0
+    for i in range(r - 1, -1, -1):
+        xi = w[:, i] % pc
+        w[:, i] = xi
+        w[:, :i] -= upper[:, :i, i, None] * xi[:, None, :]
+        lazy += 1
+        if lazy == LAZY_STEPS:
+            w %= primes[:, None, None]
+            lazy = 0
+    return w
+
+
+# ---------------------------------------------------------------------------
+# Lifting to Q and the exact check
+# ---------------------------------------------------------------------------
+
+
+def _reconstruct(t: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b t mod modulus, |a| <= num_bound, 0 < b <= den_bound, gcd 1."""
+    r0, r1 = modulus, t % modulus
+    s0, s1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > den_bound:
+        return None
+    a, b = (r1, s1) if s1 > 0 else (-r1, -s1)
+    if gcd(a, b) != 1:
+        return None
+    return a, b
+
+
+def _lift(residues: np.ndarray, primes: list[int], pivots: list[int], free: list[int],
+          ncols: int) -> list[tuple[int, ...]] | None:
+    """Primitive kernel vectors from RREF residues, or None while primes are too few.
+
+    The last prime is held out of the CRT and screens each lifted entry.
+    """
+    check = primes[-1]
+    modulus = prod(primes[:-1])
+    half = modulus // 2
+    bound = isqrt(half)  # numerators and the common denominator alike
+    crt = np.array([(modulus // p) * pow(modulus // p % p, -1, p) for p in primes[:-1]], dtype=object)
+    den = 1
+    basis = []
+    for j, f in enumerate(free):
+        rows = int(np.searchsorted(pivots, f))  # pivots after f have zero entries here
+        values = residues[:-1, :rows, j].T.astype(object).dot(crt) if rows else []
+        nums: list[int] = []
+        for i, v in enumerate(values):
+            t = v % modulus * den % modulus
+            if t > half:
+                t -= modulus
+            if abs(t) > bound:
+                ab = _reconstruct(t, modulus, bound, bound // den)
+                if ab is None:
+                    return None
+                t, b = ab
+                nums = [x * b for x in nums]
+                den *= b
+            if (t - den * int(residues[-1, i, j])) % check:
+                return None
+            nums.append(t)
+        vec = [0] * ncols
+        vec[f] = den
+        for c, t in zip(pivots, nums):
+            vec[c] = -t
+        g = 0
+        for x in vec:
+            g = gcd(g, x)
+        sign = -1 if next(x for x in vec if x) < 0 else 1
+        basis.append(tuple(sign * x // g for x in vec))
+    return basis
+
+
+def _annihilates(rows: list, abits: int, vectors: list[tuple[int, ...]], ncols: int) -> bool:
+    """A v = 0 exactly for every v, by one packed integer product per row.
+
+    abits bounds the bit length of the entries of A.
+    Column j carries sum_k v_k[j] 2^(slot*k); a row's dot product with the
+    packed columns is then sum_k (A v_k)_row 2^(slot*k), and slot bits hold
+    each term, so the sum is 0 only when every term is.
+    """
+    if not vectors:
+        return True
+    vbits = max(abs(x).bit_length() for v in vectors for x in v)
+    slot = abits + vbits + ncols.bit_length() + 2
+    packed = [sum(v[j] << (slot * k) for k, v in enumerate(vectors)) for j in range(ncols)]
+    return all(sum(a * y for a, y in zip(r, packed) if a) == 0 for r in rows)
+
+
+def _prime_limit(rows: list, ncols: int) -> int:
+    """Primes after which a failed kernel can only be a bug.
+
+    Every RREF entry is a ratio of two minors of at most min(rows, cols)
+    rows, bounded by the product of the largest row norms (Hadamard). Three
+    times the primes that reconstruction then needs covers the unlucky ones,
+    which divide such minors, and a restart after a row subset failed.
+    """
+    k = min(len(rows), ncols)
+    norms = sorted((log2(sum(x * x for x in r)) / 2 for r in rows), reverse=True)
+    bits = 2 * sum(norms[:k]) + 2
+    return 3 * int(bits / log2(PRIME_LIMIT / 2) + 2) + 16
 
 
 def kernel_basis(matrix: list[list[int]], ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the rational kernel, one vector per free column."""
+    """Primitive integer basis of the rational kernel, one RREF vector per free column."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    ech = echelon_form(matrix, ncols)
-    pivots = ech.pivot_columns
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            if c > f:
-                continue
-            row = ech.rows[r]
-            s = sum((Fraction(row[j]) * x[j] for j in range(c + 1, ncols) if row[j]), Fraction(0))
-            x[c] = -s / row[c]
-        basis.append(_primitive(x))
-    return basis
+    rows = [r for r in matrix if any(r)]
+    if not rows:
+        return [tuple(int(c == f) for c in range(ncols)) for f in range(ncols)]
+    residues = _Residues(rows, ncols)
+    best = None  # smallest padded pivot profile seen
+    kept_primes: list[int] = []
+    kept: list[np.ndarray] = []
+    restrict = True
+    keep_rows = None  # after the first batch: the pivot rows of a lucky prime
+    used, limit = 0, None
+    while True:
+        count = FIRST_BATCH if not used else max(FIRST_BATCH, used // 4)
+        primes = np.array(word_primes(used + count)[used:], dtype=np.int64)
+        used += count
+        a = residues(primes, keep_rows)
+        pivots, ranks, perm = _echelon_mod(a, primes)
+        # ncols ends each profile: one that stops early compares as larger
+        profiles = [tuple(pivots[k, :ranks[k]].tolist()) + (ncols,) for k in range(len(primes))]
+        if best is None or min(profiles) < best:
+            best, kept_primes, kept = min(profiles), [], []
+        lucky = [k for k, p in enumerate(profiles) if p == best]
+        if lucky:
+            piv = list(best[:-1])
+            r = len(piv)
+            free = sorted(set(range(ncols)) - set(piv))
+            kept.append(_rref_at_free(a[lucky], primes[lucky], piv, free))
+            kept_primes += [int(p) for p in primes[lucky]]
+            if restrict and keep_rows is None:
+                keep_rows = np.sort(perm[lucky[0], :r])
+            if len(kept_primes) > 1:
+                basis = _lift(np.concatenate(kept), kept_primes, piv, free, ncols)
+                if basis is not None:
+                    if _annihilates(rows, residues.bits, basis, ncols):
+                        return basis
+                    if keep_rows is not None:
+                        # the kept rows may span less than A: use every row again
+                        restrict, keep_rows = False, None
+                        best, kept_primes, kept = None, [], []
+        if used > 64:
+            limit = limit or _prime_limit(rows, ncols)
+            if used > limit:
+                raise RuntimeError(f"kernel_basis: no verified kernel after {used} primes")
 
 
 def matvec(matrix: list[list[int]], vec) -> list:

@@ -179,9 +179,12 @@ def bootstrap_extend(
     candidates = enumerate_extension_candidates(seed, cfg)
 
     def evaluate(line: Line):
+        # verified right after its loss, while its kernels are still cached
         extended = seed.extended(line)
         ev = saito_functional(extended, d1p, d2p, config=config.als)
-        return line, extended, ev
+        if ev.loss > config.prefilter_threshold:
+            return line, extended, ev, None
+        return line, extended, ev, verify_free(extended, d1p, d2p, als=ev)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -190,10 +193,7 @@ def bootstrap_extend(
         evaluated = [evaluate(line) for line in candidates]
 
     out: list[Discovery] = []
-    for line, extended, ev in evaluated:
-        if ev.loss > config.prefilter_threshold:
-            continue
-        outcome = verify_free(extended, d1p, d2p, als=ev)
+    for line, extended, ev, outcome in evaluated:
         if isinstance(outcome, Certified):
             out.append(
                 Discovery(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freelines
 from freelines.arrangement import (
+    CandidateExponents,
     DuplicateLine,
     Line,
     ZeroForm,
@@ -209,3 +214,27 @@ def test_json_rejects_boolean_coefficients():
 def test_hash_is_order_independent(boolean):
     reordered = build_arrangement(list(reversed(boolean.lines)))
     assert arrangement_hash(reordered) == arrangement_hash(boolean)
+
+
+def test_candidate_exponents_validation_raises():
+    with pytest.raises(ValueError):
+        CandidateExponents(3, 2, 1)
+    with pytest.raises(ValueError):
+        CandidateExponents(1, 3, 1)
+
+
+def test_candidate_exponents_validation_survives_optimize():
+    # python -O strips assert statements; the checks must still raise
+    code = (
+        "assert False, 'asserts are on'\n"
+        "from freelines.arrangement import CandidateExponents\n"
+        "try:\n"
+        "    CandidateExponents(3, 2, 1)\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freelines.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

@@ -126,6 +126,58 @@ def test_check_detects_tampered_scalar(files, tmp_path, capsys):
     assert data["payload"]["first_failing_check"] == "determinant-mismatch"
 
 
+def _two_entry_key(cert):
+    cert["theta1"]["g"] = {"0,1": "1"}
+    return cert
+
+
+def _negative_exponent(cert):
+    cert["theta2"]["h"] = {"0,-1,2": "1"}
+    return cert
+
+
+def _theta_not_object(cert):
+    cert["theta1"] = ["f", "g", "h"]
+    return cert
+
+
+def _component_not_object(cert):
+    cert["theta2"]["f"] = ["1"]
+    return cert
+
+
+def _top_level_not_object(cert):
+    return [cert]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_two_entry_key, _negative_exponent, _theta_not_object, _component_not_object, _top_level_not_object],
+)
+def test_check_malformed_certificate_is_usage_error(files, tmp_path, capsys, mutate):
+    cert_path = tmp_path / "b.cert.json"
+    run(capsys, ["verify", files["boolean"], "--certificate-out", str(cert_path)])
+    cert_path.write_text(json.dumps(mutate(json.loads(cert_path.read_text()))))
+    code = main(["check", files["boolean"], str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["command"] == "check"
+    assert "expected a JSON object" in err["error"] or "nonnegative exponents" in err["error"]
+
+
+def test_config_not_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "3", "1", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"command": "config", "error": "expected a JSON object, got list"}
+
+
 def test_construct_small(capsys, tmp_path):
     out = str(tmp_path / "cells")
     code, data = run(capsys, ["construct", "1", "1", "--out", out])

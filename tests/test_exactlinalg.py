@@ -1,16 +1,23 @@
+import hashlib
 from fractions import Fraction
+from math import gcd, lcm, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelines import exactlinalg, fixtures
+from freelines.arrangement import candidate_exponents
+from freelines.derivations import derivation_matrix, null_space_exact
 from freelines.exactlinalg import echelon_form, in_kernel, kernel_basis, matvec, rank
 
 
-def rref_rank_oracle(matrix, ncols):
-    """Plain Fraction row reduction, independent of the production code."""
+def rref_oracle(matrix, ncols):
+    """Plain Fraction reduced row echelon form, independent of the production code."""
     rows = [[Fraction(x) for x in r] for r in matrix]
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -20,8 +27,29 @@ def rref_rank_oracle(matrix, ncols):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def rref_rank_oracle(matrix, ncols):
+    return len(rref_oracle(matrix, ncols)[1])
+
+
+def rref_kernel_oracle(matrix, ncols):
+    """One kernel vector per free column from the Fraction RREF: primitive, first nonzero positive."""
+    rows, pivots = rref_oracle(matrix, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][f]
+        den = lcm(*(v.denominator for v in x))
+        ints = [int(v * den) for v in x]
+        g = gcd(*ints)
+        sign = -1 if next(v for v in ints if v) < 0 else 1
+        basis.append(tuple(sign * v // g for v in ints))
+    return basis
 
 
 def test_known_kernel():
@@ -54,6 +82,7 @@ def test_kernel_against_rref_oracle(m):
     ncols = 4
     r_oracle = rref_rank_oracle(m, ncols)
     basis = kernel_basis(m, ncols)
+    assert basis == rref_kernel_oracle(m, ncols)
     assert rank(m, ncols) == r_oracle
     assert len(basis) == ncols - r_oracle
     for v in basis:
@@ -75,3 +104,87 @@ def test_echelon_row_space_rank(m):
 
 def test_matvec_exact():
     assert matvec([[1, 2], [3, 4]], [Fraction(1, 2), 1]) == [Fraction(5, 2), Fraction(11, 2)]
+
+
+wide = st.integers(-(2**90), 2**90) | st.just(0)
+wide_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(wide, min_size=ncols, max_size=ncols), min_size=1, max_size=5),
+        st.just(ncols),
+    )
+)
+
+
+@given(wide_matrices)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_fraction_oracle_on_wide_entries(case):
+    # minors of 90-bit entries need hundreds of bits: several prime batches
+    m, ncols = case
+    assert kernel_basis(m, ncols) == rref_kernel_oracle(m, ncols)
+
+
+def test_wide_entries_retry_with_more_primes(monkeypatch):
+    batches = []
+    real = exactlinalg._echelon_mod
+
+    def counted(a, primes):
+        batches.append(len(primes))
+        return real(a, primes)
+
+    monkeypatch.setattr(exactlinalg, "_echelon_mod", counted)
+    m = [[(7 * i + 3 * j + 1) ** 19 - (i + 1) * 2**80 for j in range(6)] for i in range(4)]
+    assert kernel_basis(m, 6) == rref_kernel_oracle(m, 6)
+    assert len(batches) >= 3 and sum(batches) > 3 * exactlinalg.FIRST_BATCH
+
+
+def test_unlucky_first_prime_is_dropped():
+    p = exactlinalg.word_primes(1)[0]
+    # column 0 vanishes mod p, so p sees pivots (1, 2) where Q has (0, 1)
+    m = [[p, 1, 2, 3], [2 * p, 3, 5, 7]]
+    assert kernel_basis(m, 4) == rref_kernel_oracle(m, 4)
+    # every entry a multiple of p: p sees rank 0
+    m = [[p * x for x in row] for row in ([1, 2, 3], [4, 5, 7])]
+    assert kernel_basis(m, 3) == rref_kernel_oracle(m, 3)
+
+
+def test_unlucky_first_batch_falls_back_to_every_row():
+    # Every first-batch prime sees row 0 as zero and keeps row 1 alone, whose
+    # RREF entry C/B takes several batches to lift; that lift fails A x = 0 on
+    # row 0, and the batches after it eliminate both rows.
+    q = prod(exactlinalg.word_primes(exactlinalg.FIRST_BATCH))
+    b, c = 3**70, 2**112 + 1
+    m = [[q, 0, 0], [0, b, c]]
+    assert kernel_basis(m, 3) == rref_kernel_oracle(m, 3) == [(0, c, -b)]
+
+
+def test_word_primes_are_descending_primes_below_2_26():
+    ps = exactlinalg.word_primes(40)
+    assert ps == sorted(set(ps), reverse=True) and ps[0] < 2**26
+    assert all(all(p % d for d in range(2, 8200)) for p in ps)
+    assert exactlinalg.word_primes(3) == ps[:3]
+
+
+def _vectors_digest(vectors) -> str:
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update((",".join(map(str, v)) + ";").encode())
+    return h.hexdigest()
+
+
+# sha256 of the null_space_exact vectors that fraction-free elimination with
+# Fraction back-substitution produced at each fixture's candidate exponents
+PINNED_KERNELS = [
+    ("free_13", 6, "92e89b0d58527228b9410fb6dd5976b0e5e452a2cb5e1fe77ddb3f0e00d1cb7e"),
+    ("free_19", 7, "d2b27d9d1ed38132b5ab62f74c819efe51066ff2b44274e948f997abbfb50210"),
+    ("free_19", 11, "ccf665200201673481cd203c648fa01e272b7e40ec656a982031ecba956fa2cd"),
+    ("free_20", 9, "ce046a344c8b4bb0f80859aec6f1966c9348abda7fbbfec5d9191ba19203fedb"),
+    ("free_20", 10, "7eddcdc75d14e920d846d5e0c885a337bcb3ea7957d888daf6063ef0a79e5b86"),
+]
+
+
+@pytest.mark.parametrize("name,d,digest", PINNED_KERNELS)
+def test_exact_kernels_are_pinned(name, d, digest):
+    arr = getattr(fixtures, name)()
+    exps = candidate_exponents(arr)
+    assert d in (exps.d1, exps.d2)
+    assert _vectors_digest(null_space_exact(derivation_matrix(arr, d)).vectors) == digest
