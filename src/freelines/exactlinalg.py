@@ -9,16 +9,16 @@ kernel_basis is multimodular and Las Vegas: never wrong, only retried.
   LAZY_STEPS steps). Back-substitution mod p then gives the reduced row echelon
   (RREF) entries at the free columns.
 - Across primes: a prime whose pivot columns are not the lexicographically
-  smallest seen is unlucky and dropped. The residues of the others are
-  combined by CRT and lifted to rationals by reconstruction with a common
-  denominator, one held-out prime screening the lift. Primes are added until
-  the lifted vectors satisfy A x = 0 exactly over the integers.
+  smallest seen is unlucky and dropped; within a batch that happens at the
+  first column where another prime finds a pivot and it finds none, so the
+  primes left in a batch share one pivot profile. The residues of the lucky
+  primes are combined by CRT and lifted to rationals by reconstruction with
+  a common denominator, one held-out prime screening the lift. Primes are
+  added until the lifted vectors satisfy A x = 0 exactly over the integers.
 
 A vector that passes is the RREF kernel vector of its free column: its support
 is that column and the pivot columns before it, so it is unique. It is
-returned primitive with its first nonzero entry positive. After the first
-batch only the pivot rows of a lucky prime are eliminated; if a lift fails
-the exact check there, the remaining batches use every row again.
+returned primitive with its first nonzero entry positive.
 
 References: Dixon, Numer. Math. 40 (1982); von zur Gathen and Gerhard, Modern
 Computer Algebra, section 5.10 (rational reconstruction).
@@ -162,7 +162,8 @@ class _Residues:
     def __init__(self, rows: list, ncols: int):
         try:
             self.small = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-            self.bits = int(np.abs(self.small).max()).bit_length()
+            # both ends: abs(-2^63) wraps in int64
+            self.bits = max(int(self.small.max()).bit_length(), int(self.small.min()).bit_length())
         except OverflowError:
             self.small = None
             self.bits = max(abs(x).bit_length() for r in rows for x in r)
@@ -171,98 +172,63 @@ class _Residues:
             raw = b"".join(x.to_bytes(nbytes, "little", signed=True) for r in rows for x in r)
             self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), ncols, nbytes).astype(np.int64)
 
-    def __call__(self, primes: np.ndarray, keep_rows=None) -> np.ndarray:
+    def __call__(self, primes: np.ndarray) -> np.ndarray:
         pc = primes[:, None, None]
         if self.small is not None:
-            a = self.small if keep_rows is None else self.small[keep_rows]
-            return a[None] % pc
-        b = self.bytes if keep_rows is None else self.bytes[keep_rows]
+            return self.small[None] % pc
         weights = np.array([[pow(256, i, int(p)) for i in range(self.nbytes)] for p in primes], dtype=np.int64)
         top = np.array([pow(256, self.nbytes, int(p)) for p in primes], dtype=np.int64)
         # each byte times its weight is below 2^34, so the sum over bytes stays small
-        res = (b @ weights.T) - (b[:, :, -1:] >= 128) * top
+        res = (self.bytes @ weights.T) - (self.bytes[:, :, -1:] >= 128) * top
         return np.ascontiguousarray(np.moveaxis(res, 2, 0)) % pc
 
 
-def _swap_rows(arrays, s, i, j) -> None:
-    """Swap rows i[k] and j[k] of prime s[k] in each array."""
-    for arr in arrays:
-        held = arr[s, i].copy()
-        arr[s, i] = arr[s, j]
-        arr[s, j] = held
+def _echelon_mod(a: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Row echelon form of a[k] modulo primes[k], for the primes of smallest pivot profile.
 
-
-def _echelon_mod(a: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row echelon form of a[k] modulo primes[k] for every k, in place.
-
-    On return a holds residues in [0, p) with each pivot entry 1 and zeros
-    below it. Returns the pivot columns (primes, min(rows, cols)), the ranks
-    and, for each prime, the original row at each position. The pivot row is
+    At a column where some prime finds a pivot, a prime that finds none has
+    the larger pivot profile, so it is unlucky and dropped there. Returns the
+    echelon forms of the primes that remain (residues in [0, p), each pivot
+    entry 1 with zeros below it), those primes and their common pivot
+    columns. a is reduced in place until a prime is dropped. The pivot row is
     the first with a nonzero residue.
     """
-    nprimes, nrows, ncols = a.shape
+    nrows, ncols = a.shape[1:]
     pc = primes[:, None]
     plist = primes.tolist()
-    ranks = np.zeros(nprimes, dtype=np.intp)
-    pivots = np.full((nprimes, min(nrows, ncols)), ncols, dtype=np.intp)
-    perm = np.tile(np.arange(nrows), (nprimes, 1))
-    offsets = np.arange(nrows)
-    lo, uniform, lazy = 0, True, 0  # lo: smallest rank; uniform: every rank is lo
+    pivots: list[int] = []
+    r, lazy = 0, 0
     for c in range(ncols):
-        if lo == nrows:
+        if r == nrows:
             break
-        col = a[:, lo:, c] % pc
-        a[:, lo:, c] = col
-        cand = col != 0
-        if not uniform:
-            cand &= offsets[: nrows - lo] >= (ranks - lo)[:, None]
-        has = cand.any(axis=1)
-        if uniform and all(has.tolist()):
-            # every prime pivots on row lo: slices instead of per-prime indices
-            piv = cand.argmax(axis=1).tolist()
-            if min(piv) == max(piv):
-                if piv[0]:
-                    _swap_rows((a, perm), slice(None), lo + piv[0], lo)
-            else:
-                moved = np.flatnonzero(piv)
-                _swap_rows((a, perm), moved, lo + np.array(piv)[moved], lo)
-            prow = a[:, lo, c:] % pc
-            inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), plist)]
-            prow = prow * np.array(inv, dtype=np.int64)[:, None] % pc
-            a[:, lo, c:] = prow
-            a[:, lo + 1:, c:] -= a[:, lo + 1:, c, None] * prow[:, None, :]
-            pivots[:, lo] = c
-            ranks += 1
-            lo += 1
-        elif has.any():
-            sel = np.flatnonzero(has)
-            top = ranks[sel]
-            piv = cand[sel].argmax(axis=1) + lo
-            moved = piv != top
-            if moved.any():
-                _swap_rows((a, perm), sel[moved], piv[moved], top[moved])
-            ps = primes[sel, None]
-            prow = a[sel, top, c:] % ps
-            inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), primes[sel].tolist())]
-            prow = prow * np.array(inv, dtype=np.int64)[:, None] % ps
-            a[sel, top, c:] = prow
-            factor = np.zeros((nprimes, nrows - lo), dtype=np.int64)
-            factor[sel] = np.where(offsets[lo:] > top[:, None], a[sel, lo:, c], 0)
-            lead = np.zeros((nprimes, ncols - c), dtype=np.int64)
-            lead[sel] = prow
-            a[:, lo:, c:] -= factor[:, :, None] * lead[:, None, :]
-            pivots[sel, top] = c
-            ranks[sel] += 1
-            lo = int(ranks.min())
-            uniform = lo == ranks.max()
-        else:
+        col = a[:, r:, c] % pc
+        a[:, r:, c] = col
+        nz = col != 0
+        has = nz.any(axis=1)
+        if not has.any():
             continue
+        if not has.all():
+            a, primes, nz = a[has], primes[has], nz[has]
+            pc, plist = primes[:, None], primes.tolist()
+        piv = nz.argmax(axis=1) + r
+        moved = np.flatnonzero(piv != r)
+        if moved.size:
+            held = a[moved, r].copy()
+            a[moved, r] = a[moved, piv[moved]]
+            a[moved, piv[moved]] = held
+        prow = a[:, r, c:] % pc
+        inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), plist)]
+        prow = prow * np.array(inv, dtype=np.int64)[:, None] % pc
+        a[:, r, c:] = prow
+        a[:, r + 1:, c:] -= a[:, r + 1:, c, None] * prow[:, None, :]
+        pivots.append(c)
+        r += 1
         lazy += 1
         if lazy == LAZY_STEPS:
-            a %= primes[:, None, None]
+            a %= pc[:, :, None]
             lazy = 0
-    a %= primes[:, None, None]
-    return pivots, ranks, perm
+    a %= pc[:, :, None]
+    return a, primes, pivots
 
 
 def _rref_at_free(u: np.ndarray, primes: np.ndarray, pivots: list[int], free: list[int]) -> np.ndarray:
@@ -372,7 +338,7 @@ def _prime_limit(rows: list, ncols: int) -> int:
     Every RREF entry is a ratio of two minors of at most min(rows, cols)
     rows, bounded by the product of the largest row norms (Hadamard). Three
     times the primes that reconstruction then needs covers the unlucky ones,
-    which divide such minors, and a restart after a row subset failed.
+    which divide such minors.
     """
     k = min(len(rows), ncols)
     norms = sorted((log2(sum(x * x for x in r)) / 2 for r in rows), reverse=True)
@@ -391,37 +357,24 @@ def kernel_basis(matrix: list[list[int]], ncols: int | None = None) -> list[tupl
     best = None  # smallest padded pivot profile seen
     kept_primes: list[int] = []
     kept: list[np.ndarray] = []
-    restrict = True
-    keep_rows = None  # after the first batch: the pivot rows of a lucky prime
     used, limit = 0, None
     while True:
         count = FIRST_BATCH if not used else max(FIRST_BATCH, used // 4)
         primes = np.array(word_primes(used + count)[used:], dtype=np.int64)
         used += count
-        a = residues(primes, keep_rows)
-        pivots, ranks, perm = _echelon_mod(a, primes)
-        # ncols ends each profile: one that stops early compares as larger
-        profiles = [tuple(pivots[k, :ranks[k]].tolist()) + (ncols,) for k in range(len(primes))]
-        if best is None or min(profiles) < best:
-            best, kept_primes, kept = min(profiles), [], []
-        lucky = [k for k, p in enumerate(profiles) if p == best]
-        if lucky:
-            piv = list(best[:-1])
-            r = len(piv)
+        a, primes, piv = _echelon_mod(residues(primes), primes)
+        # ncols ends the profile: one that stops early compares as larger
+        profile = tuple(piv) + (ncols,)
+        if best is None or profile < best:
+            best, kept_primes, kept = profile, [], []
+        if profile == best:
             free = sorted(set(range(ncols)) - set(piv))
-            kept.append(_rref_at_free(a[lucky], primes[lucky], piv, free))
-            kept_primes += [int(p) for p in primes[lucky]]
-            if restrict and keep_rows is None:
-                keep_rows = np.sort(perm[lucky[0], :r])
+            kept.append(_rref_at_free(a, primes, piv, free))
+            kept_primes += primes.tolist()
             if len(kept_primes) > 1:
                 basis = _lift(np.concatenate(kept), kept_primes, piv, free, ncols)
-                if basis is not None:
-                    if _annihilates(rows, residues.bits, basis, ncols):
-                        return basis
-                    if keep_rows is not None:
-                        # the kept rows may span less than A: use every row again
-                        restrict, keep_rows = False, None
-                        best, kept_primes, kept = None, [], []
+                if basis is not None and _annihilates(rows, residues.bits, basis, ncols):
+                    return basis
         if used > 64:
             limit = limit or _prime_limit(rows, ncols)
             if used > limit:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -137,6 +138,17 @@ def test_wide_entries_retry_with_more_primes(monkeypatch):
     assert len(batches) >= 3 and sum(batches) > 3 * exactlinalg.FIRST_BATCH
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_block_reduction_every_few_steps(monkeypatch, steps):
+    # real matrices never reach LAZY_STEPS pivots; a small value runs the
+    # whole-block reduction of elimination and back-substitution
+    monkeypatch.setattr(exactlinalg, "LAZY_STEPS", steps)
+    rng = random.Random(steps)
+    m = [[rng.randint(-(2**40), 2**40) for _ in range(9)] for _ in range(6)]
+    m.append([x + y for x, y in zip(m[0], m[1])])
+    assert kernel_basis(m, 9) == rref_kernel_oracle(m, 9)
+
+
 def test_unlucky_first_prime_is_dropped():
     p = exactlinalg.word_primes(1)[0]
     # column 0 vanishes mod p, so p sees pivots (1, 2) where Q has (0, 1)
@@ -147,14 +159,21 @@ def test_unlucky_first_prime_is_dropped():
     assert kernel_basis(m, 3) == rref_kernel_oracle(m, 3)
 
 
-def test_unlucky_first_batch_falls_back_to_every_row():
-    # Every first-batch prime sees row 0 as zero and keeps row 1 alone, whose
-    # RREF entry C/B takes several batches to lift; that lift fails A x = 0 on
-    # row 0, and the batches after it eliminate both rows.
+def test_unlucky_first_batch_is_dropped():
+    # Every first-batch prime sees row 0 as zero, so its pivot profile is
+    # (1,) where Q has (0, 1); the kernel comes from the batches after it.
     q = prod(exactlinalg.word_primes(exactlinalg.FIRST_BATCH))
     b, c = 3**70, 2**112 + 1
     m = [[q, 0, 0], [0, b, c]]
     assert kernel_basis(m, 3) == rref_kernel_oracle(m, 3) == [(0, c, -b)]
+
+
+def test_int64_minimum_entry():
+    # abs(-2^63) wraps in int64; the entry bound must still count 64 bits
+    low = -(2**63)
+    m = [[low, 3, 1], [5, low + 1, 2**62]]
+    assert exactlinalg._Residues(m, 3).bits == 64
+    assert kernel_basis(m, 3) == rref_kernel_oracle(m, 3)
 
 
 def test_word_primes_are_descending_primes_below_2_26():
