@@ -40,7 +40,6 @@ from .certify import (
 from .derivations import (
     DegreeMismatch,
     DerivationMatrix,
-    IllConditionedKernel,
     NullBasisExact,
     NullBasisFloat,
     SaitoTensor,
@@ -52,7 +51,6 @@ from .derivations import (
     null_space_exact,
     null_space_float,
     q_coefficient_vector,
-    robust_null_basis,
 )
 from .monomials import MonomialBasis, monomial_basis
 from .saito import ALSConfig, ALSResult, SaitoEvaluation, als_minimize, homogeneous_lsq, saito_functional

@@ -252,7 +252,7 @@ def _als_guess(d1, d2, comp1, comp2, als):
     """
     import numpy as np
 
-    if als.result is None or als.tensor is None or als.d1 != d1 or als.d2 != d2:
+    if als.d1 != d1 or als.d2 != d2:
         return None
     target1 = als.tensor.v1 @ als.result.alpha1
     target2 = als.tensor.v2 @ als.result.alpha2

@@ -36,7 +36,7 @@ from .certify import (
     verify_free,
     write_certificate,
 )
-from .saito import ALSConfig, NoCandidateExponents as NoExponentsError, saito_functional
+from .saito import ALSConfig, saito_functional
 from .scores import RewardWeights
 from .search import (
     Catalog,
@@ -80,8 +80,19 @@ def _parse_exponents(command: str, text: str) -> tuple[int, int]:
     return d1, d2
 
 
+def _built(command: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError or TypeError it raises is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        _usage_error(command, str(exc))
+
+
 def _als_config(args) -> ALSConfig:
-    return ALSConfig(iterations=args.als_iters, restarts=args.als_restarts, rng_seed=args.seed)
+    return _built(
+        args.command, ALSConfig,
+        iterations=args.als_iters, restarts=args.als_restarts, rng_seed=args.seed,
+    )
 
 
 def _exponents_for(arr: Arrangement, args) -> tuple[int, int] | None:
@@ -132,7 +143,7 @@ def cmd_saito(args) -> int:
         "exponents": [str(ev.d1), str(ev.d2)],
         "k1": str(ev.k1),
         "k2": str(ev.k2),
-        "restart_losses": list(ev.result.restart_losses) if ev.result else [],
+        "restart_losses": list(ev.result.restart_losses),
         "elapsed_ms": ev.elapsed_ms,
         "reason": ev.reason,
     }
@@ -217,8 +228,16 @@ def cmd_construct(args) -> int:
     return 0
 
 
+# --config keys each command reads; any other key is a usage error
+CONFIG_KEYS = {
+    "extend": ("pool_bound",),
+    "cascade": ("pool_bound",),
+    "search": ("weights", "pool_bound", "beam"),
+}
+
+
 def _file_config(args) -> dict:
-    """Optional JSON config: weights, pool_bound, prefilter_threshold, beam, threads."""
+    """Optional JSON config object; its keys must be ones the command reads."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -229,32 +248,38 @@ def _file_config(args) -> dict:
         _usage_error("config", str(exc))
     if not isinstance(data, dict):
         _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(CONFIG_KEYS[args.command]))
+    if unknown:
+        _usage_error("config", f"{args.command} does not read config key {unknown[0]!r}")
     return data
 
 
 def _weights_from(cfg: dict) -> RewardWeights:
-    fields = {k: v for k, v in cfg.get("weights", {}).items()}
-    return RewardWeights(**fields) if fields else RewardWeights()
+    fields = cfg.get("weights", {})
+    if not isinstance(fields, dict):
+        _usage_error("config", f"weights: expected a JSON object, got {type(fields).__name__}")
+    return _built("config", RewardWeights, **fields)
 
 
 def _extension_config(args) -> ExtensionConfig:
     cfg = _file_config(args)
-    return ExtensionConfig(
-        prefilter_threshold=cfg.get("prefilter_threshold", args.prefilter_threshold),
+    return _built(
+        args.command, ExtensionConfig,
         pool_bound=cfg.get("pool_bound", args.pool_bound),
         delta_b2_target=getattr(args, "delta_b2", None),
-        als=_als_config(args),
-        threads=cfg.get("threads", args.threads),
     )
 
 
 def cmd_extend(args) -> int:
     arr = _load(args.file)
+    config = _extension_config(args)
+    if not 1 <= args.d1 <= args.d2 or args.d1 + args.d2 != arr.n:
+        _usage_error("extend", f"need 1 <= d1 <= d2 with d1 + d2 = n = {arr.n}, got {args.d1},{args.d2}")
     seed_outcome = verify_arrangement(arr)
     if not isinstance(seed_outcome, Certified):
         _emit("extend", {"error": "seed-not-certified"}, arrangement_hash(arr))
         return DOMAIN_ERROR
-    discoveries = bootstrap_extend(arr, args.d1, args.d2, _extension_config(args))
+    discoveries = bootstrap_extend(arr, args.d1, args.d2, config)
     payload = {
         "seed_exponents": [str(seed_outcome.certificate.d1), str(seed_outcome.certificate.d2)],
         "discoveries": [
@@ -277,13 +302,18 @@ def cmd_extend(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _file_config(args)
+    if args.d1 + args.d2 != args.n - 1:
+        _usage_error("search", f"exponents {args.d1},{args.d2} do not sum to n - 1 = {args.n - 1}")
+    beam = cfg.get("beam", args.beam)
+    if type(beam) is not int or beam < 1:
+        _usage_error("search", f"beam width must be a positive integer, got {beam!r}")
     entries = beam_search_build(
         args.n,
         args.d1,
         args.d2,
         weights=_weights_from(cfg),
-        pool=candidate_pool(cfg.get("pool_bound", args.pool_bound)),
-        beam_width=cfg.get("beam", args.beam),
+        pool=_built("search", candidate_pool, cfg.get("pool_bound", args.pool_bound)),
+        beam_width=beam,
         seed=args.seed,
     )
     payload = {
@@ -397,12 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d1", type=int)
     p.add_argument("d2", type=int)
     p.add_argument("--pool-bound", type=int, default=2)
-    p.add_argument("--prefilter-threshold", type=float, default=0.05)
     p.add_argument("--delta-b2", type=int, help="override the derived delta-b2 target")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--config", help="JSON config for weights/pool/thresholds")
+    p.add_argument("--config", help="JSON config with pool_bound")
     p.add_argument("--out")
-    _add_als_flags(p)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("search", help="deterministic beam-search construction")
@@ -412,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--pool-bound", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON config for weights/pool/thresholds")
+    p.add_argument("--config", help="JSON config with weights, pool_bound and beam")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cascade", help="level-by-level bootstrap cascade")
@@ -420,11 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--targets", help="semicolon-separated d1,d2 pairs")
     p.add_argument("--pool-bound", type=int, default=2)
-    p.add_argument("--prefilter-threshold", type=float, default=0.05)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--config", help="JSON config for weights/pool/thresholds")
+    p.add_argument("--config", help="JSON config with pool_bound")
     p.add_argument("--out")
-    _add_als_flags(p)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("survey", help="batch freeness-loss table over files")
@@ -441,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoExponentsError as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}), file=sys.stderr)
-        return DOMAIN_ERROR
     except BrokenPipeError:  # pragma: no cover
         return 0
 

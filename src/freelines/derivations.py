@@ -8,6 +8,10 @@ here: for each line, restricting theta(alpha) to a parameterization of the line
 must give the identically-zero binary form, one linear constraint per
 coefficient.
 
+Every null space comes from the exact kernel. The float basis that the Saito
+tensor consumes is that kernel orthonormalized, so float code never decides a
+nullity.
+
 The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
 of two null bases in one pass: with z = 1 each block becomes a bivariate
 polynomial on an (n+1) x (n+1) grid, and the determinant is a triple product
@@ -35,17 +39,6 @@ from .monomials import (
 
 class DegreeMismatch(ValueError):
     pass
-
-
-class IllConditionedKernel(RuntimeError):
-    """No clear spectral gap between kept and discarded singular values."""
-
-    def __init__(self, gap: float, threshold: float):
-        super().__init__(
-            f"singular value gap {gap:.3e} below required {threshold:.0e}; "
-            "numerical nullity is unreliable"
-        )
-        self.gap = gap
 
 
 def line_kernel_basis(line: Line) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -79,9 +72,6 @@ class DerivationMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), 3 * basis_size(self.degree))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.float64)
 
 
 def _binary_form_power(u: int, w: int, e: int) -> list[int]:
@@ -160,58 +150,6 @@ def q_coefficient_vector(arr: Arrangement) -> list[int]:
 
 
 @dataclass(frozen=True)
-class NullBasisFloat:
-    degree: int
-    basis: np.ndarray  # shape 3*N_d x k, orthonormal columns
-    singular_values: np.ndarray
-    gap: float  # ratio of smallest kept to largest discarded singular value
-
-    @property
-    def nullity(self) -> int:
-        return self.basis.shape[1]
-
-
-GAP_THRESHOLD = 1e3
-
-
-def null_space_float(matrix: DerivationMatrix | np.ndarray, tol: float = 1e-9) -> NullBasisFloat:
-    """Orthonormal basis of the numerical kernel via SVD.
-
-    Nullity is the number of singular values below tol times the largest one
-    (plus any structural deficit when there are fewer rows than columns). A
-    spectral gap of at least 1e3 must separate kept from discarded values,
-    otherwise IllConditionedKernel is raised.
-    """
-    if not 0 < tol < 1:
-        raise ValueError("tol must be in (0, 1)")
-    if isinstance(matrix, DerivationMatrix):
-        a = matrix.as_array()
-        degree = matrix.degree
-    else:
-        a = np.asarray(matrix, dtype=np.float64)
-        degree = -1
-    # row scaling leaves the kernel unchanged and tames the huge dynamic
-    # range of high-degree integer rows (entries up to ~1e25 on real inputs)
-    norms = np.linalg.norm(a, axis=1)
-    norms[norms == 0.0] = 1.0
-    a = a / norms[:, None]
-    ncols = a.shape[1]
-    _, svals, vt = np.linalg.svd(a, full_matrices=True)
-    smax = svals[0] if len(svals) else 0.0
-    if smax == 0.0:
-        return NullBasisFloat(degree, np.eye(ncols), svals, math.inf)
-    r = int(np.sum(svals > tol * smax))
-    if r == 0 or r >= len(svals):
-        gap = math.inf
-    else:
-        gap = float(svals[r - 1] / svals[r]) if svals[r] > 0 else math.inf
-    if math.isfinite(gap) and gap < GAP_THRESHOLD:
-        raise IllConditionedKernel(gap, GAP_THRESHOLD)
-    basis = vt[r:].T.copy()
-    return NullBasisFloat(degree, basis, svals, gap)
-
-
-@dataclass(frozen=True)
 class NullBasisExact:
     """Primitive integer basis of the rational kernel of a derivation matrix.
 
@@ -231,37 +169,6 @@ class NullBasisExact:
     @property
     def complement(self) -> tuple[tuple[int, ...], ...]:
         return self.vectors[self.euler_dim:]
-
-
-def robust_null_basis(arr: Arrangement, d: int, tol: float = 1e-9) -> NullBasisFloat:
-    """SVD basis when the spectral gap is clean, exact-kernel basis otherwise.
-
-    Below the gap threshold the SVD tail mixes kernel and noise directions
-    (measured: a verified-free input evaluated at 1.8e-4 instead of 0), so
-    the fallback orthonormalizes the exact kernel instead of merely forcing
-    the exact nullity. This is the float basis every pipeline consumer uses.
-    """
-    m = derivation_matrix(arr, d)
-    try:
-        return null_space_float(m, tol=tol)
-    except IllConditionedKernel:
-        return float_basis_from_exact(m, null_space_exact(m))
-
-
-def float_basis_from_exact(matrix: DerivationMatrix, exact: "NullBasisExact") -> NullBasisFloat:
-    """Orthonormal float basis spanning the exact kernel.
-
-    Used when the SVD cannot separate kernel from noise directions: exact
-    kernel vectors are scaled to unit max entry (they can be hundreds of
-    digits long), converted to float and orthonormalized.
-    """
-    cols = []
-    for vec in exact.vectors:
-        scale = max(abs(v) for v in vec)
-        cols.append([v / scale for v in vec])
-    x = np.array(cols, dtype=np.float64).T
-    q, _ = np.linalg.qr(x)
-    return NullBasisFloat(matrix.degree, q[:, : exact.nullity], np.array([]), math.nan)
 
 
 @lru_cache(maxsize=16)
@@ -289,8 +196,30 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
     return NullBasisExact(degree=d, vectors=tuple(vectors), euler_dim=basis_size(d - 1))
 
 
-def exact_nullity(arr: Arrangement, d: int) -> int:
-    return null_space_exact(derivation_matrix(arr, d)).nullity
+@dataclass(frozen=True)
+class NullBasisFloat:
+    degree: int
+    basis: np.ndarray  # shape 3*N_d x k, orthonormal columns
+
+    @property
+    def nullity(self) -> int:
+        return self.basis.shape[1]
+
+
+def null_space_float(matrix: DerivationMatrix) -> NullBasisFloat:
+    """Orthonormal float basis spanning the exact kernel.
+
+    Exact kernel vectors can be hundreds of digits long, so each is scaled
+    to unit max entry, converted to float and the columns orthonormalized.
+    """
+    exact = null_space_exact(matrix)
+    cols = []
+    for vec in exact.vectors:
+        scale = max(abs(v) for v in vec)
+        cols.append([v / scale for v in vec])
+    x = np.array(cols, dtype=np.float64).T
+    q, _ = np.linalg.qr(x)
+    return NullBasisFloat(matrix.degree, q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangement import Arrangement, candidate_exponents, no_exponent_reason
+from .arrangement import Arrangement
 from .derivations import (
     SaitoTensor,
     assemble_saito_tensor,
     contract,
     contract_matrix,
+    derivation_matrix,
     euler_multiples,
-    robust_null_basis,
+    null_space_float,
 )
 
 
@@ -175,56 +176,33 @@ class SaitoEvaluation:
     d2: int
     k1: int
     k2: int
-    result: ALSResult | None
+    result: ALSResult
     elapsed_ms: float
-    reason: str | None = None  # set when the loss was forced without ALS
-    gap1: float = float("inf")
-    gap2: float = float("inf")
-    tensor: SaitoTensor | None = field(repr=False, default=None)
-
-
-class NoCandidateExponents(ValueError):
-    def __init__(self, reason: str | None):
-        super().__init__(f"no candidate exponents ({reason})")
-        self.reason = reason
+    tensor: SaitoTensor = field(repr=False)
+    reason: str | None = None  # "all-contractions-zero" when ALS forced the loss to 1
 
 
 def saito_functional(
     arr: Arrangement,
-    d1: int | None = None,
-    d2: int | None = None,
+    d1: int,
+    d2: int,
     config: ALSConfig = ALSConfig(),
-    svd_tol: float = 1e-9,
 ) -> SaitoEvaluation:
     """Evaluate the angular freeness loss of an arrangement at (d1, d2).
 
-    When the exponents are omitted they must be derivable from the lattice,
-    otherwise NoCandidateExponents is raised. An empty kernel on either side
-    reports loss 1 with reason "empty-kernel" instead of running ALS.
+    Both null bases are the orthonormalized exact kernels. Neither is empty:
+    every kernel of degree d >= 1 holds the Euler multiples.
     """
     t0 = time.perf_counter()
-    if d1 is None or d2 is None:
-        exps = candidate_exponents(arr)
-        if exps is None:
-            raise NoCandidateExponents(no_exponent_reason(arr))
-        d1, d2 = exps.d1, exps.d2
     if d1 + d2 != arr.n - 1:
         raise ValueError(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
-    v1 = robust_null_basis(arr, d1, svd_tol)
-    v2 = robust_null_basis(arr, d2, svd_tol) if d2 != d1 else v1
-    if v1.nullity == 0 or v2.nullity == 0:
-        elapsed = (time.perf_counter() - t0) * 1e3
-        return SaitoEvaluation(
-            loss=1.0, d1=d1, d2=d2, k1=v1.nullity, k2=v2.nullity,
-            result=None, elapsed_ms=elapsed, reason="empty-kernel",
-            gap1=v1.gap, gap2=v2.gap,
-        )
+    v1 = null_space_float(derivation_matrix(arr, d1))
+    v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
     tensor = assemble_saito_tensor(arr, v1, v2)
     result = als_minimize(tensor, config)
     elapsed = (time.perf_counter() - t0) * 1e3
     reason = "all-contractions-zero" if result.all_contractions_zero else None
     return SaitoEvaluation(
         loss=result.loss, d1=d1, d2=d2, k1=v1.nullity, k2=v2.nullity,
-        result=result, elapsed_ms=elapsed, reason=reason, gap1=v1.gap, gap2=v2.gap,
-        tensor=tensor,
+        result=result, elapsed_ms=elapsed, reason=reason, tensor=tensor,
     )

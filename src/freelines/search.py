@@ -1,15 +1,16 @@
 """Construction search: candidate pools, extension, two-pencils, beam, cascade.
 
 Everything here is deterministic given its configuration: candidates are
-iterated in canonical order, ties break on canonical keys, and randomness
-enters only through the seeded ALS evaluations.
+iterated in canonical order and ties break on canonical keys. Extension and
+cascade are exact throughout: every candidate goes to exact verification, with
+no float filter in front. Randomness enters only through the seeded ALS
+evaluations that score the beam search.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .arrangement import (
@@ -34,7 +35,7 @@ from .certify import (
     verify_free,
 )
 from .monomials import Poly
-from .saito import ALSConfig, saito_functional
+from .saito import ALSConfig
 from .scores import RewardWeights, ScoreConfig, reward, sigma_alg
 
 
@@ -83,19 +84,16 @@ def delta_b2(arr: Arrangement, line: Line) -> int:
 
 @dataclass(frozen=True)
 class ExtensionConfig:
-    prefilter_threshold: float = 0.05
     sources: tuple[str, ...] = ("pairs", "pool", "multi")
     pool_bound: int = 2
     delta_b2_target: int | None = None
-    als: ALSConfig = field(default_factory=ALSConfig)
-    threads: int = 1
 
     def __post_init__(self):
-        if not 0 < self.prefilter_threshold < 1:
-            raise ValueError("prefilter threshold must be in (0, 1)")
         unknown = set(self.sources) - {"pairs", "pool", "multi"}
         if unknown:
             raise ValueError(f"unknown candidate sources {sorted(unknown)}")
+        if not isinstance(self.pool_bound, int) or self.pool_bound < 1:
+            raise ValueError(f"pool bound must be a positive integer, got {self.pool_bound!r}")
 
 
 def _join(p: tuple[int, int, int], q: tuple[int, int, int]) -> Line | None:
@@ -164,8 +162,10 @@ def bootstrap_extend(
     """Extend a certified free seed by one line toward exponents (d1p, d2p).
 
     Only candidates moving b2 exactly to (n - 1) + d1p*d2p for the extended
-    arrangement are evaluated; survivors of the loss prefilter go to exact
-    verification. Returns certified extensions in candidate order.
+    arrangement are kept, and each of them goes to verify_free. When the
+    target raises one seed exponent by one, every such candidate is free by
+    Terao's addition theorem; on other targets the exact check refutes them.
+    Returns the certified extensions in candidate order.
     """
     n = seed.n
     if d1p + d2p != n:
@@ -176,24 +176,10 @@ def bootstrap_extend(
     if target is None:
         target = (n + d1p * d2p) - b2
     cfg = replace(config, delta_b2_target=target)
-    candidates = enumerate_extension_candidates(seed, cfg)
-
-    def evaluate(line: Line):
-        # verified right after its loss, while its kernels are still cached
-        extended = seed.extended(line)
-        ev = saito_functional(extended, d1p, d2p, config=config.als)
-        if ev.loss > config.prefilter_threshold:
-            return line, extended, ev, None
-        return line, extended, ev, verify_free(extended, d1p, d2p, als=ev)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            evaluated = list(pool.map(evaluate, candidates))
-    else:
-        evaluated = [evaluate(line) for line in candidates]
-
     out: list[Discovery] = []
-    for line, extended, ev, outcome in evaluated:
+    for line in enumerate_extension_candidates(seed, cfg):
+        extended = seed.extended(line)
+        outcome = verify_free(extended, d1p, d2p)
         if isinstance(outcome, Certified):
             out.append(
                 Discovery(
@@ -204,7 +190,6 @@ def bootstrap_extend(
                         "seed_hash": arrangement_hash(seed),
                         "added_line": [str(line.a), str(line.b), str(line.c)],
                         "delta_b2_target": str(target),
-                        "prefilter_loss": ev.loss,
                     },
                 )
             )

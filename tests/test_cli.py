@@ -178,6 +178,37 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
     assert json.loads(captured.err) == {"command": "config", "error": "expected a JSON object, got list"}
 
 
+@pytest.mark.parametrize(
+    "argv,config,named",
+    [
+        (["saito", "free13", "--als-iters", "0"], None, None),
+        (["search", "3", "1", "1", "--beam", "0"], None, None),
+        (["extend", "near_pencil5", "1", "4", "--pool-bound", "0"], None, None),
+        (["extend", "near_pencil5", "4", "1"], None, None),
+        (["extend", "near_pencil5", "1", "4"], {"pool_bound": 2.5}, "2.5"),
+        (["search", "3", "1", "2"], None, None),
+        (["search", "3", "1", "1"], {"weights": {"bogus": 1}}, "bogus"),
+        (["extend", "near_pencil5", "1", "4"], {"prefilter_threshold": 0.02}, "prefilter_threshold"),
+        (["cascade", "near_pencil5", "--n-max", "6"], {"threads": 2}, "threads"),
+    ],
+)
+def test_bad_values_are_usage_errors(files, tmp_path, capsys, argv, config, named):
+    argv = [files.get(a, a) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]
+    if named is not None:
+        assert named in err["error"]
+
+
 def test_construct_small(capsys, tmp_path):
     out = str(tmp_path / "cells")
     code, data = run(capsys, ["construct", "1", "1", "--out", out])
@@ -257,7 +288,7 @@ def test_round_trip_cli_files(tmp_path, files):
 
 def test_config_file_overrides(files, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pool_bound": 2, "prefilter_threshold": 0.02}))
+    cfg.write_text(json.dumps({"pool_bound": 2}))
     code, data = run(
         capsys,
         ["extend", files["near_pencil5"], "1", "4", "--pool-bound", "1", "--config", str(cfg)],

@@ -12,7 +12,6 @@ from freelines.derivations import (
     contract_matrix,
     derivation_matrix,
     euler_multiples,
-    float_basis_from_exact,
     line_kernel_basis,
     null_space_exact,
     null_space_float,
@@ -103,31 +102,15 @@ def test_rank_nullity(near_pencil5):
     assert null_space_exact(m).nullity == ncols - rank([list(r) for r in m.rows], ncols)
 
 
-def test_null_space_float_zero_matrix():
-    basis = null_space_float(np.zeros((2, 5)))
-    assert basis.nullity == 5
-    assert np.allclose(basis.basis.T @ basis.basis, np.eye(5))
-
-
 def test_null_space_float_orthonormal_and_annihilating(near_pencil5):
     m = derivation_matrix(near_pencil5, 3)
     basis = null_space_float(m)
     assert basis.nullity == 13
     v = basis.basis
     assert np.linalg.norm(v.T @ v - np.eye(basis.nullity)) < 1e-10
-    a = m.as_array()
+    a = np.array(m.rows, dtype=np.float64)
     a /= np.linalg.norm(a)
     assert np.linalg.norm(a @ v) < 1e-9
-
-
-def test_gap_guard_fires_on_ill_conditioned_fixture(free13):
-    # entries ~1e25 squeeze true nonzero singular values below 1e-9*smax;
-    # the guard must refuse to count rather than silently miscount
-    from freelines.derivations import IllConditionedKernel
-
-    m = derivation_matrix(free13, 6)
-    with pytest.raises(IllConditionedKernel):
-        null_space_float(m)
 
 
 def test_float_exact_nullity_agreement_clean_gap(boolean, near_pencil5):
@@ -136,22 +119,19 @@ def test_float_exact_nullity_agreement_clean_gap(boolean, near_pencil5):
         assert null_space_float(m).nullity == null_space_exact(m).nullity
 
 
-def test_robust_basis_agreement_all_fixtures(boolean, near_pencil5, free13):
-    from freelines.derivations import robust_null_basis
-
-    for arr, d in [(boolean, 1), (near_pencil5, 3), (free13, 6)]:
-        nb = robust_null_basis(arr, d)
-        exact = null_space_exact(derivation_matrix(arr, d))
-        assert nb.nullity == exact.nullity
-    assert robust_null_basis(free13, 6).nullity == 23
-
-
-def test_float_basis_from_exact_spans_kernel(free13):
-    m = derivation_matrix(free13, 6)
-    exact = null_space_exact(m)
-    fb = float_basis_from_exact(m, exact)
-    assert fb.nullity == exact.nullity
-    assert np.linalg.norm(fb.basis.T @ fb.basis - np.eye(fb.nullity)) < 1e-10
+def test_null_space_float_spans_exact_kernel(free13, free19):
+    # entries up to ~1e25 at these degrees: the float basis must still have
+    # the exact nullity and contain every exact kernel vector
+    for arr, d in [(free13, 6), (free19, 7)]:
+        m = derivation_matrix(arr, d)
+        exact = null_space_exact(m)
+        v = null_space_float(m).basis
+        assert v.shape == (m.shape[1], exact.nullity)
+        assert np.linalg.norm(v.T @ v - np.eye(exact.nullity)) < 1e-10
+        for vec in exact.vectors:
+            scale = max(abs(x) for x in vec)
+            unit = np.array([x / scale for x in vec])
+            assert np.linalg.norm(unit - v @ (v.T @ unit)) < 1e-9
 
 
 def test_euler_multiples_dimensions():
@@ -288,8 +268,8 @@ def test_contraction_matches_exact_determinant(free13, free19, free20):
         m2 = m1 if d2 == d1 else derivation_matrix(arr, d2)
         e1 = null_space_exact(m1)
         e2 = e1 if d2 == d1 else null_space_exact(m2)
-        nb1 = float_basis_from_exact(m1, e1)
-        nb2 = nb1 if d2 == d1 else float_basis_from_exact(m2, e2)
+        nb1 = null_space_float(m1)
+        nb2 = nb1 if d2 == d1 else null_space_float(m2)
         t = assemble_saito_tensor(arr, nb1, nb2)
         checked = 0
         while checked < 10:

@@ -1,4 +1,6 @@
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from freelines.arrangement import (
     canonicalize_line,
     intersection_summary,
 )
-from freelines.certify import Certified, check_certificate, verify_free
+from freelines.certify import Certified, NotFreeAtExponents, check_certificate, verify_free
 from freelines.fixtures import near_pencil
 from freelines.scores import RewardWeights
 from freelines.search import (
@@ -265,9 +267,33 @@ def test_catalog_save_load(tmp_path, near_pencil5):
             assert check_certificate(d.arrangement, d.certificate) == (True, None)
 
 
-def test_threaded_extension_matches_serial(near_pencil5):
-    serial = bootstrap_extend(near_pencil5, 1, 4, ExtensionConfig(pool_bound=2, threads=1))
-    threaded = bootstrap_extend(near_pencil5, 1, 4, ExtensionConfig(pool_bound=2, threads=4))
-    assert [d.certificate.arrangement_hash for d in serial] == [
-        d.certificate.arrangement_hash for d in threaded
-    ]
+def test_bootstrap_returns_exactly_the_certified_candidates():
+    # from the (1, 4) near-pencil, the adjacent target (2, 4) certifies every
+    # delta-b2 candidate and the non-adjacent (3, 3) refutes every one
+    seed = near_pencil(6)
+    b2 = intersection_summary(seed).b2
+    refuted = 0
+    for d1, d2 in [(2, 4), (3, 3)]:
+        cfg = ExtensionConfig(pool_bound=2, delta_b2_target=(seed.n + d1 * d2) - b2)
+        certified = []
+        for line in enumerate_extension_candidates(seed, cfg):
+            outcome = verify_free(seed.extended(line), d1, d2)
+            if isinstance(outcome, Certified):
+                certified.append(seed.extended(line))
+            else:
+                assert isinstance(outcome, NotFreeAtExponents)
+                refuted += 1
+        found = bootstrap_extend(seed, d1, d2, ExtensionConfig(pool_bound=2))
+        assert [d.arrangement for d in found] == certified
+    assert refuted > 0
+
+
+def test_cascade_to_7_matches_reference(near_pencil5):
+    # the search benchmark's cascade; the reference file is read, never written
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["cascade"]
+    catalog = cascade([near_pencil5], 7, targets=None, config=ExtensionConfig(pool_bound=2))
+    counts = {",".join(map(str, key)): len(ds) for key, ds in catalog.entries.items()}
+    assert counts == reference["level_counts"]
+    hashes = {d.certificate.arrangement_hash for ds in catalog.entries.values() for d in ds}
+    assert hashes == set(reference["hashes"])
