@@ -119,6 +119,21 @@ def test_float_exact_nullity_agreement_clean_gap(boolean, near_pencil5):
         assert null_space_float(m).nullity == null_space_exact(m).nullity
 
 
+def test_robust_basis_agreement_all_fixtures(boolean, near_pencil5, free13):
+    for arr, d in [(boolean, 1), (near_pencil5, 3), (free13, 6)]:
+        m = derivation_matrix(arr, d)
+        assert null_space_float(m).nullity == null_space_exact(m).nullity
+    assert null_space_float(derivation_matrix(free13, 6)).nullity == 23
+
+
+def test_float_basis_from_exact_spans_kernel(free13):
+    m = derivation_matrix(free13, 6)
+    exact = null_space_exact(m)
+    fb = null_space_float(m)
+    assert fb.nullity == exact.nullity
+    assert np.linalg.norm(fb.basis.T @ fb.basis - np.eye(fb.nullity)) < 1e-10
+
+
 def test_null_space_float_spans_exact_kernel(free13, free19):
     # entries up to ~1e25 at these degrees: the float basis must still have
     # the exact nullity and contain every exact kernel vector
