@@ -66,9 +66,7 @@ def search_fixture_swaps() -> int:
     for drop in range(base.n):
         reduced = build_arrangement([l for i, l in enumerate(base.lines) if i != drop])
         need = b2 - intersection_summary(reduced).b2
-        for cand in enumerate_extension_candidates(
-            reduced, ExtensionConfig(sources=("pairs", "pool"), pool_bound=2)
-        ):
+        for cand in enumerate_extension_candidates(reduced, ExtensionConfig(pool_bound=2)):
             if cand == base.lines[drop] or delta_b2(reduced, cand) != need:
                 continue
             mutant = reduced.extended(cand)

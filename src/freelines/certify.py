@@ -15,16 +15,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from . import exactlinalg
 from .arrangement import (
     Arrangement,
+    Line,
     arrangement_hash,
     candidate_exponents,
     no_exponent_reason,
 )
 from .derivations import (
     DegreeMismatch,
+    _binary_form_power,
+    _conv,
     derivation_matrix,
     line_kernel_basis,
     null_space_exact,
@@ -34,6 +38,7 @@ from .monomials import (
     basis_size,
     monomial_basis,
     poly_equal_upto_scalar,
+    poly_from_line,
     poly_mul,
     product_of_lines,
 )
@@ -56,7 +61,6 @@ class FreenessCertificate:
     theta1: ExactDerivation
     theta2: ExactDerivation
     c: Fraction
-    determinant: Poly
     arrangement_hash: str
 
 
@@ -123,28 +127,41 @@ def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     """
     if not _derivation_degree_ok(theta, d):
         return False
-    f, g, h = theta
-    for line in arr.lines:
-        a, b, c = line.coeffs
-        u, w = line_kernel_basis(line)
-        coeffs = [Fraction(0)] * (d + 1)
-        for comp, weight in ((f, a), (g, b), (h, c)):
-            if not weight:
-                continue
-            for (e1, e2, e3), v in comp.items():
-                form = _binary_monomial(u, w, (e1, e2, e3))
-                scale = weight * v
-                for p, fv in enumerate(form):
-                    if fv:
-                        coeffs[p] += scale * fv
-        if any(coeffs):
-            return False
-    return True
+    theta, _ = _integral(theta)
+    return not any(any(_restricted_form(theta, line, d)) for line in arr.lines)
+
+
+def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
+    """theta times the lcm of its coefficient denominators, and that lcm."""
+    if all(type(v) is int for comp in theta for v in comp.values()):
+        return theta, 1
+    den = lcm(*(Fraction(v).denominator for comp in theta for v in comp.values()))
+    return tuple({e: int(v * den) for e, v in comp.items()} for comp in theta), den
+
+
+def _restricted_form(theta: ExactDerivation, line: Line, d: int) -> list[int]:
+    """theta(alpha) at s*u + t*w on the line alpha = 0, by the power of s.
+
+    theta has degree d and integer coefficients; it is tangent to the line
+    exactly when every one of the d + 1 coefficients is zero.
+    """
+    combined: dict = {}
+    for comp, weight in zip(theta, line.coeffs):
+        if weight:
+            for e, v in comp.items():
+                combined[e] = combined.get(e, 0) + weight * v
+    u, w = line_kernel_basis(line)
+    out = [0] * (d + 1)
+    for e, v in combined.items():
+        if v:
+            for p, fv in enumerate(_binary_monomial(u, w, e)):
+                if fv:
+                    out[p] += v * fv
+    return out
 
 
 def _binary_monomial(u, w, exps) -> list[int]:
-    from .derivations import _binary_form_power, _conv
-
+    """Coefficients of the monomial x^e1 y^e2 z^e3 at s*u + t*w, by the power of s."""
     p = _conv(_binary_form_power(u[0], w[0], exps[0]), _binary_form_power(u[1], w[1], exps[1]))
     return _conv(p, _binary_form_power(u[2], w[2], exps[2]))
 
@@ -172,7 +189,6 @@ def _check_pair(
         theta1=theta1,
         theta2=theta2,
         c=c,
-        determinant=det,
         arrangement_hash=arrangement_hash(arr),
     )
 
@@ -314,9 +330,64 @@ def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool
     q_poly = product_of_lines(arr.lines)
     c = Fraction(cert.c)
     for e in det.keys() | q_poly.keys():
-        if Fraction(det.get(e, 0)) != c * Fraction(q_poly.get(e, 0)):
+        if det.get(e, 0) * c.denominator != c.numerator * q_poly.get(e, 0):
             return False, "determinant-mismatch"
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Certificates lifted across one added line
+# ---------------------------------------------------------------------------
+
+
+def lift_certificate(
+    seed: FreenessCertificate, extended: Arrangement, line: Line, multiplied: int
+) -> FreenessCertificate | None:
+    """Certificate of a seed arrangement plus one line, built from the seed's.
+
+    Let theta_j be the seed field with index multiplied (0 or 1) and theta_i
+    the other, so det(E, theta_1, theta_2) = c * Q' over the seed. Then
+    phi = alpha * theta_j is tangent to every line of the extension, and
+    psi = lam * theta_i + f * theta_j, with f of degree d_i - d_j, is tangent
+    to the new line alpha = 0 exactly when (lam, f) lies in the kernel of a
+    (d_i + 1)-row integer system. det(E, phi, psi) = +-lam * c * Q, so a
+    kernel vector with lam != 0 gives the certificate; None means there is
+    none. The result must pass check_certificate, or InternalInconsistency
+    is raised.
+    """
+    thetas, scales = zip(*(_integral(t) for t in (seed.theta1, seed.theta2)))
+    j, i = multiplied, 1 - multiplied
+    degs = (seed.d1, seed.d2)
+    dj, di = degs[j], degs[i]
+    mons = monomial_basis(di - dj).monomials if di >= dj else ()
+    u, w = line_kernel_basis(line)
+    r_j = _restricted_form(thetas[j], line, dj)
+    cols = [_restricted_form(thetas[i], line, di)]
+    cols += [_conv(_binary_monomial(u, w, m), r_j) for m in mons]
+    kernel = exactlinalg.kernel_basis([list(r) for r in zip(*cols)], len(cols))
+    vec = next((v for v in kernel if v[0]), None)
+    if vec is None:
+        return None
+    lam, f = vec[0], dict(zip(mons, vec[1:]))
+    alpha = poly_from_line(line.coeffs)
+    phi = tuple(poly_mul(alpha, comp) for comp in thetas[j])
+    psi = []
+    for comp_i, comp_j in zip(thetas[i], thetas[j]):
+        comp = {e: lam * v for e, v in comp_i.items()}
+        for e, v in poly_mul(f, comp_j).items():
+            comp[e] = comp.get(e, 0) + v
+        psi.append({e: v for e, v in comp.items() if v})
+    # det(E, phi, psi) = alpha * lam * det(E, theta_j, theta_i)
+    c = Fraction(seed.c) * lam * scales[0] * scales[1] * (1 if j == 0 else -1)
+    if dj + 1 <= di:
+        d1, d2, theta1, theta2 = dj + 1, di, phi, tuple(psi)
+    else:
+        d1, d2, theta1, theta2, c = di, dj + 1, tuple(psi), phi, -c
+    cert = FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(extended))
+    ok, failing = check_certificate(extended, cert)
+    if not ok:
+        raise InternalInconsistency(f"lifted certificate fails its re-check: {failing}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +451,9 @@ def certificate_from_json(data: dict) -> FreenessCertificate:
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
     c = Fraction(str(data["c"]))
-    det = exact_determinant_from_parts(theta1, theta2)
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
-        determinant=det, arrangement_hash=str(data["arrangement_hash"]),
+        arrangement_hash=str(data["arrangement_hash"]),
     )
 
 

@@ -266,7 +266,6 @@ def _extension_config(args) -> ExtensionConfig:
     return _built(
         args.command, ExtensionConfig,
         pool_bound=cfg.get("pool_bound", args.pool_bound),
-        delta_b2_target=getattr(args, "delta_b2", None),
     )
 
 
@@ -279,7 +278,7 @@ def cmd_extend(args) -> int:
     if not isinstance(seed_outcome, Certified):
         _emit("extend", {"error": "seed-not-certified"}, arrangement_hash(arr))
         return DOMAIN_ERROR
-    discoveries = bootstrap_extend(arr, args.d1, args.d2, config)
+    discoveries = bootstrap_extend(arr, seed_outcome.certificate, args.d1, args.d2, config)
     payload = {
         "seed_exponents": [str(seed_outcome.certificate.d1), str(seed_outcome.certificate.d2)],
         "discoveries": [
@@ -304,6 +303,8 @@ def cmd_search(args) -> int:
     cfg = _file_config(args)
     if args.d1 + args.d2 != args.n - 1:
         _usage_error("search", f"exponents {args.d1},{args.d2} do not sum to n - 1 = {args.n - 1}")
+    if args.n < 3:
+        _usage_error("search", f"beam search needs at least 3 lines, got {args.n}")
     beam = cfg.get("beam", args.beam)
     if type(beam) is not int or beam < 1:
         _usage_error("search", f"beam width must be a positive integer, got {beam!r}")
@@ -427,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d1", type=int)
     p.add_argument("d2", type=int)
     p.add_argument("--pool-bound", type=int, default=2)
-    p.add_argument("--delta-b2", type=int, help="override the derived delta-b2 target")
     p.add_argument("--config", help="JSON config with pool_bound")
     p.add_argument("--out")
     p.set_defaults(func=cmd_extend)

@@ -2,16 +2,19 @@
 
 Everything here is deterministic given its configuration: candidates are
 iterated in canonical order and ties break on canonical keys. Extension and
-cascade are exact throughout: every candidate goes to exact verification, with
-no float filter in front. Randomness enters only through the seeded ALS
-evaluations that score the beam search.
+cascade are exact and run no kernel of the extended arrangement: Terao's
+addition theorem and Abe's deletion theorem decide which candidates are free,
+and each child's certificate is lifted from its seed's and re-checked.
+Randomness enters only through the seeded ALS evaluations that score the beam
+search.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .arrangement import (
     Arrangement,
@@ -28,15 +31,17 @@ from .arrangement import (
 from .certify import (
     Certified,
     FreenessCertificate,
+    InternalInconsistency,
     VerificationOutcome,
     certificate_from_json,
     certificate_to_json,
+    lift_certificate,
     verify_arrangement,
     verify_free,
 )
 from .monomials import Poly
 from .saito import ALSConfig
-from .scores import RewardWeights, ScoreConfig, reward, sigma_alg
+from .scores import RewardWeights, ScoreConfig, reward
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,7 @@ class CandidatePool:
         return len(self.lines)
 
 
+@lru_cache(maxsize=None)
 def candidate_pool(bound: int) -> CandidatePool:
     """All projectively distinct integer lines with max |coefficient| <= bound."""
     if bound < 1:
@@ -84,14 +90,9 @@ def delta_b2(arr: Arrangement, line: Line) -> int:
 
 @dataclass(frozen=True)
 class ExtensionConfig:
-    sources: tuple[str, ...] = ("pairs", "pool", "multi")
     pool_bound: int = 2
-    delta_b2_target: int | None = None
 
     def __post_init__(self):
-        unknown = set(self.sources) - {"pairs", "pool", "multi"}
-        if unknown:
-            raise ValueError(f"unknown candidate sources {sorted(unknown)}")
         if not isinstance(self.pool_bound, int) or self.pool_bound < 1:
             raise ValueError(f"pool bound must be a positive integer, got {self.pool_bound!r}")
 
@@ -108,42 +109,21 @@ def _join(p: tuple[int, int, int], q: tuple[int, int, int]) -> Line | None:
 
 
 def enumerate_extension_candidates(arr: Arrangement, config: ExtensionConfig) -> list[Line]:
-    """Deduplicated new-line candidates from the enabled sources.
+    """New-line candidates in canonical order, without duplicates.
 
-    Sources: joins of pairs of intersection points, the integer pool, and
-    joins through rich points (both endpoints of multiplicity >= 3) or
-    through at least three existing points. A delta_b2 target filters the
-    final list to the lines achieving it exactly.
+    The joins of pairs of intersection points and the integer lines of the
+    pool, minus the lines already in the arrangement.
     """
     s = intersection_summary(arr)
-    existing = set(arr.lines)
-    found: set[Line] = set()
     pts = [p.coords for p in s.points]
-    mult = {p.coords: p.multiplicity for p in s.points}
-    if "pairs" in config.sources or "multi" in config.sources:
-        want_pairs = "pairs" in config.sources
-        want_multi = "multi" in config.sources
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                line = _join(pts[i], pts[j])
-                if line is None or line in existing:
-                    continue
-                if want_pairs:
-                    found.add(line)
-                    continue
-                if want_multi:
-                    rich = mult[pts[i]] >= 3 and mult[pts[j]] >= 3
-                    through = sum(1 for p in pts if line.evaluate(p) == 0)
-                    if rich or through >= 3:
-                        found.add(line)
-    if "pool" in config.sources:
-        for line in candidate_pool(config.pool_bound).lines:
-            if line not in existing:
-                found.add(line)
-    candidates = sorted(found)
-    if config.delta_b2_target is not None:
-        candidates = [l for l in candidates if delta_b2(arr, l) == config.delta_b2_target]
-    return candidates
+    found = {
+        line
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if (line := _join(pts[i], pts[j])) is not None
+    }
+    found.update(candidate_pool(config.pool_bound).lines)
+    return sorted(found - set(arr.lines))
 
 
 @dataclass(frozen=True)
@@ -153,46 +133,75 @@ class Discovery:
     provenance: dict
 
 
+def _lift_routes(a: int, b: int) -> list[tuple[tuple[int, int], int, int]]:
+    """(exponents, |A''|, index of the seed field that alpha_H multiplies).
+
+    By Terao's addition theorem a free (a, b) seed plus a line H meeting it
+    in |A''| points is free with these exponents; by Abe's deletion theorem
+    no other one-line extension is free. When a = b both routes reach
+    (a, a + 1).
+    """
+    return [(tuple(sorted((a + 1, b))), b + 1, 0), ((a, b + 1), a + 1, 1)]
+
+
 def bootstrap_extend(
     seed: Arrangement,
+    certificate: FreenessCertificate,
     d1p: int,
     d2p: int,
     config: ExtensionConfig = ExtensionConfig(),
 ) -> list[Discovery]:
     """Extend a certified free seed by one line toward exponents (d1p, d2p).
 
-    Only candidates moving b2 exactly to (n - 1) + d1p*d2p for the extended
-    arrangement are kept, and each of them goes to verify_free. When the
-    target raises one seed exponent by one, every such candidate is free by
-    Terao's addition theorem; on other targets the exact check refutes them.
+    The seed is free with the exponents (a, b) of its certificate, and a new
+    line H meets it in |A''| = delta_b2 points. The extension is free exactly
+    when |A''| = b + 1, with exponents (a + 1, b), or |A''| = a + 1, with
+    exponents (a, b + 1) (Terao's addition theorem; Abe's deletion theorem
+    rules out every other free extension). So a target not adjacent to (a, b)
+    returns [] at once, and on an adjacent target every candidate with the
+    matching |A''| is free. Its certificate is lifted from the seed's and
+    re-checked exactly; a lift that fails raises InternalInconsistency.
     Returns the certified extensions in candidate order.
     """
     n = seed.n
     if d1p + d2p != n:
         raise ValueError(f"target exponents must sum to n = {n} for an (n+1)-line extension")
-    b2 = intersection_summary(seed).b2
-    # an explicit target in the config overrides the derived one
-    target = config.delta_b2_target
-    if target is None:
-        target = (n + d1p * d2p) - b2
-    cfg = replace(config, delta_b2_target=target)
+    if certificate.arrangement_hash != arrangement_hash(seed):
+        raise ValueError("the seed certificate is for another arrangement")
+    if certificate.d1 + certificate.d2 != n - 1:
+        raise ValueError(f"seed certificate exponents do not sum to n - 1 = {n - 1}")
+    a, b = certificate.d1, certificate.d2
+    routes = [(points, k) for exps, points, k in _lift_routes(a, b) if exps == (d1p, d2p)]
+    if not routes:
+        return []
+    points = routes[0][0]
     out: list[Discovery] = []
-    for line in enumerate_extension_candidates(seed, cfg):
+    for line in enumerate_extension_candidates(seed, config):
+        if delta_b2(seed, line) != points:
+            continue
         extended = seed.extended(line)
-        outcome = verify_free(extended, d1p, d2p)
-        if isinstance(outcome, Certified):
-            out.append(
-                Discovery(
-                    arrangement=extended,
-                    certificate=outcome.certificate,
-                    provenance={
-                        "source": "bootstrap",
-                        "seed_hash": arrangement_hash(seed),
-                        "added_line": [str(line.a), str(line.b), str(line.c)],
-                        "delta_b2_target": str(target),
-                    },
-                )
+        lifted = None
+        for _, multiplied in routes:
+            lifted = lift_certificate(certificate, extended, line, multiplied)
+            if lifted is not None:
+                break
+        if lifted is None:
+            raise InternalInconsistency(
+                f"no lift of the ({a}, {b}) seed certificate across {line.coeffs}"
             )
+        out.append(
+            Discovery(
+                arrangement=extended,
+                certificate=lifted,
+                provenance={
+                    "source": "bootstrap",
+                    "seed_hash": arrangement_hash(seed),
+                    "added_line": [str(line.a), str(line.b), str(line.c)],
+                    "delta_b2_target": str(points),
+                    "witness": "lifted",
+                },
+            )
+        )
     return out
 
 
@@ -287,43 +296,43 @@ def beam_search_build(
     pool: CandidatePool | None = None,
     beam_width: int = 4,
     seed: int = 0,
-    exact_cutoff: int = 13,
 ) -> list[BeamEntry]:
     """Grow arrangements line by line, keeping the best partial prefixes.
 
     Candidates are taken from the pool in canonical order; the beam keeps the
     top beam_width states by cumulative reward with canonical-key tie-breaks,
     so runs are reproducible for a fixed seed (which only feeds the ALS).
-    The final beam is sorted by algebraic score, then verification status.
+    Each final entry keeps the algebraic score and, up to the exact cutoff,
+    the verification outcome of its terminal step; above the cutoff it is
+    verified once at the end. The final beam is sorted by algebraic score,
+    then verification status.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
+    if n < 3:
+        raise ValueError("beam search needs at least 3 lines")
     if d1 + d2 != n - 1:
         raise ValueError("target exponents must sum to n - 1")
     pool = pool or candidate_pool(1)
-    score_cfg = ScoreConfig(
-        target_exponents=(d1, d2),
-        als=ALSConfig(rng_seed=seed),
-        exact_bonus_cutoff=exact_cutoff,
-    )
-    # beam states: (lines, cumulative reward, summary of current prefix)
-    beam: list[tuple[tuple[Line, ...], float]] = [((), 0.0)]
+    score_cfg = ScoreConfig(target_exponents=(d1, d2), als=ALSConfig(rng_seed=seed))
+    verify_terminal = n <= score_cfg.exact_bonus_cutoff
+    # beam states: (lines, cumulative reward, terminal sigma_alg, terminal outcome)
+    beam: list[tuple[tuple[Line, ...], float, float, VerificationOutcome | None]] = [((), 0.0, 0.0, None)]
     for step in range(1, n + 1):
-        expanded: dict[tuple, tuple[tuple[Line, ...], float]] = {}
+        expanded: dict[tuple, tuple] = {}
         terminal = step == n
-        for lines, cum in beam:
+        for lines, cum, _, _ in beam:
             prev_summary = intersection_summary(build_arrangement(lines)) if len(lines) >= 2 else None
             for line in pool.lines:
                 if line in lines:
                     continue
                 new_lines = lines + (line,)
                 arr = build_arrangement(new_lines)
-                is_free = None
-                if terminal and n <= exact_cutoff:
-                    if candidate_exponents(arr) is None:
-                        is_free = False
-                    else:
-                        is_free = isinstance(verify_arrangement(arr), Certified)
+                is_free = outcome = None
+                if terminal and verify_terminal:
+                    if candidate_exponents(arr) is not None:
+                        outcome = verify_arrangement(arr)
+                    is_free = isinstance(outcome, Certified)
                 r = reward(
                     arr,
                     prev_summary,
@@ -333,7 +342,7 @@ def beam_search_build(
                     is_free=is_free,
                 )
                 key = _beam_key(new_lines)
-                cand = (new_lines, cum + r.total)
+                cand = (new_lines, cum + r.total, r.alg, outcome)
                 best = expanded.get(key)
                 if best is None or cand[1] > best[1]:
                     expanded[key] = cand
@@ -342,10 +351,10 @@ def beam_search_build(
         if not beam:
             return []
     out = []
-    for lines, cum in beam:
+    for lines, cum, alg, outcome in beam:
         arr = build_arrangement(lines)
-        alg = sigma_alg(arr, score_cfg)
-        outcome = verify_arrangement(arr) if candidate_exponents(arr) is not None else None
+        if not verify_terminal and candidate_exponents(arr) is not None:
+            outcome = verify_arrangement(arr)
         out.append(BeamEntry(arr, cum, alg, outcome))
     out.sort(
         key=lambda e: (
@@ -394,10 +403,13 @@ def cascade(
 ) -> Catalog:
     """Iterate bootstrap extension level by level up to n_max.
 
-    Discoveries at one level feed the next. Targets restrict the exponent
-    pairs attempted at each level; by default every admissible pair is tried.
-    Seeds are certified before use and enter the catalog themselves.
+    Discoveries at one level feed the next. Each discovery is extended toward
+    the exponents adjacent to its own, the only ones a one-line extension can
+    be free with; targets, when given, restrict these further. Seeds are
+    certified by verify_arrangement before use and enter the catalog
+    themselves; every later certificate is lifted.
     """
+    wanted = None if targets is None else {(a, b) for a, b in targets}
     catalog = Catalog()
     frontier: list[Discovery] = []
     for arr in seeds:
@@ -410,16 +422,13 @@ def cascade(
         frontier.sort(key=lambda d: (d.arrangement.n, d.certificate.arrangement_hash))
         next_frontier: list[Discovery] = []
         for disc in frontier:
-            m = disc.arrangement.n
-            if m >= n_max:
+            if disc.arrangement.n >= n_max:
                 continue
-            level_targets = (
-                [(a, b) for a, b in (targets or []) if a + b == m]
-                if targets is not None
-                else [(a, m - a) for a in range(1, m // 2 + 1)]
-            )
-            for d1p, d2p in level_targets:
-                for found in bootstrap_extend(disc.arrangement, d1p, d2p, config):
+            adjacent = {exps for exps, _, _ in _lift_routes(disc.certificate.d1, disc.certificate.d2)}
+            for d1p, d2p in sorted(adjacent):
+                if wanted is not None and (d1p, d2p) not in wanted:
+                    continue
+                for found in bootstrap_extend(disc.arrangement, disc.certificate, d1p, d2p, config):
                     if catalog.add(found):
                         next_frontier.append(found)
         frontier = next_frontier

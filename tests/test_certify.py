@@ -59,7 +59,7 @@ def test_boolean_certificate(boolean):
     cert = out.certificate
     assert cert.c != 0
     # determinant is c * xyz
-    assert cert.determinant == {(1, 1, 1): cert.c}
+    assert exact_determinant(boolean, cert.theta1, cert.theta2) == {(1, 1, 1): cert.c}
     ok, failing = check_certificate(boolean, cert)
     assert ok and failing is None
 

@@ -187,6 +187,7 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["extend", "near_pencil5", "4", "1"], None, None),
         (["extend", "near_pencil5", "1", "4"], {"pool_bound": 2.5}, "2.5"),
         (["search", "3", "1", "2"], None, None),
+        (["search", "2", "0", "1"], None, None),
         (["search", "3", "1", "1"], {"weights": {"bogus": 1}}, "bogus"),
         (["extend", "near_pencil5", "1", "4"], {"prefilter_threshold": 0.02}, "prefilter_threshold"),
         (["cascade", "near_pencil5", "--n-max", "6"], {"threads": 2}, "threads"),
@@ -298,12 +299,8 @@ def test_config_file_overrides(files, tmp_path, capsys):
     assert len(data["payload"]["discoveries"]) >= 1
 
 
-def test_delta_b2_override_empty(files, capsys):
-    # the derived target for (1,4) is 2; an explicit impossible target gives
-    # an empty result with exit 0
-    code, data = run(
-        capsys,
-        ["extend", files["near_pencil5"], "1", "4", "--delta-b2", "1"],
-    )
-    assert code == 0
-    assert data["payload"]["discoveries"] == []
+def test_delta_b2_flag_is_unknown(files, capsys):
+    # the addition theorem fixes |A''| for each target, so no override exists
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", files["near_pencil5"], "1", "4", "--delta-b2", "1"])
+    assert exc.value.code == 2

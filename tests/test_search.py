@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelines import exactlinalg
 from freelines.arrangement import (
     DuplicateLine,
     build_arrangement,
@@ -13,7 +17,13 @@ from freelines.arrangement import (
     canonicalize_line,
     intersection_summary,
 )
-from freelines.certify import Certified, NotFreeAtExponents, check_certificate, verify_free
+from freelines.certify import (
+    Certified,
+    NotFreeAtExponents,
+    check_certificate,
+    verify_arrangement,
+    verify_free,
+)
 from freelines.fixtures import near_pencil
 from freelines.scores import RewardWeights
 from freelines.search import (
@@ -92,9 +102,26 @@ def test_delta_b2_matches_recompute(data):
     assert incremental == recomputed
 
 
+def point_joins(arr):
+    """Oracle: every line through two intersection points, by cross product."""
+    pts = [p.coords for p in intersection_summary(arr).points]
+    joins = set()
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            cx = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+            joins.add(canonicalize_line(*cx))
+    return joins
+
+
+def seed_certificate(arr):
+    return verify_arrangement(arr).certificate
+
+
 def test_pair_source_empty_on_boolean(boolean):
-    cands = enumerate_extension_candidates(boolean, ExtensionConfig(sources=("pairs",)))
-    assert cands == []
+    # the three points are joined by the arrangement lines themselves
+    cands = enumerate_extension_candidates(boolean, ExtensionConfig(pool_bound=2))
+    assert point_joins(boolean) <= set(boolean.lines)
+    assert cands == sorted(set(candidate_pool(2).lines) - set(boolean.lines))
 
 
 def test_pair_source_empty_on_near_pencils():
@@ -103,54 +130,54 @@ def test_pair_source_empty_on_near_pencils():
     # points are collinear on the extra line)
     for n in (4, 5, 6):
         arr = near_pencil(n)
-        cands = enumerate_extension_candidates(arr, ExtensionConfig(sources=("pairs",)))
-        assert cands == []
+        cands = enumerate_extension_candidates(arr, ExtensionConfig(pool_bound=2))
+        assert point_joins(arr) <= set(arr.lines)
+        assert cands == sorted(set(candidate_pool(2).lines) - set(arr.lines))
 
 
 def test_pair_source_two_pencil():
     arr = supersolvable_two_pencil(2, 2)
-    cands = enumerate_extension_candidates(arr, ExtensionConfig(sources=("pairs",)))
-    assert cands  # crossing points span joins outside the arrangement
-    for line in cands:
-        assert line not in arr.lines
+    cands = set(enumerate_extension_candidates(arr, ExtensionConfig(pool_bound=1)))
+    new_joins = point_joins(arr) - set(arr.lines)
+    assert new_joins  # crossing points span joins outside the arrangement
+    assert new_joins <= cands
+    assert not cands & set(arr.lines)
+    assert cands == new_joins | (set(candidate_pool(1).lines) - set(arr.lines))
 
 
 def test_delta_target_filters_to_point_avoiding_lines(boolean):
-    cfg = ExtensionConfig(sources=("pool",), pool_bound=2, delta_b2_target=3)
-    cands = enumerate_extension_candidates(boolean, cfg)
+    cands = [
+        line
+        for line in enumerate_extension_candidates(boolean, ExtensionConfig(pool_bound=2))
+        if delta_b2(boolean, line) == 3
+    ]
     assert cands
     s = intersection_summary(boolean)
     for line in cands:
         assert all(line.evaluate(p.coords) != 0 for p in s.points)
 
 
-def test_multi_source_subset_of_pairs():
-    arr = supersolvable_two_pencil(3, 3)
-    pairs = set(enumerate_extension_candidates(arr, ExtensionConfig(sources=("pairs",))))
-    multi = set(enumerate_extension_candidates(arr, ExtensionConfig(sources=("multi",))))
-    assert multi <= pairs
-
-
 def test_bootstrap_extends_near_pencil(near_pencil5):
-    discs = bootstrap_extend(near_pencil5, 1, 4, ExtensionConfig(pool_bound=2))
+    discs = bootstrap_extend(near_pencil5, seed_certificate(near_pencil5), 1, 4, ExtensionConfig(pool_bound=2))
     assert discs
     profiles = [intersection_summary(d.arrangement).t for d in discs]
     assert {2: 5, 5: 1} in profiles  # the 6-line near-pencil is among them
     for d in discs:
         assert check_certificate(d.arrangement, d.certificate) == (True, None)
         assert d.provenance["source"] == "bootstrap"
+        assert d.provenance["witness"] == "lifted"
 
 
 def test_bootstrap_requires_matching_sum(near_pencil5):
     with pytest.raises(ValueError):
-        bootstrap_extend(near_pencil5, 1, 3)
+        bootstrap_extend(near_pencil5, seed_certificate(near_pencil5), 1, 3)
 
 
 def test_bootstrap_unreachable_target_is_empty():
     # from the (2,2) two-pencil toward (1,4): delta b2 = 5 + 4 - 8 = 1, but a
     # new line meets all five lines and no point covers more than three
     seed = supersolvable_two_pencil(2, 2)
-    assert bootstrap_extend(seed, 1, 4) == []
+    assert bootstrap_extend(seed, seed_certificate(seed), 1, 4) == []
 
 
 def test_two_pencil_small():
@@ -272,18 +299,21 @@ def test_bootstrap_returns_exactly_the_certified_candidates():
     # delta-b2 candidate and the non-adjacent (3, 3) refutes every one
     seed = near_pencil(6)
     b2 = intersection_summary(seed).b2
+    cfg = ExtensionConfig(pool_bound=2)
     refuted = 0
     for d1, d2 in [(2, 4), (3, 3)]:
-        cfg = ExtensionConfig(pool_bound=2, delta_b2_target=(seed.n + d1 * d2) - b2)
+        target = (seed.n + d1 * d2) - b2
         certified = []
         for line in enumerate_extension_candidates(seed, cfg):
+            if delta_b2(seed, line) != target:
+                continue
             outcome = verify_free(seed.extended(line), d1, d2)
             if isinstance(outcome, Certified):
                 certified.append(seed.extended(line))
             else:
                 assert isinstance(outcome, NotFreeAtExponents)
                 refuted += 1
-        found = bootstrap_extend(seed, d1, d2, ExtensionConfig(pool_bound=2))
+        found = bootstrap_extend(seed, seed_certificate(seed), d1, d2, cfg)
         assert [d.arrangement for d in found] == certified
     assert refuted > 0
 
@@ -297,3 +327,132 @@ def test_cascade_to_7_matches_reference(near_pencil5):
     assert counts == reference["level_counts"]
     hashes = {d.certificate.arrangement_hash for ds in catalog.entries.values() for d in ds}
     assert hashes == set(reference["hashes"])
+
+
+def children_hashes(discoveries):
+    return {d.certificate.arrangement_hash for d in discoveries}
+
+
+def assert_lifted_children_check(discoveries):
+    for d in discoveries:
+        assert d.provenance["witness"] == "lifted"
+        assert check_certificate(d.arrangement, d.certificate) == (True, None)
+
+
+def test_lift_equal_exponents_free13(free13):
+    # a = b = 6: both seed fields can take the factor alpha_H
+    cert = seed_certificate(free13)
+    assert (cert.d1, cert.d2) == (6, 6)
+    cfg = ExtensionConfig(pool_bound=2)
+    lines = [l for l in enumerate_extension_candidates(free13, cfg) if delta_b2(free13, l) == 7]
+    found = bootstrap_extend(free13, cert, 6, 7, cfg)
+    assert len(lines) == len(found) == 6
+    assert [d.arrangement for d in found] == [free13.extended(l) for l in lines]
+    assert_lifted_children_check(found)
+
+
+# the (3, 3) seed needs the second route for some lines: alpha_H * theta_2
+@pytest.mark.parametrize("a,b,d1,d2", [(2, 4, 3, 4), (2, 4, 2, 5), (3, 3, 3, 4)])
+def test_lift_agrees_with_verify_free_two_pencil(a, b, d1, d2):
+    disc = construct_certified(a, b)
+    seed = disc.arrangement
+    cfg = ExtensionConfig(pool_bound=2)
+    need = (seed.n + d1 * d2) - intersection_summary(seed).b2
+    lines = [l for l in enumerate_extension_candidates(seed, cfg) if delta_b2(seed, l) == need]
+    found = bootstrap_extend(seed, disc.certificate, d1, d2, cfg)
+    assert lines
+    lifted = {d.arrangement for d in found}
+    for line in lines:
+        child = seed.extended(line)
+        verified = isinstance(verify_free(child, d1, d2), Certified)
+        assert verified == (child in lifted)
+    assert_lifted_children_check(found)
+
+
+def test_lift_past_twenty_lines(free20):
+    cert = seed_certificate(free20)
+    assert (cert.d1, cert.d2) == (9, 10)
+    cfg = ExtensionConfig(pool_bound=2)
+    found = bootstrap_extend(free20, cert, 9, 11, cfg) + bootstrap_extend(free20, cert, 10, 10, cfg)
+    assert len(found) == 3
+    assert all(d.arrangement.n == 21 for d in found)
+    assert_lifted_children_check(found)
+    first = found[0]
+    outcome = verify_free(first.arrangement, first.certificate.d1, first.certificate.d2)
+    assert isinstance(outcome, Certified)
+
+
+def test_lift_from_fraction_certificate():
+    seed = near_pencil(6)
+    cert = seed_certificate(seed)
+    third = Fraction(1, 3)
+    scaled = dataclasses.replace(
+        cert,
+        theta1=tuple({e: v * third for e, v in comp.items()} for comp in cert.theta1),
+        c=cert.c * third,
+    )
+    assert check_certificate(seed, scaled) == (True, None)
+    cfg = ExtensionConfig(pool_bound=2)
+    for d1, d2 in [(1, 5), (2, 4)]:
+        found = bootstrap_extend(seed, scaled, d1, d2, cfg)
+        assert found
+        assert children_hashes(found) == children_hashes(bootstrap_extend(seed, cert, d1, d2, cfg))
+        assert_lifted_children_check(found)
+
+
+def test_non_adjacent_target_runs_no_kernel(monkeypatch):
+    seed = near_pencil(6)  # (1, 4): adjacent targets are (2, 4) and (1, 5)
+    cert = seed_certificate(seed)
+    calls = []
+    original = exactlinalg.kernel_basis
+    monkeypatch.setattr(exactlinalg, "kernel_basis", lambda *a: calls.append(a) or original(*a))
+    assert bootstrap_extend(seed, cert, 3, 3) == []
+    assert calls == []
+    assert bootstrap_extend(seed, cert, 2, 4)
+    assert calls
+
+
+def test_seed_certificate_must_match(near_pencil5, boolean):
+    with pytest.raises(ValueError):
+        bootstrap_extend(near_pencil5, seed_certificate(near_pencil(6)), 1, 4)
+    wrong_sum = dataclasses.replace(seed_certificate(near_pencil5), d2=4)
+    with pytest.raises(ValueError):
+        bootstrap_extend(near_pencil5, wrong_sum, 1, 4)
+
+
+def counted(monkeypatch, names):
+    """Wrap each named function at every freelines binding; returns the call log."""
+    log = []
+    for name, original in names.items():
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            log.append((_name, args))
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("freelines") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return log
+
+
+def test_extension_runs_no_verification_of_children(monkeypatch, near_pencil5):
+    from freelines import certify, derivations, saito
+
+    seed_cert = seed_certificate(near_pencil5)
+    log = counted(monkeypatch, {
+        "verify_free": certify.verify_free,
+        "null_space_exact": derivations.null_space_exact,
+        "saito_functional": saito.saito_functional,
+    })
+    found = bootstrap_extend(near_pencil5, seed_cert, 1, 4)
+    assert found and log == []
+    catalog = cascade([near_pencil5], 7, config=ExtensionConfig(pool_bound=2))
+    assert catalog.size > 1
+    # the one seed is certified by verify_arrangement; nothing after it
+    assert [name for name, _ in log if name == "verify_free"] == ["verify_free"]
+    assert "saito_functional" not in {name for name, _ in log}
+    for name, args in log:
+        arr = args[0] if name == "verify_free" else args[0].arrangement
+        assert arr == near_pencil5
+    for ds in catalog.entries.values():
+        for d in ds:
+            assert check_certificate(d.arrangement, d.certificate) == (True, None)
