@@ -187,10 +187,10 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["extend", "near_pencil5", "4", "1"], None, None),
         (["extend", "near_pencil5", "1", "4"], {"pool_bound": 2.5}, "2.5"),
         (["search", "3", "1", "2"], None, None),
-        (["search", "2", "0", "1"], None, None),
         (["search", "3", "1", "1"], {"weights": {"bogus": 1}}, "bogus"),
         (["extend", "near_pencil5", "1", "4"], {"prefilter_threshold": 0.02}, "prefilter_threshold"),
         (["cascade", "near_pencil5", "--n-max", "6"], {"threads": 2}, "threads"),
+        (["search", "2", "0", "1"], None, None),
     ],
 )
 def test_bad_values_are_usage_errors(files, tmp_path, capsys, argv, config, named):
