@@ -1,8 +1,9 @@
 """Batch command-line interface with machine-readable JSON output.
 
 Exit codes: 0 success, 1 domain failure (not free, no candidate exponents,
-failed check), 2 usage or parse errors. Exact quantities are emitted as
-integer or rational strings; only losses, scores and timings are floats.
+failed check), 2 usage or parse errors, reported as a {"command", "error"}
+JSON object on stderr. Exact quantities are emitted as integer or rational
+strings; only losses, scores and timings are floats.
 """
 
 from __future__ import annotations
@@ -57,9 +58,13 @@ def _emit(command: str, payload: dict, input_hash: str | None = None) -> None:
     print(json.dumps({"command": command, "input_hash": input_hash, "payload": payload}, indent=2))
 
 
-def _usage_error(command: str, message: str) -> NoReturn:
+def _report_usage(command: str, message: str) -> int:
     print(json.dumps({"command": command, "error": message}), file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    return USAGE_ERROR
+
+
+def _usage_error(command: str, message: str) -> NoReturn:
+    raise SystemExit(_report_usage(command, message))
 
 
 def _load(path: str) -> Arrangement:
@@ -195,8 +200,7 @@ def cmd_check(args) -> int:
     try:
         cert = read_certificate(args.certificate)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(json.dumps({"command": "check", "error": str(exc)}), file=sys.stderr)
-        return USAGE_ERROR
+        return _report_usage("check", str(exc))
     ok, failing = check_certificate(arr, cert)
     _emit(
         "check",
@@ -208,8 +212,7 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     if not 1 <= args.d1 <= args.d2:
-        print("need 1 <= d1 <= d2", file=sys.stderr)
-        return USAGE_ERROR
+        return _report_usage("construct", f"need 1 <= d1 <= d2, got {args.d1},{args.d2}")
     disc = construct_certified(args.d1, args.d2)
     payload = {
         "arrangement": arrangement_to_json(disc.arrangement),
@@ -315,7 +318,6 @@ def cmd_search(args) -> int:
         weights=_weights_from(cfg),
         pool=_built("search", candidate_pool, cfg.get("pool_bound", args.pool_bound)),
         beam_width=beam,
-        seed=args.seed,
     )
     payload = {
         "beam": [
@@ -392,8 +394,22 @@ def _add_als_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as a usage error; subparsers inherit the class and name their command."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(self.prog.split()[-1], message)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            command = getattr(namespace, "command", None) or self.prog
+            _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
+        return namespace
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="freelines")
+    parser = _Parser(prog="freelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="lattice invariants of an arrangement file")
@@ -438,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d2", type=int)
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--pool-bound", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config with weights, pool_bound and beam")
     p.set_defaults(func=cmd_search)
 

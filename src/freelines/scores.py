@@ -4,11 +4,14 @@ The closed forms for the interpolating scores are reference stand-ins: the
 three-regime combinatorial score, sigma_b2, sigma_int and sigma_pen are each
 defined here (and cross-checked by scripts/score_reference.py), isolated in
 ScoreConfig so alternatives stay pluggable.
+With candidate exponents the algebraic score is the exact freeness verdict:
+on exact kernels every nonzero Saito determinant is c*Q, so the angular loss
+is 0 or 1 and 1 - loss is that verdict, found here without a tensor or ALS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from .arrangement import (
@@ -17,7 +20,7 @@ from .arrangement import (
     discriminant,
     intersection_summary,
 )
-from .saito import ALSConfig, saito_functional
+from .certify import Certified, VerificationOutcome, verify_free
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,6 @@ class ScoreConfig:
 
     delta_max: float | None = None
     target_exponents: tuple[int, int] | None = None
-    als: ALSConfig = field(default_factory=ALSConfig)
-    exact_bonus_cutoff: int = 13  # largest n whose terminal bonus uses exact verification
 
     def delta_max_for(self, n: int) -> float:
         if self.delta_max is not None:
@@ -96,16 +97,21 @@ def sigma_comb(arr: Arrangement, config: ScoreConfig = ScoreConfig()) -> float:
     return _clamp(1.0 - 2.0 * dist / config.delta_max_for(n))
 
 
-def sigma_alg(arr: Arrangement, config: ScoreConfig = ScoreConfig()) -> float:
-    """1 - loss when candidate exponents exist; a negative tier-1 value otherwise.
+def sigma_alg(
+    arr: Arrangement, config: ScoreConfig = ScoreConfig(), outcome: VerificationOutcome | None = None
+) -> float:
+    """1.0 if certified free, 0.0 if not, when candidate exponents exist; else a negative tier-1 value.
 
-    Tier 1 measures how far the discriminant is from a nonnegative perfect
-    square, or, when target exponents are set, the b2 distance to the target
-    normalized by the target itself.
+    outcome, when given, is the verification outcome at those exponents and
+    spares verifying again. Tier 1 measures how far the discriminant is from a
+    nonnegative perfect square, or, when target exponents are set, the b2
+    distance to the target normalized by the target itself.
     """
     exps = candidate_exponents(arr)
     if exps is not None:
-        return 1.0 - saito_functional(arr, exps.d1, exps.d2, config=config.als).loss
+        if outcome is None:
+            outcome = verify_free(arr, exps.d1, exps.d2)
+        return 1.0 if isinstance(outcome, Certified) else 0.0
     n = arr.n
     target = config.b2_target(n)
     if target is not None and target > 0:
@@ -180,20 +186,20 @@ def reward(
     weights: RewardWeights = RewardWeights(),
     config: ScoreConfig = ScoreConfig(),
     terminal: bool = False,
-    is_free: bool | None = None,
+    outcome: VerificationOutcome | None = None,
 ) -> RewardBreakdown:
     """Per-step shaping reward for the arrangement reached at this step.
 
     prev_summary is the LatticeSummary of the previous partial arrangement
-    (None at the first step). The terminal bonus uses exact freeness when
-    is_free is supplied and n is at most the exact cutoff; beyond the cutoff
-    it degrades to a graded bonus on the algebraic score.
+    (None at the first step). outcome, when given, is passed on to sigma_alg.
+    The terminal bonus is w_free where sigma_alg is 1, i.e. on a certified
+    free arrangement, and 0 otherwise.
     """
     n = arr.n
     summary = intersection_summary(arr)
     if n >= 3:
         comb = sigma_comb(arr, config)
-        alg = sigma_alg(arr, config)
+        alg = sigma_alg(arr, config, outcome)
         feas = 1.0 if candidate_exponents(arr) is not None else 0.0
     else:
         comb, alg, feas = 0.0, 0.0, 0.0
@@ -202,12 +208,7 @@ def reward(
     pen = _sigma_pen(arr)
     prev_rich = _count_rich(prev_summary) if prev_summary is not None else 0
     mult_gain = float(_count_rich(summary) - prev_rich)
-    bonus = 0.0
-    if terminal:
-        if n <= config.exact_bonus_cutoff and is_free is not None:
-            bonus = weights.w_free if is_free else 0.0
-        else:
-            bonus = weights.w_free * max(0.0, alg) ** 2
+    bonus = weights.w_free if terminal and alg == 1.0 else 0.0
     total = (
         weights.w_comb * comb
         + weights.w_alg * alg

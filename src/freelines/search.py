@@ -5,8 +5,8 @@ iterated in canonical order and ties break on canonical keys. Extension and
 cascade are exact and run no kernel of the extended arrangement: Terao's
 addition theorem and Abe's deletion theorem decide which candidates are free,
 and each child's certificate is lifted from its seed's and re-checked.
-Randomness enters only through the seeded ALS evaluations that score the beam
-search.
+The beam search is scored by exact freeness verdicts, so nothing here is
+random.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .arrangement import (
     arrangement_hash,
     arrangement_to_json,
     build_arrangement,
-    candidate_exponents,
     canonicalize_line,
     intersection_summary,
 )
@@ -40,7 +39,6 @@ from .certify import (
     verify_free,
 )
 from .monomials import Poly
-from .saito import ALSConfig
 from .scores import RewardWeights, ScoreConfig, reward
 
 
@@ -281,7 +279,7 @@ class BeamEntry:
     arrangement: Arrangement
     cumulative_reward: float
     sigma_alg: float
-    outcome: VerificationOutcome | None
+    outcome: VerificationOutcome
 
 
 def _beam_key(lines: tuple[Line, ...]) -> tuple:
@@ -301,11 +299,10 @@ def beam_search_build(
 
     Candidates are taken from the pool in canonical order; the beam keeps the
     top beam_width states by cumulative reward with canonical-key tie-breaks,
-    so runs are reproducible for a fixed seed (which only feeds the ALS).
-    Each final entry keeps the algebraic score and, up to the exact cutoff,
-    the verification outcome of its terminal step; above the cutoff it is
-    verified once at the end. The final beam is sorted by algebraic score,
-    then verification status.
+    so runs are reproducible. Each candidate's freeness is decided once, by
+    sigma_alg; at the terminal step the beam verifies it and hands the outcome
+    to the reward and the final entry. seed has no effect and is kept only
+    for existing callers. The final beam is sorted by algebraic score.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
@@ -314,8 +311,7 @@ def beam_search_build(
     if d1 + d2 != n - 1:
         raise ValueError("target exponents must sum to n - 1")
     pool = pool or candidate_pool(1)
-    score_cfg = ScoreConfig(target_exponents=(d1, d2), als=ALSConfig(rng_seed=seed))
-    verify_terminal = n <= score_cfg.exact_bonus_cutoff
+    score_cfg = ScoreConfig(target_exponents=(d1, d2))
     # beam states: (lines, cumulative reward, terminal sigma_alg, terminal outcome)
     beam: list[tuple[tuple[Line, ...], float, float, VerificationOutcome | None]] = [((), 0.0, 0.0, None)]
     for step in range(1, n + 1):
@@ -328,19 +324,8 @@ def beam_search_build(
                     continue
                 new_lines = lines + (line,)
                 arr = build_arrangement(new_lines)
-                is_free = outcome = None
-                if terminal and verify_terminal:
-                    if candidate_exponents(arr) is not None:
-                        outcome = verify_arrangement(arr)
-                    is_free = isinstance(outcome, Certified)
-                r = reward(
-                    arr,
-                    prev_summary,
-                    weights=weights,
-                    config=score_cfg,
-                    terminal=terminal,
-                    is_free=is_free,
-                )
+                outcome = verify_arrangement(arr) if terminal else None
+                r = reward(arr, prev_summary, weights, score_cfg, terminal=terminal, outcome=outcome)
                 key = _beam_key(new_lines)
                 cand = (new_lines, cum + r.total, r.alg, outcome)
                 best = expanded.get(key)
@@ -350,20 +335,9 @@ def beam_search_build(
         beam = [state for _, state in ranked[:beam_width]]
         if not beam:
             return []
-    out = []
-    for lines, cum, alg, outcome in beam:
-        arr = build_arrangement(lines)
-        if not verify_terminal and candidate_exponents(arr) is not None:
-            outcome = verify_arrangement(arr)
-        out.append(BeamEntry(arr, cum, alg, outcome))
-    out.sort(
-        key=lambda e: (
-            -e.sigma_alg,
-            not isinstance(e.outcome, Certified),
-            _beam_key(e.arrangement.lines),
-        )
-    )
-    return out
+    # sigma_alg is 1 exactly on the certified entries, so it also orders by verdict
+    out = [BeamEntry(build_arrangement(lines), cum, alg, outcome) for lines, cum, alg, outcome in beam]
+    return sorted(out, key=lambda e: (-e.sigma_alg, _beam_key(e.arrangement.lines)))
 
 
 # ---------------------------------------------------------------------------

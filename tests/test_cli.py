@@ -191,6 +191,11 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["extend", "near_pencil5", "1", "4"], {"prefilter_threshold": 0.02}, "prefilter_threshold"),
         (["cascade", "near_pencil5", "--n-max", "6"], {"threads": 2}, "threads"),
         (["search", "2", "0", "1"], None, None),
+        (["extend", "near_pencil5", "1", "4", "--delta-b2", "1"], None, "--delta-b2"),
+        (["search", "3", "1", "1", "--seed", "0"], None, "--seed"),
+        (["extend", "near_pencil5", "1"], None, "d2"),
+        (["construct", "x", "2"], None, "d1"),
+        ([], None, "command"),
     ],
 )
 def test_bad_values_are_usage_errors(files, tmp_path, capsys, argv, config, named):
@@ -226,6 +231,30 @@ def test_construct_small(capsys, tmp_path):
 
 def test_construct_rejects_bad_exponents(capsys):
     assert main(["construct", "3", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["command"] == "construct"
+    assert "d1 <= d2" in err["error"]
+
+
+def test_argument_errors_name_their_command(capsys):
+    for argv, command in [
+        (["search", "3", "1", "1", "--seed", "0"], "search"),
+        (["construct", "x", "2"], "construct"),
+        ([], "freelines"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["command"] == command
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "usage: freelines search" in capsys.readouterr().out
 
 
 def test_extend_near_pencil(files, capsys):

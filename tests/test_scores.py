@@ -10,6 +10,7 @@ from freelines.arrangement import (
     canonicalize_line,
     intersection_summary,
 )
+from freelines.saito import saito_functional
 from freelines.scores import (
     RewardWeights,
     ScoreConfig,
@@ -114,19 +115,30 @@ def test_reward_pencil_penalty(near_pencil5):
     assert r.pencil_penalty == 1.0
 
 
-def test_reward_terminal_bonus(boolean):
+def disjoint_pencils():
+    """The 7-line disjoint-pencil mutant of tests/test_certify.py: not free at (3, 3)."""
+    rows = [(1, 0, 0), (1, -1, 0), (1, -2, 0), (1, -3, 0), (1, -4, 0), (0, 1, -1), (0, 1, -2)]
+    return build_arrangement([canonicalize_line(*r) for r in rows])
+
+
+def test_terminal_bonus_is_exact_freeness(boolean, free19):
     w = RewardWeights()
-    r = reward(boolean, None, weights=w, terminal=True, is_free=True)
-    assert r.terminal_bonus == w.w_free
-    r2 = reward(boolean, None, weights=w, terminal=True, is_free=False)
-    assert r2.terminal_bonus == 0.0
+    # free19 has n = 19: the bonus is exact at every n
+    for arr in (boolean, free19):
+        assert reward(arr, None, weights=w, terminal=True).terminal_bonus == w.w_free
+        assert reward(arr, None, weights=w, terminal=False).terminal_bonus == 0.0
+    mutant = disjoint_pencils()
+    assert candidate_exponents(mutant) is not None
+    assert reward(mutant, None, weights=w, terminal=True).terminal_bonus == 0.0
 
 
-def test_reward_graded_bonus_beyond_cutoff(free19):
-    cfg = ScoreConfig(exact_bonus_cutoff=13)
-    r = reward(free19, None, config=cfg, terminal=True)
-    # graded bonus: w_free * max(0, sigma_alg)^2 with sigma_alg ~ 1
-    assert r.terminal_bonus == pytest.approx(RewardWeights().w_free, rel=1e-4)
+def test_sigma_alg_is_the_saito_functional(boolean, near_pencil5, free13):
+    mutant = disjoint_pencils()
+    for arr in (boolean, near_pencil5, free13, mutant):
+        exps = candidate_exponents(arr)
+        loss = saito_functional(arr, exps.d1, exps.d2).loss
+        assert sigma_alg(arr) == pytest.approx(1.0 - loss, abs=1e-9)
+    assert sigma_alg(mutant) == 0.0
 
 
 def test_reward_boolean_episode_trace():
@@ -144,7 +156,7 @@ def test_reward_boolean_episode_trace():
     r2 = reward(a2, intersection_summary(a1), weights=w, terminal=False)
     # n=2: only interior/pencil/mult terms apply; one double point, no rich points
     assert r2.total == 0.0
-    r3 = reward(a3, intersection_summary(a2), weights=w, terminal=True, is_free=True)
+    r3 = reward(a3, intersection_summary(a2), weights=w, terminal=True)
     # n=3: comb=1, alg=1, feas=1, b2 undefined (0), int=0, pen=0, mult=0, bonus=1
     assert r3.comb == 1.0
     assert r3.alg == pytest.approx(1.0, abs=1e-9)

@@ -256,6 +256,48 @@ def test_beam_finds_near_pencil_for_unbalanced_target():
     )
 
 
+# the (9, 4, 4) beam of the search benchmark, pool bound 2, width 4: entries
+# in order with their cumulative rewards, as the ALS-scored beam found them
+NINE_LINE_BEAM = [
+    ([(0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0), (0, 1, 1), (1, -2, -2), (1, -2, -1), (1, -1, -2), (1, -1, -1)],
+     19.03085991901041),
+    ([(0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0), (1, -2, -2), (1, -2, -1), (1, -2, 0), (1, -1, -2), (1, -1, -1)],
+     19.152233545384036),
+    ([(0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0), (1, -2, -2), (1, -2, 0), (1, -2, 2), (1, 0, -2), (1, 0, 0)],
+     19.152233545384036),
+    ([(0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0), (1, -2, -2), (1, -2, 0), (1, -1, -2), (1, -1, 0), (1, 0, -2)],
+     19.152233545384036),
+]
+
+
+def test_nine_line_beam_is_pinned():
+    entries = beam_search_build(9, 4, 4, pool=candidate_pool(2), beam_width=4)
+    assert [sorted(l.coeffs for l in e.arrangement.lines) for e in entries] == [
+        lines for lines, _ in NINE_LINE_BEAM
+    ]
+    assert [e.cumulative_reward for e in entries] == pytest.approx(
+        [cum for _, cum in NINE_LINE_BEAM], abs=1e-9
+    )
+    assert all(isinstance(e.outcome, Certified) and e.sigma_alg == 1.0 for e in entries)
+
+
+def test_beam_decides_freeness_once_without_the_functional(monkeypatch):
+    from freelines import certify, saito, scores
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the beam evaluated the Saito functional")
+
+    patch_everywhere(monkeypatch, "saito_functional", saito.saito_functional, refuse)
+    log = counted(monkeypatch, {"verify_free": certify.verify_free, "reward": scores.reward})
+    entries = beam_search_build(5, 1, 3, pool=candidate_pool(1), beam_width=3)
+    assert entries and all(isinstance(e.outcome, Certified) for e in entries)
+    verified = sum(1 for name, _ in log if name == "verify_free")
+    scored = sum(
+        1 for name, args in log if name == "reward" and candidate_exponents(args[0]) is not None
+    )
+    assert 0 < verified <= scored
+
+
 def test_cascade_near_pencil_chain(near_pencil5):
     catalog = cascade(
         [near_pencil5], 7, targets=[(1, 4), (1, 5)], config=ExtensionConfig(pool_bound=2)
@@ -420,6 +462,13 @@ def test_seed_certificate_must_match(near_pencil5, boolean):
         bootstrap_extend(near_pencil5, wrong_sum, 1, 4)
 
 
+def patch_everywhere(monkeypatch, name, original, replacement):
+    """Replace original at every freelines binding of name."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("freelines") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def counted(monkeypatch, names):
     """Wrap each named function at every freelines binding; returns the call log."""
     log = []
@@ -428,9 +477,7 @@ def counted(monkeypatch, names):
             log.append((_name, args))
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("freelines") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+        patch_everywhere(monkeypatch, name, original, wrapper)
     return log
 
 

@@ -1,8 +1,14 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_traced_names_resolve():
@@ -18,3 +24,18 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"freelines.{layer}"), name, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"])],
+)
+def test_scripts_run(script, args):
+    # score_reference.py is the outside oracle for the score closed forms
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
