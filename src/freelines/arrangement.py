@@ -67,11 +67,13 @@ RationalLike = int | str | Fraction
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
+    """v as a Fraction; anything that is not a finite rational raises ValueError."""
     if isinstance(v, bool):
         raise ValueError(f"coefficient {v!r} is a boolean, not a number")
-    if isinstance(v, str):
-        return Fraction(v.strip())
-    return Fraction(v)
+    try:
+        return Fraction(v.strip() if isinstance(v, str) else v)
+    except (ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValueError(f"coefficient {v!r} is not a rational number: {exc}") from exc
 
 
 def canonicalize_line(a: RationalLike, b: RationalLike, c: RationalLike) -> Line:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import exactlinalg
 from .arrangement import (
@@ -35,7 +35,6 @@ from .derivations import (
 )
 from .monomials import (
     Poly,
-    basis_size,
     monomial_basis,
     poly_equal_upto_scalar,
     poly_from_line,
@@ -197,10 +196,6 @@ def _bit_size(vec) -> int:
     return sum(abs(v).bit_length() for v in vec)
 
 
-def _rationalize_coordinates(coords, max_den: int = 10**6):
-    return [Fraction(float(x)).limit_denominator(max_den) for x in coords]
-
-
 def verify_free(
     arr: Arrangement,
     d1: int,
@@ -210,14 +205,14 @@ def verify_free(
 ) -> VerificationOutcome:
     """Certify or refute freeness of the arrangement at exponents (d1, d2).
 
-    A caller-supplied witness pair (from a known construction) or an ALS
-    result (rationalized in exact kernel coordinates) is tried first; both
-    are re-checked exactly, so they can only speed things up. Otherwise the
-    exact kernels at both degrees are computed, quotiented by the Euler
+    A caller-supplied witness pair (from a known construction) is tried
+    first and re-checked exactly, so it can only speed things up. Otherwise
+    the exact kernels at both degrees are computed, quotiented by the Euler
     multiples, and basis pairs are scanned in order of increasing coefficient
     size. The first nonzero determinant yields the certificate; if every pair
     vanishes the bilinear map is identically zero on the kernels and
-    NotFreeAtExponents is returned.
+    NotFreeAtExponents is returned. als has no effect; it is accepted only
+    for existing callers.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
@@ -234,14 +229,6 @@ def verify_free(
     basis2 = basis1 if d2 == d1 else null_space_exact(derivation_matrix(arr, d2))
     comp1 = basis1.complement
     comp2 = basis2.complement
-
-    if als is not None and comp1 and comp2:
-        guess = _als_guess(d1, d2, comp1, comp2, als)
-        if guess is not None:
-            cert = _check_pair(arr, q_poly, d1, d2, *guess)
-            if cert is not None:
-                return Certified(cert)
-
     order1 = sorted(range(len(comp1)), key=lambda i: _bit_size(comp1[i]))
     order2 = sorted(range(len(comp2)), key=lambda j: _bit_size(comp2[j]))
     pairs_scanned = 0
@@ -258,50 +245,12 @@ def verify_free(
     return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=pairs_scanned)
 
 
-def _als_guess(d1, d2, comp1, comp2, als):
-    """Round the ALS optimum into the exact complement bases.
-
-    Least-squares coordinates of the float optimum against each complement
-    basis are rounded by continued fractions; any rational combination of
-    exact kernel vectors is still in the kernel, so the guess only needs a
-    nonzero determinant to become a certificate. als is a SaitoEvaluation.
-    """
-    import numpy as np
-
-    if als.d1 != d1 or als.d2 != d2:
-        return None
-    target1 = als.tensor.v1 @ als.result.alpha1
-    target2 = als.tensor.v2 @ als.result.alpha2
-    out = []
-    for comp, target, d in ((comp1, target1, d1), (comp2, target2, d2)):
-        basis = np.array(comp, dtype=np.float64).T
-        coords, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        scale = np.max(np.abs(coords))
-        if scale == 0:
-            return None
-        rat = _rationalize_coordinates(coords / scale)
-        vec = [0] * (3 * basis_size(d))
-        den = 1
-        for f in rat:
-            den = den * f.denominator // gcd(den, f.denominator)
-        for coeff, bvec in zip(rat, comp):
-            mult = int(coeff * den)
-            if mult:
-                for k, bv in enumerate(bvec):
-                    if bv:
-                        vec[k] += mult * bv
-        if not any(vec):
-            return None
-        out.append(vector_to_derivation(vec, d))
-    return out[0], out[1]
-
-
-def verify_arrangement(arr: Arrangement, witness=None, als=None) -> VerificationOutcome:
+def verify_arrangement(arr: Arrangement, witness=None) -> VerificationOutcome:
     """verify_free at the arrangement's own candidate exponents."""
     exps = candidate_exponents(arr)
     if exps is None:
         return NoCandidateExponents(no_exponent_reason(arr))
-    return verify_free(arr, exps.d1, exps.d2, witness=witness, als=als)
+    return verify_free(arr, exps.d1, exps.d2, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +357,20 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _rational_from_json(val, what: str) -> Fraction:
+    try:
+        return Fraction(str(val))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{what}: {val!r} has a zero denominator") from exc
+
+
 def _poly_from_json(data: dict, what: str) -> Poly:
     out: Poly = {}
     for key, val in _json_object(data, what).items():
         e = tuple(int(x) for x in key.split(","))
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
-        v = Fraction(str(val))
+        v = _rational_from_json(val, f"{what}[{key!r}]")
         if v:
             out[e] = v if v.denominator != 1 else int(v)
     return out
@@ -450,7 +406,7 @@ def certificate_from_json(data: dict) -> FreenessCertificate:
     d1, d2 = (int(str(x)) for x in exponents)
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
-    c = Fraction(str(data["c"]))
+    c = _rational_from_json(data["c"], "c")
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
         arrangement_hash=str(data["arrangement_hash"]),

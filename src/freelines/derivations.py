@@ -8,9 +8,11 @@ here: for each line, restricting theta(alpha) to a parameterization of the line
 must give the identically-zero binary form, one linear constraint per
 coefficient.
 
-Every null space comes from the exact kernel. The float basis that the Saito
-tensor consumes is that kernel orthonormalized, so float code never decides a
-nullity.
+Every null space comes from the exact kernel. The float basis is that kernel
+orthonormalized with the Euler multiples first, so float code never decides a
+nullity, and its trailing columns span the kernel modulo Euler multiples.
+det(E, E', theta) = 0 for every Euler multiple E', so the Saito tensor loses
+nothing when it is built on those columns alone.
 
 The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
 of two null bases in one pass: with z = 1 each block becomes a bivariate
@@ -198,19 +200,33 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
 
 @dataclass(frozen=True)
 class NullBasisFloat:
+    """Orthonormal float kernel basis.
+
+    The first euler_dim columns span the Euler-multiple subspace and the rest
+    are orthogonal to it, so the trailing columns are an orthonormal basis of
+    the kernel modulo Euler multiples.
+    """
+
     degree: int
     basis: np.ndarray  # shape 3*N_d x k, orthonormal columns
+    euler_dim: int
 
     @property
     def nullity(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def quotient(self) -> NullBasisFloat:
+        """The trailing columns alone, as a basis with no Euler part."""
+        return NullBasisFloat(self.degree, self.basis[:, self.euler_dim:], 0)
 
 
 def null_space_float(matrix: DerivationMatrix) -> NullBasisFloat:
     """Orthonormal float basis spanning the exact kernel.
 
     Exact kernel vectors can be hundreds of digits long, so each is scaled
-    to unit max entry, converted to float and the columns orthonormalized.
+    to unit max entry, converted to float and the columns orthonormalized in
+    the exact basis order, Euler multiples first.
     """
     exact = null_space_exact(matrix)
     cols = []
@@ -219,7 +235,7 @@ def null_space_float(matrix: DerivationMatrix) -> NullBasisFloat:
         cols.append([v / scale for v in vec])
     x = np.array(cols, dtype=np.float64).T
     q, _ = np.linalg.qr(x)
-    return NullBasisFloat(matrix.degree, q)
+    return NullBasisFloat(matrix.degree, q, exact.euler_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .derivations import (
     contract,
     contract_matrix,
     derivation_matrix,
-    euler_multiples,
     null_space_float,
 )
 
@@ -48,7 +47,6 @@ class ALSResult:
     history: tuple[float, ...]  # squared cosine after each accepted half-step
     restart_losses: tuple[float, ...]
     all_contractions_zero: bool = False
-    euler_degenerate: bool = False
 
 
 def homogeneous_lsq(a_mat: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -135,36 +133,7 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
         history=best.history,
         restart_losses=tuple(restart_losses),
         all_contractions_zero=all_zero,
-        euler_degenerate=_euler_degenerate(t, best.alpha1, best.alpha2),
     )
-
-
-def _euler_coordinates(v_basis: np.ndarray, degree: int) -> np.ndarray:
-    """Orthonormal basis, in null-space coordinates, of the Euler-multiple image."""
-    e = np.array(euler_multiples(degree), dtype=np.float64).T  # 3N_d x N_{d-1}
-    coords = v_basis.T @ e
-    qmat, rmat = np.linalg.qr(coords)
-    keep = np.abs(np.diag(rmat)) > 1e-12
-    return qmat[:, keep]
-
-
-def _euler_degenerate(t: SaitoTensor, alpha1: np.ndarray, alpha2: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when either optimal parameter lies in the Euler-multiple image.
-
-    Such optima contract to zero identically and must not be read as
-    freeness witnesses.
-    """
-    for basis, degree, alpha in ((t.v1, t.d1, alpha1), (t.v2, t.d2, alpha2)):
-        na = np.linalg.norm(alpha)
-        if na == 0 or degree < 1:
-            continue
-        u = _euler_coordinates(basis, degree)
-        if u.shape[1] == 0:
-            continue
-        residual = alpha / na - u @ (u.T @ (alpha / na))
-        if np.linalg.norm(residual) <= tol:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -190,15 +159,18 @@ def saito_functional(
 ) -> SaitoEvaluation:
     """Evaluate the angular freeness loss of an arrangement at (d1, d2).
 
-    Both null bases are the orthonormalized exact kernels. Neither is empty:
-    every kernel of degree d >= 1 holds the Euler multiples.
+    The tensor is built on the orthonormalized exact kernels modulo Euler
+    multiples, which the Saito determinant sends to zero; k1 and k2 report
+    the full nullities. A quotient can be empty, and then every contraction
+    is zero and the loss is 1.
     """
     t0 = time.perf_counter()
     if d1 + d2 != arr.n - 1:
         raise ValueError(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
     v1 = null_space_float(derivation_matrix(arr, d1))
     v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
-    tensor = assemble_saito_tensor(arr, v1, v2)
+    w1 = v1.quotient
+    tensor = assemble_saito_tensor(arr, w1, v2.quotient if d2 != d1 else w1)
     result = als_minimize(tensor, config)
     elapsed = (time.perf_counter() - t0) * 1e3
     reason = "all-contractions-zero" if result.all_contractions_zero else None

@@ -299,10 +299,10 @@ def beam_search_build(
 
     Candidates are taken from the pool in canonical order; the beam keeps the
     top beam_width states by cumulative reward with canonical-key tie-breaks,
-    so runs are reproducible. Each candidate's freeness is decided once, by
-    sigma_alg; at the terminal step the beam verifies it and hands the outcome
-    to the reward and the final entry. seed has no effect and is kept only
-    for existing callers. The final beam is sorted by algebraic score.
+    so runs are reproducible. Each line set is verified once, however many
+    states reach it, and its outcome goes to the reward and, at the terminal
+    step, to the final entry. seed has no effect and is kept only for
+    existing callers. The final beam is sorted by algebraic score.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
@@ -312,7 +312,7 @@ def beam_search_build(
         raise ValueError("target exponents must sum to n - 1")
     pool = pool or candidate_pool(1)
     score_cfg = ScoreConfig(target_exponents=(d1, d2))
-    # beam states: (lines, cumulative reward, terminal sigma_alg, terminal outcome)
+    # beam states: (lines, cumulative reward, last sigma_alg, last outcome)
     beam: list[tuple[tuple[Line, ...], float, float, VerificationOutcome | None]] = [((), 0.0, 0.0, None)]
     for step in range(1, n + 1):
         expanded: dict[tuple, tuple] = {}
@@ -324,11 +324,11 @@ def beam_search_build(
                     continue
                 new_lines = lines + (line,)
                 arr = build_arrangement(new_lines)
-                outcome = verify_arrangement(arr) if terminal else None
-                r = reward(arr, prev_summary, weights, score_cfg, terminal=terminal, outcome=outcome)
                 key = _beam_key(new_lines)
-                cand = (new_lines, cum + r.total, r.alg, outcome)
                 best = expanded.get(key)
+                outcome = verify_arrangement(arr) if best is None else best[3]
+                r = reward(arr, prev_summary, weights, score_cfg, terminal=terminal, outcome=outcome)
+                cand = (new_lines, cum + r.total, r.alg, outcome)
                 if best is None or cand[1] > best[1]:
                     expanded[key] = cand
         ranked = sorted(expanded.items(), key=lambda kv: (-kv[1][1], kv[0]))

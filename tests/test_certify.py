@@ -156,7 +156,9 @@ def test_verify_free_validates_exponents(boolean):
 
 
 def test_verify_accepts_als_rationalization(near_pencil5):
+    # als is accepted and ignored: the certificate is the pair scan's
     ev = saito_functional(near_pencil5, 1, 3)
     out = verify_free(near_pencil5, 1, 3, als=ev)
     assert isinstance(out, Certified)
+    assert out == verify_free(near_pencil5, 1, 3)
     assert check_certificate(near_pencil5, out.certificate) == (True, None)

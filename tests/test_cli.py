@@ -4,6 +4,7 @@ import pytest
 
 from freelines import fixtures
 from freelines.arrangement import read_arrangement, write_arrangement
+from freelines.certify import certificate_to_json, verify_free
 from freelines.cli import main
 
 
@@ -18,6 +19,27 @@ def files(tmp_path):
     ]:
         p = tmp_path / f"{name}.json"
         write_arrangement(p, arr)
+        paths[name] = str(p)
+    return paths
+
+
+@pytest.fixture()
+def bad_files(tmp_path):
+    """Files whose values do not parse: coefficients and certificate scalars."""
+    good_cert = certificate_to_json(verify_free(fixtures.boolean_arrangement(), 1, 1).certificate)
+    texts = {
+        "zero_denominator": '{"lines": [["1/0", 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        "overflow": '{"lines": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        "dict_coefficient": '{"lines": [[{}, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        "cert_zero_denominator": json.dumps(
+            {**good_cert, "theta1": {**good_cert["theta1"], "f": {"1,0,0": "1/0"}}}
+        ),
+        "cert_c_zero_denominator": json.dumps({**good_cert, "c": "1/0"}),
+    }
+    paths = {}
+    for name, text in texts.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
         paths[name] = str(p)
     return paths
 
@@ -196,17 +218,26 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["extend", "near_pencil5", "1"], None, "d2"),
         (["construct", "x", "2"], None, "d1"),
         ([], None, "command"),
+        (["invariants", "zero_denominator"], None, "1/0"),
+        (["invariants", "overflow"], None, "Infinity"),
+        (["invariants", "dict_coefficient"], None, "{}"),
+        (["check", "boolean", "cert_zero_denominator"], None, "theta1.f"),
+        (["check", "boolean", "cert_c_zero_denominator"], None, "c: '1/0'"),
     ],
 )
-def test_bad_values_are_usage_errors(files, tmp_path, capsys, argv, config, named):
-    argv = [files.get(a, a) for a in argv]
+def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, config, named):
+    paths = {**files, **bad_files}
+    argv = [paths.get(a, a) for a in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # most commands exit through SystemExit; check returns its usage code
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)

@@ -1,0 +1,107 @@
+"""Fuzz the arrangement and certificate readers through the CLI.
+
+One value of a valid file is replaced by arbitrary JSON. Whatever the value,
+the CLI must answer with an exit code (0, 1 or 2) and never a traceback; a
+usage error (2) prints nothing to stdout and a JSON error to stderr.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from freelines import fixtures
+from freelines.arrangement import arrangement_to_json
+from freelines.certify import certificate_to_json, verify_free
+from freelines.cli import main
+
+NEAR_PENCIL = arrangement_to_json(fixtures.near_pencil(5))
+CERTIFICATE = certificate_to_json(verify_free(fixtures.near_pencil(5), 1, 3).certificate)
+
+# values that parse as JSON but not as a finite rational: half of all draws
+hostile = st.one_of(
+    st.from_regex(r"-?[0-9]{1,3}/0", fullmatch=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**300, -(2**127), "inf", "1e400"]),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    st.text(max_size=6),
+)
+json_values = hostile | st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def value_paths(data, prefix=()):
+    """Paths to every value below the root: dict keys and list indices."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one CLI call; any exception but SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_answered(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code, out, err)
+    if code == 2:
+        assert out == ""
+        assert json.loads(err)["error"]
+
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(path=st.sampled_from(list(value_paths(NEAR_PENCIL))), value=json_values)
+def test_arrangement_reader_never_raises(path, value):
+    data = replaced(NEAR_PENCIL, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        arr_path = Path(tmp) / "arr.json"
+        arr_path.write_text(json.dumps(data))
+        cert_path = Path(tmp) / "arr.cert.json"
+        cert_path.write_text(json.dumps(CERTIFICATE))
+        assert_answered(["invariants", str(arr_path)])
+        assert_answered(["verify", str(arr_path), "--certificate-out", str(Path(tmp) / "out.json")])
+        assert_answered(["check", str(arr_path), str(cert_path)])
+
+
+@FUZZ
+@given(path=st.sampled_from(list(value_paths(CERTIFICATE))), value=json_values)
+def test_certificate_reader_never_raises(path, value):
+    data = replaced(CERTIFICATE, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        arr_path = Path(tmp) / "near_pencil5.json"
+        arr_path.write_text(json.dumps(NEAR_PENCIL))
+        cert_path = Path(tmp) / "near_pencil5.cert.json"
+        cert_path.write_text(json.dumps(data))
+        assert_answered(["check", str(arr_path), str(cert_path)])

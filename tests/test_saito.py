@@ -1,17 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from freelines.arrangement import build_arrangement, canonicalize_line
+from freelines.arrangement import build_arrangement, candidate_exponents, canonicalize_line
 from freelines.derivations import (
     SaitoTensor,
-    assemble_saito_tensor,
     derivation_matrix,
     euler_multiples,
     null_space_float,
 )
 from freelines.saito import (
     ALSConfig,
-    _euler_degenerate,
     als_minimize,
     homogeneous_lsq,
     saito_functional,
@@ -104,17 +104,33 @@ def test_als_zero_tensor_reports_all_contractions_zero():
     assert result.loss == 1.0
 
 
-def test_euler_degeneracy_flag(boolean):
-    m = derivation_matrix(boolean, 1)
-    nb = null_space_float(m)
-    t = assemble_saito_tensor(boolean, nb, nb)
-    euler = nb.basis.T @ np.array([float(v) for v in euler_multiples(1)[0]])
-    rng = np.random.default_rng(2)
-    assert _euler_degenerate(t, euler, rng.standard_normal(t.k2))
-    # a generic direction is not flagged
-    generic = rng.standard_normal(t.k1)
-    generic -= euler * (euler @ generic) / (euler @ euler)
-    assert not _euler_degenerate(t, generic, rng.standard_normal(t.k2))
+@pytest.mark.parametrize("name", ["boolean", "free13", "free19", "free20"])
+def test_tensor_is_built_modulo_euler_multiples(name, request):
+    arr = request.getfixturevalue(name)
+    exps = candidate_exponents(arr)
+    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=1, restarts=1))
+    for d, nullity, v in ((ev.d1, ev.k1, ev.tensor.v1), (ev.d2, ev.k2, ev.tensor.v2)):
+        full = null_space_float(derivation_matrix(arr, d))
+        assert full.nullity == nullity
+        assert v.shape[1] == nullity - full.euler_dim == nullity - len(euler_multiples(d))
+        euler = np.array(euler_multiples(d), dtype=np.float64)
+        euler /= np.linalg.norm(euler, axis=1, keepdims=True)
+        assert np.max(np.abs(euler @ v)) <= 1e-12
+    assert ev.tensor.tensor.shape == (ev.tensor.out_size, ev.tensor.k1, ev.tensor.k2)
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 4), (2, 3)])
+def test_empty_euler_quotient_gives_loss_one(d1, d2):
+    # six lines tangent to a conic: no three concurrent, and no tangent field
+    # below degree 4 besides the Euler multiples
+    generic6 = build_arrangement([canonicalize_line(1, t, t * t) for t in range(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = saito_functional(generic6, d1, d2)
+    assert ev.tensor.k1 == 0
+    assert ev.k1 == len(euler_multiples(d1))
+    assert ev.loss == 1.0
+    assert ev.reason == "all-contractions-zero"
 
 
 def test_boolean_loss_tiny(boolean):

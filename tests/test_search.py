@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freelines import exactlinalg
 from freelines.arrangement import (
     DuplicateLine,
+    arrangement_hash,
     build_arrangement,
     candidate_exponents,
     canonicalize_line,
@@ -291,11 +292,14 @@ def test_beam_decides_freeness_once_without_the_functional(monkeypatch):
     log = counted(monkeypatch, {"verify_free": certify.verify_free, "reward": scores.reward})
     entries = beam_search_build(5, 1, 3, pool=candidate_pool(1), beam_width=3)
     assert entries and all(isinstance(e.outcome, Certified) for e in entries)
-    verified = sum(1 for name, _ in log if name == "verify_free")
-    scored = sum(
-        1 for name, args in log if name == "reward" and candidate_exponents(args[0]) is not None
-    )
-    assert 0 < verified <= scored
+    verified = [arrangement_hash(args[0]) for name, args in log if name == "verify_free"]
+    scored = {
+        arrangement_hash(args[0])
+        for name, args in log
+        if name == "reward" and candidate_exponents(args[0]) is not None
+    }
+    # one verdict per distinct line set, however many beam states reach it
+    assert verified and len(verified) == len(scored) and set(verified) == scored
 
 
 def test_cascade_near_pencil_chain(near_pencil5):

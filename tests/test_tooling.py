@@ -39,3 +39,13 @@ def test_scripts_run(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own library calls (verify_free(als=...), pairs_scanned,
+    # the certificate file round trip) and its fault checks, run as it runs them
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
