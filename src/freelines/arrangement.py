@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,13 +66,31 @@ class Line:
 
 RationalLike = int | str | Fraction
 
+# Fraction multiplies by 10**exponent before anything can look at the result,
+# so "1e999999999" would build a billion-digit integer. Text with a decimal
+# exponent may expand to at most this many digits, which stays below the
+# 4300 digits that Python converts back to a string.
+MAX_DECIMAL_DIGITS = 4000
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def _bounded_decimal(text: str, what: str) -> str:
+    """text, unless its decimal exponent expands it past MAX_DECIMAL_DIGITS digits."""
+    m = _DECIMAL_EXPONENT.search(text)
+    if m is not None:
+        exponent = m.group(1).replace("_", "").lstrip("0")
+        mantissa_digits = sum(ch.isdigit() for ch in text[: m.start()])
+        if len(exponent) > 5 or mantissa_digits + int(exponent or 0) > MAX_DECIMAL_DIGITS:
+            raise ValueError(f"{what}: {text!r} expands to more than {MAX_DECIMAL_DIGITS} digits")
+    return text
+
 
 def _as_fraction(v: RationalLike) -> Fraction:
     """v as a Fraction; anything that is not a finite rational raises ValueError."""
     if isinstance(v, bool):
         raise ValueError(f"coefficient {v!r} is a boolean, not a number")
     try:
-        return Fraction(v.strip() if isinstance(v, str) else v)
+        return Fraction(_bounded_decimal(v.strip(), "coefficient") if isinstance(v, str) else v)
     except (ZeroDivisionError, OverflowError, TypeError) as exc:
         raise ValueError(f"coefficient {v!r} is not a rational number: {exc}") from exc
 

@@ -8,6 +8,14 @@ determinant over the kernels is automatically proportional to Q: scanning
 basis pairs of the kernels modulo Euler multiples therefore either produces a
 certificate or proves that the bilinear map vanishes identically at these
 exponents, refuting freeness at (d1, d2).
+
+Before any kernel, the lattice alone may already prove freeness. Deleting a
+line H that meets the rest in |A^H| = a + 1 (or b + 1) points leaves an
+arrangement free with exponents (a, b - 1) (or (a - 1, b)), and by Terao's
+addition theorem the converse holds. A chain of such deletions down to a
+triangle therefore proves freeness (inductive freeness); the certificate is
+the triangle's closed-form one, lifted back up the chain one line at a time
+and re-checked once at the top. Refutations always come from the kernels.
 """
 
 from __future__ import annotations
@@ -21,14 +29,16 @@ from . import exactlinalg
 from .arrangement import (
     Arrangement,
     Line,
+    _bounded_decimal,
+    _cross,
     arrangement_hash,
+    build_arrangement,
     candidate_exponents,
+    intersection_summary,
     no_exponent_reason,
 )
 from .derivations import (
     DegreeMismatch,
-    _binary_form_power,
-    _conv,
     derivation_matrix,
     line_kernel_basis,
     null_space_exact,
@@ -44,12 +54,19 @@ from .monomials import (
 
 ExactDerivation = tuple[Poly, Poly, Poly]
 
+# Line sets a deletion-chain search may visit before verify_free falls back
+# to the kernels. Inductively free inputs need about n of them; the budget
+# bounds the search on inputs that are not.
+CHAIN_NODE_BUDGET = 256
+
 
 class InternalInconsistency(RuntimeError):
-    """A nonzero kernel-pair determinant failed to be proportional to Q.
+    """An exact claim that a theorem guarantees failed its exact check.
 
-    This contradicts the divisibility of Saito determinants by the defining
-    polynomial and signals a bug, never a property of the input.
+    For example, a nonzero kernel-pair determinant that is not proportional
+    to Q, or a lift that the addition theorem guarantees but that fails or
+    does not pass check_certificate. This signals a bug, never a property
+    of the input.
     """
 
 
@@ -120,14 +137,14 @@ def exact_determinant(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDe
 def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     """Exact check that alpha | theta(alpha) for every line of the arrangement.
 
-    Restricts theta(alpha) to a parameterization s*u + t*w of each line and
-    requires the resulting binary form to vanish identically; equivalent to
-    membership in the kernel of the derivation matrix, derived independently.
+    Evaluates theta(alpha) at d + 1 points of each line and requires every
+    value to vanish; equivalent to membership in the kernel of the derivation
+    matrix, derived independently.
     """
     if not _derivation_degree_ok(theta, d):
         return False
     theta, _ = _integral(theta)
-    return not any(any(_restricted_form(theta, line, d)) for line in arr.lines)
+    return not any(any(_line_values(theta, line, d)) for line in arr.lines)
 
 
 def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
@@ -138,31 +155,47 @@ def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
     return tuple({e: int(v * den) for e, v in comp.items()} for comp in theta), den
 
 
-def _restricted_form(theta: ExactDerivation, line: Line, d: int) -> list[int]:
-    """theta(alpha) at s*u + t*w on the line alpha = 0, by the power of s.
+def _line_points(line: Line, d: int) -> list[tuple[int, int, int]]:
+    """The d + 1 points u + k*w, k = 0..d, of the line alpha = 0."""
+    u, w = line_kernel_basis(line)
+    return [(u[0] + k * w[0], u[1] + k * w[1], u[2] + k * w[2]) for k in range(d + 1)]
 
-    theta has degree d and integer coefficients; it is tangent to the line
-    exactly when every one of the d + 1 coefficients is zero.
+
+def _line_values(theta: ExactDerivation, line: Line, d: int) -> list[int]:
+    """theta(alpha) at the d + 1 points of _line_points(line, d).
+
+    theta has integer coefficients. A binary form of degree d that vanishes
+    at d + 1 distinct points of the line is zero, so theta of degree d is
+    tangent to the line exactly when every value is zero.
     """
-    combined: dict = {}
+    combined: Poly = {}
     for comp, weight in zip(theta, line.coeffs):
         if weight:
             for e, v in comp.items():
                 combined[e] = combined.get(e, 0) + weight * v
-    u, w = line_kernel_basis(line)
-    out = [0] * (d + 1)
-    for e, v in combined.items():
-        if v:
-            for p, fv in enumerate(_binary_monomial(u, w, e)):
-                if fv:
-                    out[p] += v * fv
-    return out
+    terms = [(e, v) for e, v in combined.items() if v]
+    if not terms:
+        return [0] * (d + 1)
+    return [sum(v * x**a * y**b * z**c for (a, b, c), v in terms) for x, y, z in _line_points(line, d)]
 
 
-def _binary_monomial(u, w, exps) -> list[int]:
-    """Coefficients of the monomial x^e1 y^e2 z^e3 at s*u + t*w, by the power of s."""
-    p = _conv(_binary_form_power(u[0], w[0], exps[0]), _binary_form_power(u[1], w[1], exps[1]))
-    return _conv(p, _binary_form_power(u[2], w[2], exps[2]))
+def _triangle_witness(arr: Arrangement) -> tuple[ExactDerivation, ExactDerivation] | None:
+    """Tangent fields l_i * adj(M)[:, i], i = 0, 1, of three lines with coefficient rows M.
+
+    l_k . adj(M)[:, i] = det(M) when k = i and 0 otherwise, so theta_i(l_i) =
+    det(M) l_i and theta_i(l_k) = 0: both fields are tangent to all three
+    lines, and det(E, theta_0, theta_1) = det(M) l_0 l_1 l_2. None when the
+    lines are concurrent (det M = 0).
+    """
+    rows = [line.coeffs for line in arr.lines]
+    cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0])]
+    if sum(r * c for r, c in zip(rows[0], cols[0])) == 0:
+        return None
+    fields = []
+    for line, col in zip(arr.lines, cols):
+        alpha = poly_from_line(line.coeffs)
+        fields.append(tuple({e: v * c for e, v in alpha.items()} if c else {} for c in col))
+    return fields[0], fields[1]
 
 
 def _check_pair(
@@ -196,6 +229,16 @@ def _bit_size(vec) -> int:
     return sum(abs(v).bit_length() for v in vec)
 
 
+def _witness_certificate(
+    arr: Arrangement, d1: int, d2: int, witness: tuple[ExactDerivation, ExactDerivation]
+) -> FreenessCertificate | None:
+    """The certificate of a witness pair, or None when it does not certify."""
+    theta1, theta2 = witness
+    if is_tangent_field(arr, theta1, d1) and is_tangent_field(arr, theta2, d2):
+        return _check_pair(arr, product_of_lines(arr.lines), d1, d2, theta1, theta2)
+    return None
+
+
 def verify_free(
     arr: Arrangement,
     d1: int,
@@ -206,25 +249,27 @@ def verify_free(
     """Certify or refute freeness of the arrangement at exponents (d1, d2).
 
     A caller-supplied witness pair (from a known construction) is tried
-    first and re-checked exactly, so it can only speed things up. Otherwise
-    the exact kernels at both degrees are computed, quotiented by the Euler
-    multiples, and basis pairs are scanned in order of increasing coefficient
-    size. The first nonzero determinant yields the certificate; if every pair
-    vanishes the bilinear map is identically zero on the kernels and
-    NotFreeAtExponents is returned. als has no effect; it is accepted only
-    for existing callers.
+    first and re-checked exactly, so it can only speed things up. Without
+    one, a deletion chain down to a triangle is searched on the lattice, and
+    a chain found is lifted into a certificate (see _chain_certificate).
+    Otherwise the exact kernels at both degrees are computed, quotiented by
+    the Euler multiples, and basis pairs are scanned in order of increasing
+    coefficient size. The first nonzero determinant yields the certificate;
+    if every pair vanishes the bilinear map is identically zero on the
+    kernels and NotFreeAtExponents is returned. als has no effect; it is
+    accepted only for existing callers.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
     if not 1 <= d1 <= d2:
         raise ValueError("exponents must satisfy 1 <= d1 <= d2")
+    if witness is None:
+        cert = _chain_certificate(arr, d1, d2)
+    else:
+        cert = _witness_certificate(arr, d1, d2, witness)
+    if cert is not None:
+        return Certified(cert)
     q_poly = product_of_lines(arr.lines)
-    if witness is not None:
-        theta1, theta2 = witness
-        if is_tangent_field(arr, theta1, d1) and is_tangent_field(arr, theta2, d2):
-            cert = _check_pair(arr, q_poly, d1, d2, theta1, theta2)
-            if cert is not None:
-                return Certified(cert)
     basis1 = null_space_exact(derivation_matrix(arr, d1))
     basis2 = basis1 if d2 == d1 else null_space_exact(derivation_matrix(arr, d2))
     comp1 = basis1.complement
@@ -290,29 +335,49 @@ def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool
 
 
 def lift_certificate(
+    seed: FreenessCertificate, extended: Arrangement, line: Line, exps: tuple[int, int]
+) -> FreenessCertificate | None:
+    """Certificate at exponents exps of a seed arrangement plus one line, built from the seed's.
+
+    Tries, in index order, each seed field theta_j whose degree plus one,
+    with the other field's degree, gives exps (see _lift_across); by Terao's
+    addition theorem one of them succeeds when the extension is free with
+    exps. None means none did. The result is not re-checked: callers gate it
+    with check_certificate.
+    """
+    degs = (seed.d1, seed.d2)
+    for j in (0, 1):
+        if tuple(sorted((degs[j] + 1, degs[1 - j]))) == exps:
+            lifted = _lift_across(seed, extended, line, j)
+            if lifted is not None:
+                return lifted
+    return None
+
+
+def _lift_across(
     seed: FreenessCertificate, extended: Arrangement, line: Line, multiplied: int
 ) -> FreenessCertificate | None:
-    """Certificate of a seed arrangement plus one line, built from the seed's.
+    """One lift of lift_certificate: alpha multiplies the seed field of index multiplied.
 
-    Let theta_j be the seed field with index multiplied (0 or 1) and theta_i
-    the other, so det(E, theta_1, theta_2) = c * Q' over the seed. Then
-    phi = alpha * theta_j is tangent to every line of the extension, and
-    psi = lam * theta_i + f * theta_j, with f of degree d_i - d_j, is tangent
-    to the new line alpha = 0 exactly when (lam, f) lies in the kernel of a
-    (d_i + 1)-row integer system. det(E, phi, psi) = +-lam * c * Q, so a
-    kernel vector with lam != 0 gives the certificate; None means there is
-    none. The result must pass check_certificate, or InternalInconsistency
-    is raised.
+    Let theta_j be that field and theta_i the other, so det(E, theta_1,
+    theta_2) = c * Q' over the seed. Then phi = alpha * theta_j is tangent
+    to every line of the extension, and psi = lam * theta_i + f * theta_j,
+    with f of degree d_i - d_j, is tangent to the new line alpha = 0 exactly
+    when (lam, f) lies in the kernel of a (d_i + 1)-row integer system:
+    psi(alpha) at d_i + 1 points of the line. det(E, phi, psi) =
+    +-lam * c * Q, so a kernel vector with lam != 0 gives the certificate;
+    None means there is none.
     """
     thetas, scales = zip(*(_integral(t) for t in (seed.theta1, seed.theta2)))
     j, i = multiplied, 1 - multiplied
     degs = (seed.d1, seed.d2)
     dj, di = degs[j], degs[i]
     mons = monomial_basis(di - dj).monomials if di >= dj else ()
-    u, w = line_kernel_basis(line)
-    r_j = _restricted_form(thetas[j], line, dj)
-    cols = [_restricted_form(thetas[i], line, di)]
-    cols += [_conv(_binary_monomial(u, w, m), r_j) for m in mons]
+    cols = [_line_values(thetas[i], line, di)]
+    if mons:
+        r_j = _line_values(thetas[j], line, di)
+        points = _line_points(line, di)
+        cols += [[x**a * y**b * z**c * v for (x, y, z), v in zip(points, r_j)] for a, b, c in mons]
     kernel = exactlinalg.kernel_basis([list(r) for r in zip(*cols)], len(cols))
     vec = next((v for v in kernel if v[0]), None)
     if vec is None:
@@ -329,13 +394,93 @@ def lift_certificate(
     # det(E, phi, psi) = alpha * lam * det(E, theta_j, theta_i)
     c = Fraction(seed.c) * lam * scales[0] * scales[1] * (1 if j == 0 else -1)
     if dj + 1 <= di:
-        d1, d2, theta1, theta2 = dj + 1, di, phi, tuple(psi)
-    else:
-        d1, d2, theta1, theta2, c = di, dj + 1, tuple(psi), phi, -c
-    cert = FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(extended))
-    ok, failing = check_certificate(extended, cert)
-    if not ok:
-        raise InternalInconsistency(f"lifted certificate fails its re-check: {failing}")
+        return FreenessCertificate(dj + 1, di, phi, tuple(psi), c, arrangement_hash(extended))
+    return FreenessCertificate(di, dj + 1, tuple(psi), phi, -c, arrangement_hash(extended))
+
+
+# ---------------------------------------------------------------------------
+# Deletion chains (inductive freeness)
+# ---------------------------------------------------------------------------
+
+
+def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple[int, int]]] | None:
+    """Lines to delete, first to last, down to a triangle, read off the lattice.
+
+    From a line set with exponents (a, b), a line meeting the others in
+    a + 1 points may go, leaving (a, b - 1), and one meeting them in b + 1
+    points leaves (a - 1, b); the smaller exponent stays at least 1. Each
+    step is recorded with the exponents of the set before it. The search is
+    depth first, in line order, with a memo of line sets that reach no
+    triangle; it visits at most CHAIN_NODE_BUDGET sets and returns None when
+    the budget runs out or no chain exists.
+    """
+    s = intersection_summary(arr)
+    # Deleting H lowers b2 by |A^H|, so every set on the way keeps
+    # b2 = n - 1 + a*b; three lines at (1, 1) then have b2 = 3, a triangle.
+    if s.b2 != arr.n - 1 + d1 * d2:
+        return None
+    others: list[list[int]] = [[] for _ in arr.lines]  # per line: the other lines at each point on it
+    for p in s.points:
+        mask = sum(1 << k for k in p.incident_lines)
+        for k in p.incident_lines:
+            others[k].append(mask & ~(1 << k))
+    failed: set[int] = set()
+    budget = CHAIN_NODE_BUDGET
+
+    def search(mask: int, size: int, a: int, b: int) -> list | None:
+        nonlocal budget
+        if mask in failed or budget <= 0:
+            return None
+        budget -= 1
+        if size == 3:
+            return []
+        for k in [k for k in range(len(others)) if mask >> k & 1]:
+            m = sum(1 for o in others[k] if o & mask)  # |A^H| within the set
+            if m == a + 1:
+                nxt = (a, b - 1)
+            elif m == b + 1:
+                nxt = (a - 1, b)
+            else:
+                continue
+            lo, hi = sorted(nxt)
+            if lo < 1:
+                continue
+            rest = search(mask & ~(1 << k), size - 1, lo, hi)
+            if rest is not None:
+                return [(k, (a, b))] + rest
+        failed.add(mask)
+        return None
+
+    return search((1 << arr.n) - 1, arr.n, d1, d2)
+
+
+def _chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate | None:
+    """A certificate from a deletion chain, or None when none was found.
+
+    The triangle at the bottom of the chain is certified by its closed-form
+    fields; each deleted line is then added back, last deleted first, by
+    lift_certificate, which the addition theorem guarantees to succeed. Only
+    the final certificate is re-checked; a failure raises
+    InternalInconsistency.
+    """
+    chain = _deletion_chain(arr, d1, d2)
+    if chain is None:
+        return None
+    deleted = {k for k, _ in chain}
+    lines = [line for k, line in enumerate(arr.lines) if k not in deleted]
+    base = build_arrangement(lines)
+    cert = _witness_certificate(base, 1, 1, _triangle_witness(base))
+    if cert is None:
+        raise InternalInconsistency("the closed-form triangle fields do not certify the triangle")
+    for k, exps in reversed(chain):
+        lines.append(arr.lines[k])
+        cert = lift_certificate(cert, build_arrangement(lines), arr.lines[k], exps)
+        if cert is None:
+            raise InternalInconsistency(f"no lift across {arr.lines[k].coeffs} to {exps} on a deletion chain")
+    if chain:
+        ok, failing = check_certificate(arr, cert)
+        if not ok:
+            raise InternalInconsistency(f"certificate lifted up a deletion chain fails its re-check: {failing}")
     return cert
 
 
@@ -359,7 +504,7 @@ def _json_object(data, what: str) -> dict:
 
 def _rational_from_json(val, what: str) -> Fraction:
     try:
-        return Fraction(str(val))
+        return Fraction(_bounded_decimal(str(val), what))
     except ZeroDivisionError as exc:
         raise ValueError(f"{what}: {val!r} has a zero denominator") from exc
 

@@ -167,32 +167,31 @@ def cmd_verify(args) -> int:
         )
         return DOMAIN_ERROR
     outcome = verify_free(arr, exps[0], exps[1])
-    if isinstance(outcome, Certified):
-        cert = outcome.certificate
-        cert_path = args.certificate_out or (args.file + ".cert.json")
-        write_certificate(cert_path, cert)
+    if isinstance(outcome, NotFreeAtExponents):
         _emit(
             "verify",
             {
-                "verdict": "certified",
-                "exponents": [str(cert.d1), str(cert.d2)],
-                "c": str(cert.c),
-                "certificate_path": cert_path,
+                "verdict": "not-free-at-exponents",
+                "exponents": [str(outcome.d1), str(outcome.d2)],
+                "pairs_scanned": str(outcome.pairs_scanned),
             },
             arrangement_hash(arr),
         )
-        return 0
-    assert isinstance(outcome, NotFreeAtExponents)
+        return DOMAIN_ERROR
+    cert = outcome.certificate
+    cert_path = args.certificate_out or (args.file + ".cert.json")
+    write_certificate(cert_path, cert)
     _emit(
         "verify",
         {
-            "verdict": "not-free-at-exponents",
-            "exponents": [str(outcome.d1), str(outcome.d2)],
-            "pairs_scanned": str(outcome.pairs_scanned),
+            "verdict": "certified",
+            "exponents": [str(cert.d1), str(cert.d2)],
+            "c": str(cert.c),
+            "certificate_path": cert_path,
         },
         arrangement_hash(arr),
     )
-    return DOMAIN_ERROR
+    return 0
 
 
 def cmd_check(args) -> int:

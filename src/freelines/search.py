@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,6 +35,7 @@ from .certify import (
     VerificationOutcome,
     certificate_from_json,
     certificate_to_json,
+    check_certificate,
     lift_certificate,
     verify_arrangement,
     verify_free,
@@ -131,15 +133,15 @@ class Discovery:
     provenance: dict
 
 
-def _lift_routes(a: int, b: int) -> list[tuple[tuple[int, int], int, int]]:
-    """(exponents, |A''|, index of the seed field that alpha_H multiplies).
+def _lift_routes(a: int, b: int) -> list[tuple[tuple[int, int], int]]:
+    """(exponents, |A''|) of the free one-line extensions of a free (a, b) seed.
 
     By Terao's addition theorem a free (a, b) seed plus a line H meeting it
     in |A''| points is free with these exponents; by Abe's deletion theorem
     no other one-line extension is free. When a = b both routes reach
     (a, a + 1).
     """
-    return [(tuple(sorted((a + 1, b))), b + 1, 0), ((a, b + 1), a + 1, 1)]
+    return [(tuple(sorted((a + 1, b))), b + 1), ((a, b + 1), a + 1)]
 
 
 def bootstrap_extend(
@@ -148,6 +150,8 @@ def bootstrap_extend(
     d1p: int,
     d2p: int,
     config: ExtensionConfig = ExtensionConfig(),
+    *,
+    known: Container[str] = frozenset(),
 ) -> list[Discovery]:
     """Extend a certified free seed by one line toward exponents (d1p, d2p).
 
@@ -159,7 +163,8 @@ def bootstrap_extend(
     returns [] at once, and on an adjacent target every candidate with the
     matching |A''| is free. Its certificate is lifted from the seed's and
     re-checked exactly; a lift that fails raises InternalInconsistency.
-    Returns the certified extensions in candidate order.
+    Extensions whose arrangement hash is in known are skipped before the
+    lift. Returns the certified extensions in candidate order.
     """
     n = seed.n
     if d1p + d2p != n:
@@ -169,24 +174,24 @@ def bootstrap_extend(
     if certificate.d1 + certificate.d2 != n - 1:
         raise ValueError(f"seed certificate exponents do not sum to n - 1 = {n - 1}")
     a, b = certificate.d1, certificate.d2
-    routes = [(points, k) for exps, points, k in _lift_routes(a, b) if exps == (d1p, d2p)]
-    if not routes:
+    points = next((p for exps, p in _lift_routes(a, b) if exps == (d1p, d2p)), None)
+    if points is None:
         return []
-    points = routes[0][0]
     out: list[Discovery] = []
     for line in enumerate_extension_candidates(seed, config):
         if delta_b2(seed, line) != points:
             continue
         extended = seed.extended(line)
-        lifted = None
-        for _, multiplied in routes:
-            lifted = lift_certificate(certificate, extended, line, multiplied)
-            if lifted is not None:
-                break
+        if arrangement_hash(extended) in known:
+            continue
+        lifted = lift_certificate(certificate, extended, line, (d1p, d2p))
         if lifted is None:
             raise InternalInconsistency(
                 f"no lift of the ({a}, {b}) seed certificate across {line.coeffs}"
             )
+        ok, failing = check_certificate(extended, lifted)
+        if not ok:
+            raise InternalInconsistency(f"lifted certificate fails its re-check: {failing}")
         out.append(
             Discovery(
                 arrangement=extended,
@@ -381,7 +386,9 @@ def cascade(
     the exponents adjacent to its own, the only ones a one-line extension can
     be free with; targets, when given, restrict these further. Seeds are
     certified by verify_arrangement before use and enter the catalog
-    themselves; every later certificate is lifted.
+    themselves; every later certificate is lifted, once per arrangement:
+    the catalog keeps the first discovery of each hash, so a child already
+    in it is not lifted again.
     """
     wanted = None if targets is None else {(a, b) for a, b in targets}
     catalog = Catalog()
@@ -398,11 +405,14 @@ def cascade(
         for disc in frontier:
             if disc.arrangement.n >= n_max:
                 continue
-            adjacent = {exps for exps, _, _ in _lift_routes(disc.certificate.d1, disc.certificate.d2)}
+            adjacent = {exps for exps, _ in _lift_routes(disc.certificate.d1, disc.certificate.d2)}
             for d1p, d2p in sorted(adjacent):
                 if wanted is not None and (d1p, d2p) not in wanted:
                     continue
-                for found in bootstrap_extend(disc.arrangement, disc.certificate, d1p, d2p, config):
+                children = bootstrap_extend(
+                    disc.arrangement, disc.certificate, d1p, d2p, config, known=catalog._hashes
+                )
+                for found in children:
                     if catalog.add(found):
                         next_frontier.append(found)
         frontier = next_frontier

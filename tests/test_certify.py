@@ -1,9 +1,11 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from freelines.arrangement import build_arrangement, canonicalize_line
+from freelines import certify, fixtures
+from freelines.arrangement import build_arrangement, candidate_exponents, canonicalize_line
 from freelines.certify import (
     Certified,
     NoCandidateExponents,
@@ -21,15 +23,17 @@ from freelines.certify import (
 from freelines.derivations import DegreeMismatch
 from freelines.monomials import product_of_lines
 from freelines.saito import saito_functional
+from freelines.search import candidate_pool, supersolvable_two_pencil
 
 
-def disjoint_pencils():
-    """Five lines through [0:0:1] plus two through [1:0:0]; not free at (3,3).
+def disjoint_pencils(k=5, m=2):
+    """k lines through [0:0:1] plus m through [1:0:0], sharing no line.
 
-    A b2-preserving mutation of the 7-line two-pencil: same n, same b2 = 15,
-    same candidate exponents, but no shared line between the pencils.
+    With the defaults, a b2-preserving mutation of the 7-line two-pencil:
+    same n, same b2 = 15, same candidate exponents (3, 3), but no shared
+    line between the pencils, and not free.
     """
-    rows = [(1, 0, 0), (1, -1, 0), (1, -2, 0), (1, -3, 0), (1, -4, 0), (0, 1, -1), (0, 1, -2)]
+    rows = [(1, 0, 0)] + [(1, -i, 0) for i in range(1, k)] + [(0, 1, -j) for j in range(1, m + 1)]
     return build_arrangement([canonicalize_line(*r) for r in rows])
 
 
@@ -162,3 +166,130 @@ def test_verify_accepts_als_rationalization(near_pencil5):
     assert isinstance(out, Certified)
     assert out == verify_free(near_pencil5, 1, 3)
     assert check_certificate(near_pencil5, out.certificate) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# Deletion chains: verify_free before any kernel
+# ---------------------------------------------------------------------------
+
+
+def random_pool_arrangements(count, seed=20261018):
+    """count random 6-10-line arrangements of the R = 1 pool with candidate exponents."""
+    rng = random.Random(seed)
+    lines = candidate_pool(1).lines
+    out = []
+    while len(out) < count:
+        arr = build_arrangement(rng.sample(lines, rng.randint(6, 10)))
+        if candidate_exponents(arr) is not None:
+            out.append(arr)
+    return out
+
+
+def chain_cases():
+    named = [
+        ("np5", fixtures.near_pencil(5)),
+        ("np6", fixtures.near_pencil(6)),
+        ("two_pencil_7x7", supersolvable_two_pencil(7, 7)),
+        ("free13", fixtures.free_13()),
+        ("free19", fixtures.free_19()),
+        ("free20", fixtures.free_20()),
+    ]
+    named += [(f"pencils_{k}_{m}", disjoint_pencils(k, m)) for k, m in
+              [(9, 4), (10, 5), (11, 5), (13, 6), (13, 7), (5, 2), (7, 3)]]
+    named += [(f"pool1_{i}", arr) for i, arr in enumerate(random_pool_arrangements(64))]
+    return named
+
+
+def kernel_verdict(monkeypatch, arr, d1, d2):
+    """verify_free with the chain search switched off: the kernel path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+        return verify_free(arr, d1, d2)
+
+
+def test_chain_verdicts_match_the_kernel_path(monkeypatch):
+    free = refuted = 0
+    for name, arr in chain_cases():
+        exps = candidate_exponents(arr)
+        assert exps is not None, name
+        oracle = kernel_verdict(monkeypatch, arr, exps.d1, exps.d2)
+        outcome = verify_free(arr, exps.d1, exps.d2)
+        assert type(outcome) is type(oracle), name
+        if isinstance(outcome, Certified):
+            free += 1
+            assert check_certificate(arr, outcome.certificate) == (True, None), name
+        else:
+            refuted += 1
+            assert outcome == oracle, name  # the same full pair scan
+    assert free >= 6 and refuted >= 7
+
+
+def test_chain_steps_match_the_lattice():
+    # each set along a chain has the candidate exponents recorded for it,
+    # and the chain ends in a triangle
+    for name, arr in chain_cases():
+        exps = candidate_exponents(arr)
+        chain = certify._deletion_chain(arr, exps.d1, exps.d2)
+        if chain is None:
+            continue
+        kept = list(range(arr.n))
+        for k, recorded in chain:
+            sub = build_arrangement([arr.lines[i] for i in kept])
+            sub_exps = candidate_exponents(sub)
+            assert (sub_exps.d1, sub_exps.d2) == recorded, name
+            kept.remove(k)
+        assert len(kept) == 3
+        assert certify._triangle_witness(build_arrangement([arr.lines[i] for i in kept])) is not None
+
+
+def test_chain_certifies_without_derivation_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chain path built a derivation matrix")
+
+    monkeypatch.setattr(certify, "derivation_matrix", refuse)
+    for arr in [fixtures.near_pencil(6), supersolvable_two_pencil(7, 7), fixtures.free_13(),
+                fixtures.free_19(), fixtures.free_20()]:
+        exps = candidate_exponents(arr)
+        outcome = verify_free(arr, exps.d1, exps.d2)
+        assert isinstance(outcome, Certified)
+        assert check_certificate(arr, outcome.certificate) == (True, None)
+
+
+def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):
+    calls = []
+    original = certify.derivation_matrix
+    monkeypatch.setattr(certify, "derivation_matrix", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+    outcome = verify_free(free13, 6, 6)
+    assert isinstance(outcome, Certified) and calls
+    assert check_certificate(free13, outcome.certificate) == (True, None)
+
+
+def test_concurrent_lines_are_not_free():
+    pencil = build_arrangement([canonicalize_line(*r) for r in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]])
+    assert certify._triangle_witness(pencil) is None
+    out = verify_free(pencil, 1, 1)
+    assert isinstance(out, NotFreeAtExponents)
+
+
+def test_closed_form_triangle_certifies_random_triangles(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a triangle went to the kernel path")
+
+    monkeypatch.setattr(certify, "derivation_matrix", refuse)
+    rng = random.Random(7)
+    done = 0
+    while done < 40:
+        rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        if any(r == [0, 0, 0] for r in rows):
+            continue
+        lines = [canonicalize_line(*r) for r in rows]
+        if len(set(lines)) < 3 or certify._triangle_witness(build_arrangement(lines)) is None:
+            continue
+        tri = build_arrangement(lines)
+        theta1, theta2 = certify._triangle_witness(tri)
+        assert is_tangent_field(tri, theta1, 1) and is_tangent_field(tri, theta2, 1)
+        out = verify_free(tri, 1, 1)
+        assert isinstance(out, Certified)
+        assert check_certificate(tri, out.certificate) == (True, None)
+        done += 1

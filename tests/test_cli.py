@@ -35,6 +35,13 @@ def bad_files(tmp_path):
             {**good_cert, "theta1": {**good_cert["theta1"], "f": {"1,0,0": "1/0"}}}
         ),
         "cert_c_zero_denominator": json.dumps({**good_cert, "c": "1/0"}),
+        "huge_exponent": '{"lines": [["1e5000", 1, 0], [0, 1, 0], [0, 0, 1]]}',
+        "billion_digit_exponent": '{"lines": [["1e999999999", 1, 0], [0, 1, 0], [0, 0, 1]]}',
+        "long_mantissa_exponent": '{"lines": [["1%se1000", 1, 0], [0, 1, 0], [0, 0, 1]]}' % ("0" * 3500),
+        "cert_huge_exponent": json.dumps(
+            {**good_cert, "theta1": {**good_cert["theta1"], "f": {"1,0,0": "1e-999999999"}}}
+        ),
+        "cert_c_huge_exponent": json.dumps({**good_cert, "c": "2E+1_000_000"}),
     }
     paths = {}
     for name, text in texts.items():
@@ -223,6 +230,11 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["invariants", "dict_coefficient"], None, "{}"),
         (["check", "boolean", "cert_zero_denominator"], None, "theta1.f"),
         (["check", "boolean", "cert_c_zero_denominator"], None, "c: '1/0'"),
+        (["invariants", "huge_exponent"], None, "'1e5000' expands"),
+        (["verify", "billion_digit_exponent"], None, "'1e999999999' expands"),
+        (["invariants", "long_mantissa_exponent"], None, "4000 digits"),
+        (["check", "boolean", "cert_huge_exponent"], None, "theta1.f"),
+        (["check", "boolean", "cert_c_huge_exponent"], None, "c: '2E+1_000_000' expands"),
     ],
 )
 def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, config, named):

@@ -26,6 +26,7 @@ CERTIFICATE = certificate_to_json(verify_free(fixtures.near_pencil(5), 1, 3).cer
 hostile = st.one_of(
     st.from_regex(r"-?[0-9]{1,3}/0", fullmatch=True),
     st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**300, -(2**127), "inf", "1e400"]),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3})?[eE][-+]?[0-9_]{4,12}", fullmatch=True),
 )
 scalars = st.one_of(
     st.none(),

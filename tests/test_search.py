@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines import exactlinalg
+from freelines import certify, exactlinalg
 from freelines.arrangement import (
     DuplicateLine,
     arrangement_hash,
@@ -399,7 +399,9 @@ def test_lift_equal_exponents_free13(free13):
 
 # the (3, 3) seed needs the second route for some lines: alpha_H * theta_2
 @pytest.mark.parametrize("a,b,d1,d2", [(2, 4, 3, 4), (2, 4, 2, 5), (3, 3, 3, 4)])
-def test_lift_agrees_with_verify_free_two_pencil(a, b, d1, d2):
+def test_lift_agrees_with_verify_free_two_pencil(monkeypatch, a, b, d1, d2):
+    # the oracle is the kernel path alone, independent of the addition theorem
+    monkeypatch.setattr(certify, "CHAIN_NODE_BUDGET", 0)
     disc = construct_certified(a, b)
     seed = disc.arrangement
     cfg = ExtensionConfig(pool_bound=2)
@@ -507,3 +509,16 @@ def test_extension_runs_no_verification_of_children(monkeypatch, near_pencil5):
     for ds in catalog.entries.values():
         for d in ds:
             assert check_certificate(d.arrangement, d.certificate) == (True, None)
+
+
+def test_cascade_lifts_each_child_once(monkeypatch, near_pencil5):
+    # the catalog keeps the first discovery of each hash, so a child reached
+    # again from another seed is skipped before its lift
+    from freelines import search
+
+    lifts = []
+    original = search.lift_certificate
+    monkeypatch.setattr(search, "lift_certificate", lambda *a: lifts.append(a) or original(*a))
+    catalog = cascade([near_pencil5], 7, config=ExtensionConfig(pool_bound=2))
+    assert catalog.size == 287
+    assert len(lifts) == catalog.size - 1
