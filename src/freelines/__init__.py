@@ -30,6 +30,7 @@ from .certify import (
     InternalInconsistency,
     NoCandidateExponents,
     NotFreeAtExponents,
+    chain_certificate,
     check_certificate,
     exact_determinant,
     read_certificate,
@@ -50,6 +51,7 @@ from .derivations import (
     line_kernel_basis,
     null_space_exact,
     null_space_float,
+    null_space_from_fields,
     q_coefficient_vector,
 )
 from .monomials import MonomialBasis, monomial_basis

@@ -27,6 +27,7 @@ from math import lcm
 
 from . import exactlinalg
 from .arrangement import (
+    MAX_DECIMAL_DIGITS,
     Arrangement,
     Line,
     _bounded_decimal,
@@ -251,7 +252,7 @@ def verify_free(
     A caller-supplied witness pair (from a known construction) is tried
     first and re-checked exactly, so it can only speed things up. Without
     one, a deletion chain down to a triangle is searched on the lattice, and
-    a chain found is lifted into a certificate (see _chain_certificate).
+    a chain found is lifted into a certificate (see chain_certificate).
     Otherwise the exact kernels at both degrees are computed, quotiented by
     the Euler multiples, and basis pairs are scanned in order of increasing
     coefficient size. The first nonzero determinant yields the certificate;
@@ -264,7 +265,7 @@ def verify_free(
     if not 1 <= d1 <= d2:
         raise ValueError("exponents must satisfy 1 <= d1 <= d2")
     if witness is None:
-        cert = _chain_certificate(arr, d1, d2)
+        cert = chain_certificate(arr, d1, d2)
     else:
         cert = _witness_certificate(arr, d1, d2, witness)
     if cert is not None:
@@ -454,15 +455,17 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple
     return search((1 << arr.n) - 1, arr.n, d1, d2)
 
 
-def _chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate | None:
-    """A certificate from a deletion chain, or None when none was found.
+def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate | None:
+    """A certificate at exponents 1 <= d1 <= d2 from a deletion chain, or None when none was found.
 
     The triangle at the bottom of the chain is certified by its closed-form
     fields; each deleted line is then added back, last deleted first, by
     lift_certificate, which the addition theorem guarantees to succeed. Only
     the final certificate is re-checked; a failure raises
-    InternalInconsistency.
+    InternalInconsistency. Exponents outside 1 <= d1 <= d2 give None.
     """
+    if not 1 <= d1 <= d2:
+        return None
     chain = _deletion_chain(arr, d1, d2)
     if chain is None:
         return None
@@ -489,9 +492,23 @@ def _chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificat
 # ---------------------------------------------------------------------------
 
 
-def _poly_to_json(p: Poly) -> dict[str, str]:
+# Certificate files hold no number the readers would refuse (see
+# arrangement.MAX_DECIMAL_DIGITS); this bound also keeps str() below the
+# 4300 digits Python converts.
+_DIGIT_BOUND = 10**MAX_DECIMAL_DIGITS
+
+
+def _rational_to_json(v, what: str) -> str:
+    """str of the rational v; ValueError when its numerator or denominator has too many digits."""
+    v = Fraction(v)
+    if max(abs(v.numerator), v.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"{what}: a coefficient has more than {MAX_DECIMAL_DIGITS} digits")
+    return str(v)
+
+
+def _poly_to_json(p: Poly, what: str) -> dict[str, str]:
     return {
-        ",".join(str(x) for x in e): str(Fraction(v))
+        ",".join(str(x) for x in e): _rational_to_json(v, what)
         for e, v in sorted(p.items(), reverse=True)
     }
 
@@ -527,17 +544,18 @@ def _theta_from_json(data: dict, key: str) -> ExactDerivation:
 
 
 def certificate_to_json(cert: FreenessCertificate) -> dict:
+    """JSON form of a certificate; ValueError when a coefficient is too long for the readers."""
     return {
         "exponents": [str(cert.d1), str(cert.d2)],
         "theta1": {
-            name: _poly_to_json(comp)
+            name: _poly_to_json(comp, f"theta1.{name}")
             for name, comp in zip("fgh", cert.theta1)
         },
         "theta2": {
-            name: _poly_to_json(comp)
+            name: _poly_to_json(comp, f"theta2.{name}")
             for name, comp in zip("fgh", cert.theta2)
         },
-        "c": str(Fraction(cert.c)),
+        "c": _rational_to_json(cert.c, "c"),
         "arrangement_hash": cert.arrangement_hash,
     }
 
@@ -587,9 +605,10 @@ def exact_determinant_from_parts(theta1: ExactDerivation, theta2: ExactDerivatio
 
 
 def write_certificate(path, cert: FreenessCertificate) -> None:
+    """Write the certificate's JSON; a certificate that cannot be written leaves no file."""
+    text = json.dumps(certificate_to_json(cert), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_certificate(path) -> FreenessCertificate:

@@ -180,7 +180,10 @@ def cmd_verify(args) -> int:
         return DOMAIN_ERROR
     cert = outcome.certificate
     cert_path = args.certificate_out or (args.file + ".cert.json")
-    write_certificate(cert_path, cert)
+    try:
+        write_certificate(cert_path, cert)
+    except ValueError as exc:
+        return _report_usage("verify", str(exc))
     _emit(
         "verify",
         {

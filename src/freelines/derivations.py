@@ -8,11 +8,14 @@ here: for each line, restricting theta(alpha) to a parameterization of the line
 must give the identically-zero binary form, one linear constraint per
 coefficient.
 
-Every null space comes from the exact kernel. The float basis is that kernel
-orthonormalized with the Euler multiples first, so float code never decides a
-nullity, and its trailing columns span the kernel modulo Euler multiples.
-det(E, E', theta) = 0 for every Euler multiple E', so the Saito tensor loses
-nothing when it is built on those columns alone.
+Float code never decides a nullity. A null space comes from one of two exact
+sources: the exact kernel of the derivation matrix, or, for a free
+arrangement with a checked certificate (theta1, theta2, c != 0), Saito's
+criterion, which gives D(A)_d = S_{d-1} E (+) S_{d-d1} theta1 (+) S_{d-d2}
+theta2 with no matrix at all. Either way the float basis is orthonormalized
+with the Euler multiples first, so its trailing columns span the kernel
+modulo Euler multiples. det(E, E', theta) = 0 for every Euler multiple E', so
+the Saito tensor loses nothing when it is built on those columns alone.
 
 The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
 of two null bases in one pass: with z = 1 each block becomes a bivariate
@@ -200,7 +203,7 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
 
 @dataclass(frozen=True)
 class NullBasisFloat:
-    """Orthonormal float kernel basis.
+    """Orthonormal float basis of D(A)_d, from the exact kernel or from Saito's criterion.
 
     The first euler_dim columns span the Euler-multiple subspace and the rest
     are orthogonal to it, so the trailing columns are an orthonormal basis of
@@ -221,21 +224,51 @@ class NullBasisFloat:
         return NullBasisFloat(self.degree, self.basis[:, self.euler_dim:], 0)
 
 
-def null_space_float(matrix: DerivationMatrix) -> NullBasisFloat:
-    """Orthonormal float basis spanning the exact kernel.
+def _orthonormal_basis(d: int, vectors, euler_dim: int) -> NullBasisFloat:
+    """Orthonormal columns spanning exact vectors, in their order, Euler multiples first.
 
-    Exact kernel vectors can be hundreds of digits long, so each is scaled
-    to unit max entry, converted to float and the columns orthonormalized in
-    the exact basis order, Euler multiples first.
+    Exact vectors can be hundreds of digits long, so each is scaled to unit
+    max entry before it is converted to float.
     """
-    exact = null_space_exact(matrix)
     cols = []
-    for vec in exact.vectors:
+    for vec in vectors:
         scale = max(abs(v) for v in vec)
         cols.append([v / scale for v in vec])
     x = np.array(cols, dtype=np.float64).T
     q, _ = np.linalg.qr(x)
-    return NullBasisFloat(matrix.degree, q, exact.euler_dim)
+    return NullBasisFloat(d, q, euler_dim)
+
+
+def null_space_float(matrix: DerivationMatrix) -> NullBasisFloat:
+    """Orthonormal float basis spanning the exact kernel."""
+    exact = null_space_exact(matrix)
+    return _orthonormal_basis(matrix.degree, exact.vectors, exact.euler_dim)
+
+
+def null_space_from_fields(d: int, fields) -> NullBasisFloat:
+    """Orthonormal float basis of D(A)_d from a free basis of D(A), by Saito's criterion.
+
+    fields is ((theta1, d1), (theta2, d2)): exact tangent fields, given as
+    (f, g, h) polynomial dicts, with det(E, theta1, theta2) = c * Q and c != 0.
+    E, theta1 and theta2 are then a basis of the module D(A), so the columns
+    are the Euler multiples at degree d, then m * theta1 for m over
+    basis(d - d1), then m * theta2 for m over basis(d - d2). No derivation
+    matrix and no kernel is built; the basis is only as sound as the check
+    of the certificate.
+    """
+    nd = basis_size(d)
+    index = monomial_basis(d).index
+    vectors = euler_multiples(d)
+    for theta, degree in fields:
+        if degree > d:
+            continue
+        for m in monomial_basis(d - degree).monomials:
+            vec = [0] * (3 * nd)
+            for block, comp in enumerate(theta):
+                for e, v in comp.items():
+                    vec[block * nd + index((e[0] + m[0], e[1] + m[1], e[2] + m[2]))] = v
+            vectors.append(vec)
+    return _orthonormal_basis(d, vectors, basis_size(d - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrangement import Arrangement
+from .certify import chain_certificate
 from .derivations import (
     SaitoTensor,
     assemble_saito_tensor,
@@ -23,6 +24,7 @@ from .derivations import (
     contract_matrix,
     derivation_matrix,
     null_space_float,
+    null_space_from_fields,
 )
 
 
@@ -54,14 +56,19 @@ def homogeneous_lsq(a_mat: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float
 
     The minimizer is the smallest right singular vector of [a_mat | -q],
     computed from the (k+1) x (k+1) Gram matrix since rows vastly outnumber
-    columns here.
+    columns here. When a_mat is rank deficient, every alpha in its null space
+    with c = 0 is a minimizer with zero residual too; among the minimizers
+    whose residual is zero to rounding, the one with the largest c is taken,
+    so a solution with a_mat @ alpha = c q, c != 0, wins over those.
     """
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=np.float64))
     q = np.asarray(q, dtype=np.float64)
     b = np.hstack([a_mat, -q[:, None]])
     gram = b.T @ b
-    _, vecs = np.linalg.eigh(gram)
-    w = vecs[:, 0]
+    vals, vecs = np.linalg.eigh(gram)
+    zero = vecs[:, vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps]
+    w = zero @ zero[-1]  # the c axis projected onto the zero-residual minimizers
+    w = w / np.linalg.norm(w) if np.any(w) else vecs[:, 0]
     alpha, c = w[:-1], float(w[-1])
     norm = np.linalg.norm(alpha)
     if norm > 0:
@@ -159,16 +166,25 @@ def saito_functional(
 ) -> SaitoEvaluation:
     """Evaluate the angular freeness loss of an arrangement at (d1, d2).
 
-    The tensor is built on the orthonormalized exact kernels modulo Euler
-    multiples, which the Saito determinant sends to zero; k1 and k2 report
-    the full nullities. A quotient can be empty, and then every contraction
-    is zero and the loss is 1.
+    The tensor is built on orthonormal bases of D(A)_d1 and D(A)_d2 modulo
+    Euler multiples, which the Saito determinant sends to zero; k1 and k2
+    report the full nullities. When the lattice gives a deletion chain, both
+    bases come from its checked certificate by Saito's criterion (see
+    null_space_from_fields) and no derivation matrix is built; otherwise
+    they are the orthonormalized exact kernels. A quotient can be empty, and
+    then every contraction is zero and the loss is 1.
     """
     t0 = time.perf_counter()
     if d1 + d2 != arr.n - 1:
         raise ValueError(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
-    v1 = null_space_float(derivation_matrix(arr, d1))
-    v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
+    cert = chain_certificate(arr, *sorted((d1, d2)))
+    if cert is not None:
+        fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
+        v1 = null_space_from_fields(d1, fields)
+        v2 = null_space_from_fields(d2, fields) if d2 != d1 else v1
+    else:
+        v1 = null_space_float(derivation_matrix(arr, d1))
+        v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
     w1 = v1.quotient
     tensor = assemble_saito_tensor(arr, w1, v2.quotient if d2 != d1 else w1)
     result = als_minimize(tensor, config)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -42,6 +43,8 @@ def bad_files(tmp_path):
             {**good_cert, "theta1": {**good_cert["theta1"], "f": {"1,0,0": "1e-999999999"}}}
         ),
         "cert_c_huge_exponent": json.dumps({**good_cert, "c": "2E+1_000_000"}),
+        # each coefficient reads, but the certificate's products have 6000 digits
+        "huge_certificate": '{"lines": [["1e3000", 1, 0], [0, "1e3000", 1], [0, 0, 1]]}',
     }
     paths = {}
     for name, text in texts.items():
@@ -235,6 +238,7 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["invariants", "long_mantissa_exponent"], None, "4000 digits"),
         (["check", "boolean", "cert_huge_exponent"], None, "theta1.f"),
         (["check", "boolean", "cert_c_huge_exponent"], None, "c: '2E+1_000_000' expands"),
+        (["verify", "huge_certificate"], None, "more than 4000 digits"),
     ],
 )
 def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, config, named):
@@ -256,6 +260,24 @@ def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, c
     assert err["error"]
     if named is not None:
         assert named in err["error"]
+
+
+def test_verify_writes_no_certificate_it_cannot_print(bad_files, capsys):
+    path = bad_files["huge_certificate"]
+    assert main(["verify", path]) == 2
+    assert json.loads(capsys.readouterr().err)["command"] == "verify"
+    assert not os.path.exists(path + ".cert.json")
+
+
+def test_saito_exponent_order_swaps_nullities(tmp_path, capsys):
+    path = str(tmp_path / "free20.json")
+    write_arrangement(path, fixtures.free_20())
+    _, forward = run(capsys, ["saito", path, "--exponents", "9,10", "--als-iters", "1", "--als-restarts", "1"])
+    code, backward = run(capsys, ["saito", path, "--exponents", "10,9", "--als-iters", "1", "--als-restarts", "1"])
+    assert code == 0
+    assert (backward["payload"]["k1"], backward["payload"]["k2"]) == (forward["payload"]["k2"], forward["payload"]["k1"])
+    assert forward["payload"]["k1"] != forward["payload"]["k2"]
+    assert backward["payload"]["loss"] <= 1e-12
 
 
 def test_construct_small(capsys, tmp_path):

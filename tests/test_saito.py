@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from freelines import certify, fixtures, saito
 from freelines.arrangement import build_arrangement, candidate_exponents, canonicalize_line
 from freelines.derivations import (
     SaitoTensor,
@@ -16,6 +17,7 @@ from freelines.saito import (
     homogeneous_lsq,
     saito_functional,
 )
+from freelines.search import supersolvable_two_pencil
 
 
 def _random_tensor(rng, n_out=None, k1=None, k2=None):
@@ -47,6 +49,15 @@ def test_homogeneous_lsq_orthogonal_column():
     v = a @ alpha
     cos2 = (v @ q) ** 2 / (v @ v * (q @ q))
     assert cos2 < 1e-20
+
+
+def test_homogeneous_lsq_skips_the_null_space_of_a_rank_deficient_map():
+    # alpha = e1 with c = 0 also has zero residual; the solution with c != 0 is taken
+    a = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    q = np.array([1.0, 0.0, 0.0])
+    alpha, c = homogeneous_lsq(a, q)
+    assert abs(c) > 0.5
+    assert np.allclose(a @ alpha, c * q)
 
 
 def test_homogeneous_lsq_matches_grid_oracle():
@@ -171,3 +182,98 @@ def test_scale_invariance_through_canonicalization():
 def test_history_records_every_half_step(boolean):
     ev = saito_functional(boolean, 1, 1, config=ALSConfig(iterations=4, restarts=1))
     assert len(ev.result.history) == 8
+
+
+# ---------------------------------------------------------------------------
+# Null spaces from Saito's criterion on inputs with a deletion chain
+# ---------------------------------------------------------------------------
+
+
+def _row_normalized(arr, d):
+    m = np.array([[float(v) for v in row] for row in derivation_matrix(arr, d).rows])
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def _max_angle(a, b):
+    """Largest principal angle between the spans of two orthonormal bases of equal size."""
+    if a.shape[1] == 0:
+        return 0.0
+    return float(np.arcsin(min(1.0, np.linalg.norm(b - a @ (a.T @ b), 2))))
+
+
+@pytest.mark.parametrize("name", ["free13", "free19", "free20"])
+def test_chain_bases_annihilate_the_derivation_matrix(name, request):
+    # the exact kernel of free_19 at degree 11 has columns of condition ~1e11,
+    # so its orthonormalized float basis leaves residuals near 1e-7
+    arr = request.getfixturevalue(name)
+    exps = candidate_exponents(arr)
+    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=1, restarts=1))
+    for d, v in ((ev.d1, ev.tensor.v1), (ev.d2, ev.tensor.v2)):
+        assert np.max(np.abs(_row_normalized(arr, d) @ v)) <= 1e-12
+
+
+def _basis_cases():
+    from test_certify import random_pool_arrangements
+
+    named = [
+        ("boolean", fixtures.boolean_arrangement()),
+        ("np5", fixtures.near_pencil(5)),
+        ("np6", fixtures.near_pencil(6)),
+        ("two_pencil_7x7", supersolvable_two_pencil(7, 7)),
+        ("free13", fixtures.free_13()),
+        ("free19", fixtures.free_19()),
+        ("free20", fixtures.free_20()),
+    ]
+    return named + [(f"pool1_{i}", arr) for i, arr in enumerate(random_pool_arrangements(40, seed=9))]
+
+
+def test_chain_bases_match_the_kernel_path(monkeypatch):
+    config = ALSConfig(iterations=2, restarts=1)
+    chained = 0
+    for name, arr in _basis_cases():
+        exps = candidate_exponents(arr)
+        chained += certify.chain_certificate(arr, exps.d1, exps.d2) is not None
+        ev = saito_functional(arr, exps.d1, exps.d2, config=config)
+        with monkeypatch.context() as m:
+            m.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+            ref = saito_functional(arr, exps.d1, exps.d2, config=config)
+        assert (ev.k1, ev.k2) == (ref.k1, ref.k2), name
+        assert ev.tensor.tensor.shape == ref.tensor.tensor.shape, name
+        assert abs(ev.loss - ref.loss) <= 1e-12, name
+        # the kernel path's own float basis of free_19 at degree 11 is only
+        # about 1e-6 from the kernel (see the test above)
+        tol = 1e-5 if name == "free19" else 1e-9
+        assert _max_angle(ev.tensor.v1, ref.tensor.v1) <= tol, name
+        assert _max_angle(ev.tensor.v2, ref.tensor.v2) <= tol, name
+    assert chained >= 30
+
+
+def test_free_inputs_lose_nothing_at_reversed_exponents():
+    # at (d2, d1) the first half-step is rank deficient, with trivial minimizers c = 0
+    for name, arr in _basis_cases():
+        exps = candidate_exponents(arr)
+        if exps.d1 != exps.d2 and certify.chain_certificate(arr, exps.d1, exps.d2) is not None:
+            assert saito_functional(arr, exps.d2, exps.d1).loss <= 1e-12, name
+
+
+def test_chain_bases_build_no_derivation_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("saito_functional built a derivation matrix")
+
+    monkeypatch.setattr(saito, "derivation_matrix", refuse)
+    monkeypatch.setattr(certify, "derivation_matrix", refuse)
+    for arr in [fixtures.free_13(), fixtures.free_19(), fixtures.free_20()]:
+        exps = candidate_exponents(arr)
+        assert saito_functional(arr, exps.d1, exps.d2).loss <= 1e-12
+
+
+def test_non_free_input_takes_the_kernel_path(monkeypatch):
+    from test_certify import disjoint_pencils
+
+    calls = []
+    original = saito.derivation_matrix
+    monkeypatch.setattr(saito, "derivation_matrix", lambda *a: calls.append(a) or original(*a))
+    ev = saito_functional(disjoint_pencils(), 3, 3)
+    assert calls
+    assert ev.loss == 1.0
+    assert ev.reason == "all-contractions-zero"

@@ -28,10 +28,11 @@ def test_traced_names_resolve():
 
 @pytest.mark.parametrize(
     "script,args",
-    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"])],
+    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"]), ("find_refutation.py", [])],
 )
 def test_scripts_run(script, args):
-    # score_reference.py is the outside oracle for the score closed forms
+    # score_reference.py is the outside oracle for the score closed forms;
+    # find_refutation.py runs saito_functional's kernel path on non-free inputs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
