@@ -16,6 +16,14 @@ addition theorem the converse holds. A chain of such deletions down to a
 triangle therefore proves freeness (inductive freeness); the certificate is
 the triangle's closed-form one, lifted back up the chain one line at a time
 and re-checked once at the top. Refutations always come from the kernels.
+
+Tangency to a line and the lift systems read one packed integer per line.
+Restricted to the line u + k*w, theta(alpha) is a polynomial r(k) of degree
+at most d whose coefficients are bounded by B = sum|v| * M^d, v the
+coefficients of theta(alpha) and M = max_i(|u_i| + |w_i|). At K = 2^b with
+2^(b - 1) > B, r(K) is zero exactly when r is, and the signed base-K digits
+of r(K) are r's coefficients (a Kronecker substitution). All of it is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -138,14 +146,22 @@ def exact_determinant(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDe
 def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     """Exact check that alpha | theta(alpha) for every line of the arrangement.
 
-    Evaluates theta(alpha) at d + 1 points of each line and requires every
-    value to vanish; equivalent to membership in the kernel of the derivation
-    matrix, derived independently.
+    On the line alpha = 0, parametrized as u + k*w, theta(alpha) restricts to
+    a polynomial r(k) of degree at most d, and theta is tangent to the line
+    exactly when r is zero. One value decides it: at the packed point
+    u + K*w of _pack_point, r(K) is zero exactly when r is. Equivalent to
+    membership in the kernel of the derivation matrix, derived independently.
     """
     if not _derivation_degree_ok(theta, d):
         return False
     theta, _ = _integral(theta)
-    return not any(any(_line_values(theta, line, d)) for line in arr.lines)
+    for line in arr.lines:
+        form = _line_form(theta, line)
+        if form:
+            point, _ = _pack_point(line, d, _weight(form))
+            if _evaluate(form, _powers(point, d)):
+                return False
+    return True
 
 
 def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
@@ -156,28 +172,66 @@ def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
     return tuple({e: int(v * den) for e, v in comp.items()} for comp in theta), den
 
 
-def _line_points(line: Line, d: int) -> list[tuple[int, int, int]]:
-    """The d + 1 points u + k*w, k = 0..d, of the line alpha = 0."""
-    u, w = line_kernel_basis(line)
-    return [(u[0] + k * w[0], u[1] + k * w[1], u[2] + k * w[2]) for k in range(d + 1)]
-
-
-def _line_values(theta: ExactDerivation, line: Line, d: int) -> list[int]:
-    """theta(alpha) at the d + 1 points of _line_points(line, d).
-
-    theta has integer coefficients. A binary form of degree d that vanishes
-    at d + 1 distinct points of the line is zero, so theta of degree d is
-    tangent to the line exactly when every value is zero.
-    """
+def _line_form(theta: ExactDerivation, line: Line) -> Poly:
+    """theta(alpha) = a*f + b*g + c*h for alpha = a*x + b*y + c*z, zero terms dropped."""
     combined: Poly = {}
     for comp, weight in zip(theta, line.coeffs):
         if weight:
             for e, v in comp.items():
                 combined[e] = combined.get(e, 0) + weight * v
-    terms = [(e, v) for e, v in combined.items() if v]
-    if not terms:
-        return [0] * (d + 1)
-    return [sum(v * x**a * y**b * z**c for (a, b, c), v in terms) for x, y, z in _line_points(line, d)]
+    return {e: v for e, v in combined.items() if v}
+
+
+def _weight(form: Poly) -> int:
+    return sum(abs(v) for v in form.values())
+
+
+def _pack_point(line: Line, d: int, weight: int) -> tuple[tuple[int, int, int], int]:
+    """The point u + K*w of the line alpha = 0, K = 2^bits, and bits.
+
+    With (u, w) = line_kernel_basis(line) and M = max_i(|u_i| + |w_i|), an
+    integer form of degree e <= d and coefficient weight sum|v| restricts to
+    r(k) = form(u + k*w) with coefficients bounded by weight * M^e, and so
+    does m(u + k*w) * r(k) for a monomial m of degree d - e. bits is chosen
+    with 2^(bits - 1) > weight * M^d, so such an r(K) is zero exactly when r
+    is, and _unpack reads r's coefficients off its signed base-K digits
+    (a Kronecker substitution).
+    """
+    u, w = line_kernel_basis(line)
+    m = max(abs(a) + abs(b) for a, b in zip(u, w))
+    bits = (weight * m**d).bit_length() + 1
+    return (u[0] + (w[0] << bits), u[1] + (w[1] << bits), u[2] + (w[2] << bits)), bits
+
+
+def _powers(point: tuple[int, int, int], d: int) -> list[list[int]]:
+    """Powers 0..d of each coordinate of the point."""
+    tables = []
+    for x in point:
+        table = [1]
+        for _ in range(d):
+            table.append(table[-1] * x)
+        tables.append(table)
+    return tables
+
+
+def _evaluate(form: Poly, powers: list[list[int]]) -> int:
+    px, py, pz = powers
+    return sum(v * px[a] * py[b] * pz[c] for (a, b, c), v in form.items())
+
+
+def _unpack(value: int, bits: int, count: int) -> list[int]:
+    """The count signed base-2^bits digits of value, lowest first, each in [-2^(bits-1), 2^(bits-1))."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    for _ in range(count):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    if value:
+        raise InternalInconsistency(f"a packed line restriction has more than {count} digits")
+    return digits
 
 
 def _triangle_witness(arr: Arrangement) -> tuple[ExactDerivation, ExactDerivation] | None:
@@ -364,8 +418,11 @@ def _lift_across(
     theta_2) = c * Q' over the seed. Then phi = alpha * theta_j is tangent
     to every line of the extension, and psi = lam * theta_i + f * theta_j,
     with f of degree d_i - d_j, is tangent to the new line alpha = 0 exactly
-    when (lam, f) lies in the kernel of a (d_i + 1)-row integer system:
-    psi(alpha) at d_i + 1 points of the line. det(E, phi, psi) =
+    when (lam, f) lies in the kernel of a (d_i + 1)-row integer system: the
+    coefficients of psi(alpha)(u + k*w) in k. Its columns are the signed
+    base-K digits (_pack_point, _unpack) of theta_i(alpha)(P) and of
+    m(P) * theta_j(alpha)(P) at the one packed point P = u + K*w, m running
+    over the monomials of f; one K bounds every column. det(E, phi, psi) =
     +-lam * c * Q, so a kernel vector with lam != 0 gives the certificate;
     None means there is none.
     """
@@ -374,11 +431,14 @@ def _lift_across(
     degs = (seed.d1, seed.d2)
     dj, di = degs[j], degs[i]
     mons = monomial_basis(di - dj).monomials if di >= dj else ()
-    cols = [_line_values(thetas[i], line, di)]
+    form_i, form_j = _line_form(thetas[i], line), _line_form(thetas[j], line)
+    point, bits = _pack_point(line, di, max(_weight(form_i), _weight(form_j)))
+    powers = _powers(point, di)
+    values = [_evaluate(form_i, powers)]
     if mons:
-        r_j = _line_values(thetas[j], line, di)
-        points = _line_points(line, di)
-        cols += [[x**a * y**b * z**c * v for (x, y, z), v in zip(points, r_j)] for a, b, c in mons]
+        r_j = _evaluate(form_j, powers)
+        values += [_evaluate({m: r_j}, powers) for m in mons]
+    cols = [_unpack(v, bits, di + 1) for v in values]
     kernel = exactlinalg.kernel_basis([list(r) for r in zip(*cols)], len(cols))
     vec = next((v for v in kernel if v[0]), None)
     if vec is None:

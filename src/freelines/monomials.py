@@ -39,7 +39,8 @@ def monomial_basis(d: int) -> MonomialBasis:
         for i in range(d, -1, -1)
         for j in range(d - i, -1, -1)
     )
-    assert len(mons) == comb(d + 2, 2)
+    if len(mons) != comb(d + 2, 2):
+        raise RuntimeError(f"degree {d} basis has {len(mons)} monomials, expected {comb(d + 2, 2)}")
     return MonomialBasis(d, mons)
 
 
@@ -112,16 +113,15 @@ def poly_equal_upto_scalar(p: Poly, q: Poly) -> Fraction | None:
     if not p or not q:
         return None
     e0, q0 = next(iter(q.items()))
-    if e0 not in p:
+    p0 = p.get(e0, 0)
+    if not p0:
         # some coefficient of q is nonzero where p vanishes
         return None
-    c = Fraction(p[e0]) / Fraction(q0)
-    if c == 0:
-        return None
+    # p == (p0 / q0) * q, compared by cross-multiplication
     for e in p.keys() | q.keys():
-        if Fraction(p.get(e, 0)) != c * Fraction(q.get(e, 0)):
+        if p.get(e, 0) * q0 != p0 * q.get(e, 0):
             return None
-    return c
+    return Fraction(p0) / Fraction(q0)
 
 
 @lru_cache(maxsize=None)

@@ -130,7 +130,8 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
                 history=tuple(hist),
                 restart_losses=(),
             )
-    assert best is not None
+    if best is None:
+        raise ValueError("ALS needs at least one restart")
     all_zero = all(zero_flags)
     return ALSResult(
         loss=1.0 if all_zero else best.loss,

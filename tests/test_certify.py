@@ -20,10 +20,10 @@ from freelines.certify import (
     verify_free,
     write_certificate,
 )
-from freelines.derivations import DegreeMismatch
-from freelines.monomials import product_of_lines
+from freelines.derivations import DegreeMismatch, derivation_matrix
+from freelines.monomials import monomial_basis, poly_from_line, poly_mul, poly_to_vector, product_of_lines
 from freelines.saito import saito_functional
-from freelines.search import candidate_pool, supersolvable_two_pencil
+from freelines.search import candidate_pool, construct_certified, supersolvable_two_pencil
 
 
 def disjoint_pencils(k=5, m=2):
@@ -91,6 +91,110 @@ def test_near_pencil_hand_witness(near_pencil5):
 def test_is_tangent_field_rejects_non_tangent(boolean):
     y_dx = ({(0, 1, 0): 1}, {}, {})
     assert not is_tangent_field(boolean, y_dx, 1)
+
+
+def points_off_the_line(s):
+    """z = 0, s lines L_t = y - (t - 1) x + t z meeting it at (1, t - 1, 0), and lines through [0:0:1].
+
+    The lines through [0:0:1] include one through every meet of two lines
+    off it, and s + 2 of them at least, so the arrangement is supersolvable
+    with that modular point and free with smaller exponent s + 1.
+    """
+    off = [canonicalize_line(0, 0, 1)] + [canonicalize_line(-(t - 1), 1, t) for t in range(1, s + 1)]
+    through = set()
+    for i, l1 in enumerate(off):
+        for l2 in off[i + 1:]:
+            p = certify._cross(l1.coeffs, l2.coeffs)
+            through.add(canonicalize_line(p[1], -p[0], 0))
+    k = 1
+    while len(through) < s + 2:
+        through.add(canonicalize_line(1, -k, 0))
+        k += 1
+    return off, sorted(through, key=lambda line: line.coeffs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tangency_rejects_a_field_vanishing_at_d_points_of_one_line(d):
+    # delta = (0, 0, L_1 ... L_s (y - s x)) is tangent to every line except
+    # z = 0, where it restricts to r(k) = k (k - 1) ... (k - d + 1) at the
+    # points (1, k, 0): zero at d of the d + 1 points k = 0..d
+    off, through = points_off_the_line(d - 1)
+    arr = build_arrangement(off + through)
+    exps = candidate_exponents(arr)
+    assert exps.d1 == d
+    cert = verify_free(arr, exps.d1, exps.d2).certificate
+    h = poly_from_line((-(d - 1), 1, 0))
+    for line in off[1:]:
+        h = poly_mul(h, poly_from_line(line.coeffs))
+    delta = ({}, {}, h)
+    restriction = [sum(v * k**b for (a, b, c), v in h.items() if c == 0) for k in range(d + 1)]
+    assert restriction[:d] == [0] * d and restriction[d] != 0
+    assert is_tangent_field(build_arrangement(off[1:] + through), delta, d)
+    assert not is_tangent_field(arr, delta, d)
+    theta1 = tuple({e: comp.get(e, 0) + extra.get(e, 0) for e in comp.keys() | extra.keys()}
+                   for comp, extra in zip(cert.theta1, delta))
+    assert not is_tangent_field(arr, theta1, d)
+    bad = dataclasses.replace(cert, theta1=theta1)
+    assert check_certificate(arr, bad) == (False, "theta1-kernel")
+
+
+def test_unpack_reads_signed_digits_and_refuses_a_remainder():
+    coeffs = [3, -8, 0, 7]  # digits of 4 bits lie in [-8, 8)
+    value = sum(c << (4 * k) for k, c in enumerate(coeffs))
+    assert certify._unpack(value, 4, 4) == coeffs
+    with pytest.raises(certify.InternalInconsistency):
+        certify._unpack(value, 4, 3)
+
+
+def tangency_oracle(arr, theta, d):
+    """Exact product of the derivation matrix with theta's stacked coefficient vector."""
+    vec = [v for comp in theta for v in poly_to_vector(comp, d)]
+    return not any(sum(r * v for r, v in zip(row, vec) if r) for row in derivation_matrix(arr, d).rows)
+
+
+def perturbed_fields(theta, d, rng):
+    """theta plus random Euler multiples, monomial fields and rescalings, at three sizes."""
+    euler = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+    for size in ("int", "fraction", "huge"):
+        def scalar():
+            if size == "int":
+                return rng.choice([-1, 1]) * rng.randint(1, 9)
+            if size == "fraction":
+                return Fraction(rng.randint(-99, 99) or 1, rng.randint(2, 99))
+            return rng.choice([-1, 1]) * 10**30 + rng.randint(-999, 999)
+
+        for _ in range(3):
+            out = [dict(comp) for comp in theta]
+            if rng.random() < 0.5:
+                t = scalar()
+                out = [{e: t * v for e, v in comp.items()} for comp in out]
+            if rng.random() < 0.7:
+                m = {rng.choice(monomial_basis(d - 1).monomials): scalar()}
+                for comp, e in zip(out, euler):
+                    for k, v in poly_mul(m, e).items():
+                        comp[k] = comp.get(k, 0) + v
+            if rng.random() < 0.5:
+                comp = out[rng.randrange(3)]
+                k = rng.choice(monomial_basis(d).monomials)
+                comp[k] = comp.get(k, 0) + scalar()
+            yield tuple({e: v for e, v in comp.items() if v} for comp in out)
+
+
+def test_is_tangent_field_matches_the_derivation_matrix(free13, free19, free20):
+    rng = random.Random(20261018)
+    certified = [(arr, verify_arrangement(arr).certificate) for arr in (free13, free19, free20)]
+    certified += [(disc.arrangement, disc.certificate) for disc in
+                  (construct_certified(2, 5), construct_certified(4, 4), construct_certified(3, 7))]
+    verdicts = []
+    for arr, cert in certified:
+        for _ in range(3):
+            sub = build_arrangement(rng.sample(arr.lines, rng.randint(3, arr.n)))
+            for theta, d in ((cert.theta1, cert.d1), (cert.theta2, cert.d2)):
+                for field in perturbed_fields(theta, d, rng):
+                    verdict = is_tangent_field(sub, field, d)
+                    assert verdict == tangency_oracle(sub, field, d)
+                    verdicts.append(verdict)
+    assert len(verdicts) == 324 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_refutation_disjoint_pencils():

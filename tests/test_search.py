@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from freelines.arrangement import (
 from freelines.certify import (
     Certified,
     NotFreeAtExponents,
+    certificate_to_json,
     check_certificate,
     verify_arrangement,
     verify_free,
@@ -373,6 +375,24 @@ def test_cascade_to_7_matches_reference(near_pencil5):
     assert counts == reference["level_counts"]
     hashes = {d.certificate.arrangement_hash for ds in catalog.entries.values() for d in ds}
     assert hashes == set(reference["hashes"])
+
+
+def catalog_digest(catalog):
+    """sha256 of every certificate's sorted-key JSON, in sorted key order, then list order."""
+    digest = hashlib.sha256()
+    count = 0
+    for key in sorted(catalog.entries):
+        for d in catalog.entries[key]:
+            digest.update(json.dumps(certificate_to_json(d.certificate), sort_keys=True).encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
+def test_cascade_certificates_are_pinned():
+    # every lifted certificate, byte for byte; the same recipe to n <= 8 gives
+    # 1867 certificates and b2ff74647bade06bdd44c39dc760689f1ce1d8a4b53237b2f6a89905fba04ba7
+    catalog = cascade([near_pencil(5)], 7, config=ExtensionConfig(pool_bound=2))
+    assert catalog_digest(catalog) == (287, "d57eaa72acd08f67d2755ad6dcd90dba40ea8171f1a9f228a339e627f54dc53c")
 
 
 def children_hashes(discoveries):
