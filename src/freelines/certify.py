@@ -9,13 +9,18 @@ basis pairs of the kernels modulo Euler multiples therefore either produces a
 certificate or proves that the bilinear map vanishes identically at these
 exponents, refuting freeness at (d1, d2).
 
-Before any kernel, the lattice alone may already prove freeness. Deleting a
-line H that meets the rest in |A^H| = a + 1 (or b + 1) points leaves an
-arrangement free with exponents (a, b - 1) (or (a - 1, b)), and by Terao's
-addition theorem the converse holds. A chain of such deletions down to a
-triangle therefore proves freeness (inductive freeness); the certificate is
-the triangle's closed-form one, lifted back up the chain one line at a time
-and re-checked once at the top. Refutations always come from the kernels.
+Before any kernel, the lattice alone may already prove freeness. If the
+line set minus a line H is free with exponents (a, b - 1) (or (a - 1, b))
+and H meets the rest in |A^H| = a + 1 (or b + 1) points, the set is free
+with exponents (a, b) by Terao's addition theorem; his deletion theorem
+gives the converse. A chain of such deletions down to a triangle therefore
+proves freeness (inductive freeness). The chain is found by a greedy
+descent that deletes the first qualifying line at each step and never
+backtracks; a descent that gets stuck sends the input to the kernels. The
+certificate is the triangle's closed-form one, lifted back up the chain one
+line at a time, and every chain certificate, a bare triangle's included,
+passes one check_certificate, so no verdict rests on the descent.
+Refutations always come from the kernels.
 
 Tangency to a line and the lift systems read one packed integer per line.
 Restricted to the line u + k*w, theta(alpha) is a polynomial r(k) of degree
@@ -62,11 +67,6 @@ from .monomials import (
 )
 
 ExactDerivation = tuple[Poly, Poly, Poly]
-
-# Line sets a deletion-chain search may visit before verify_free falls back
-# to the kernels. Inductively free inputs need about n of them; the budget
-# bounds the search on inputs that are not.
-CHAIN_NODE_BUDGET = 256
 
 
 class InternalInconsistency(RuntimeError):
@@ -234,23 +234,23 @@ def _unpack(value: int, bits: int, count: int) -> list[int]:
     return digits
 
 
-def _triangle_witness(arr: Arrangement) -> tuple[ExactDerivation, ExactDerivation] | None:
-    """Tangent fields l_i * adj(M)[:, i], i = 0, 1, of three lines with coefficient rows M.
+def _triangle_certificate(arr: Arrangement) -> FreenessCertificate:
+    """Certificate at (1, 1) of three lines with coefficient rows M, in closed form.
 
-    l_k . adj(M)[:, i] = det(M) when k = i and 0 otherwise, so theta_i(l_i) =
-    det(M) l_i and theta_i(l_k) = 0: both fields are tangent to all three
-    lines, and det(E, theta_0, theta_1) = det(M) l_0 l_1 l_2. None when the
-    lines are concurrent (det M = 0).
+    The fields are theta_i = l_i * adj(M)[:, i], i = 0, 1. l_k . adj(M)[:, i]
+    = det(M) when k = i and 0 otherwise, so theta_i(l_i) = det(M) l_i and
+    theta_i(l_k) = 0: both fields are tangent to all three lines, and
+    det(E, theta_0, theta_1) = det(M) l_0 l_1 l_2, so c = det(M). Concurrent
+    lines have det(M) = 0, which check_certificate rejects.
     """
     rows = [line.coeffs for line in arr.lines]
     cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0])]
-    if sum(r * c for r, c in zip(rows[0], cols[0])) == 0:
-        return None
     fields = []
     for line, col in zip(arr.lines, cols):
         alpha = poly_from_line(line.coeffs)
         fields.append(tuple({e: v * c for e, v in alpha.items()} if c else {} for c in col))
-    return fields[0], fields[1]
+    det = sum(r * c for r, c in zip(rows[0], cols[0]))
+    return FreenessCertificate(1, 1, fields[0], fields[1], Fraction(det), arrangement_hash(arr))
 
 
 def _check_pair(
@@ -305,14 +305,15 @@ def verify_free(
 
     A caller-supplied witness pair (from a known construction) is tried
     first and re-checked exactly, so it can only speed things up. Without
-    one, a deletion chain down to a triangle is searched on the lattice, and
-    a chain found is lifted into a certificate (see chain_certificate).
-    Otherwise the exact kernels at both degrees are computed, quotiented by
-    the Euler multiples, and basis pairs are scanned in order of increasing
-    coefficient size. The first nonzero determinant yields the certificate;
-    if every pair vanishes the bilinear map is identically zero on the
-    kernels and NotFreeAtExponents is returned. als has no effect; it is
-    accepted only for existing callers.
+    one, a greedy descent on the lattice looks for a deletion chain down to
+    a triangle, with no budget, and a chain found is lifted into a
+    certificate that passes check_certificate (see chain_certificate).
+    When the descent gets stuck, the exact kernels at both degrees are
+    computed, quotiented by the Euler multiples, and basis pairs are
+    scanned in order of increasing coefficient size. The first nonzero
+    determinant yields the certificate; if every pair vanishes the bilinear
+    map is identically zero on the kernels and NotFreeAtExponents is
+    returned. als has no effect; it is accepted only for existing callers.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
@@ -470,10 +471,10 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple
     From a line set with exponents (a, b), a line meeting the others in
     a + 1 points may go, leaving (a, b - 1), and one meeting them in b + 1
     points leaves (a - 1, b); the smaller exponent stays at least 1. Each
-    step is recorded with the exponents of the set before it. The search is
-    depth first, in line order, with a memo of line sets that reach no
-    triangle; it visits at most CHAIN_NODE_BUDGET sets and returns None when
-    the budget runs out or no chain exists.
+    step is recorded with the exponents of the set before it. The descent
+    is greedy: it deletes the first such line in line order and never
+    undoes a step, since by Terao's deletion theorem every step keeps a
+    free set free. None when some set on the way has no such line.
     """
     s = intersection_summary(arr)
     # Deleting H lowers b2 by |A^H|, so every set on the way keeps
@@ -485,44 +486,38 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple
         mask = sum(1 << k for k in p.incident_lines)
         for k in p.incident_lines:
             others[k].append(mask & ~(1 << k))
-    failed: set[int] = set()
-    budget = CHAIN_NODE_BUDGET
-
-    def search(mask: int, size: int, a: int, b: int) -> list | None:
-        nonlocal budget
-        if mask in failed or budget <= 0:
-            return None
-        budget -= 1
-        if size == 3:
-            return []
-        for k in [k for k in range(len(others)) if mask >> k & 1]:
+    mask, a, b = (1 << arr.n) - 1, d1, d2
+    chain: list[tuple[int, tuple[int, int]]] = []
+    while len(chain) < arr.n - 3:
+        for k in range(arr.n):
+            if not mask >> k & 1:
+                continue
             m = sum(1 for o in others[k] if o & mask)  # |A^H| within the set
             if m == a + 1:
-                nxt = (a, b - 1)
+                lo, hi = sorted((a, b - 1))
             elif m == b + 1:
-                nxt = (a - 1, b)
+                lo, hi = sorted((a - 1, b))
             else:
                 continue
-            lo, hi = sorted(nxt)
-            if lo < 1:
-                continue
-            rest = search(mask & ~(1 << k), size - 1, lo, hi)
-            if rest is not None:
-                return [(k, (a, b))] + rest
-        failed.add(mask)
-        return None
-
-    return search((1 << arr.n) - 1, arr.n, d1, d2)
+            if lo >= 1:
+                break
+        else:
+            return None
+        chain.append((k, (a, b)))
+        mask &= ~(1 << k)
+        a, b = lo, hi
+    return chain
 
 
 def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate | None:
-    """A certificate at exponents 1 <= d1 <= d2 from a deletion chain, or None when none was found.
+    """A certificate at exponents 1 <= d1 <= d2 from a deletion chain, or None when the descent finds none.
 
-    The triangle at the bottom of the chain is certified by its closed-form
-    fields; each deleted line is then added back, last deleted first, by
-    lift_certificate, which the addition theorem guarantees to succeed. Only
-    the final certificate is re-checked; a failure raises
-    InternalInconsistency. Exponents outside 1 <= d1 <= d2 give None.
+    The triangle at the bottom of the chain gets its closed-form
+    certificate; each deleted line is then added back, last deleted first,
+    by lift_certificate, which the addition theorem guarantees to succeed.
+    The final certificate, a bare triangle's included, passes one
+    check_certificate; a failure raises InternalInconsistency. Exponents
+    outside 1 <= d1 <= d2 give None.
     """
     if not 1 <= d1 <= d2:
         return None
@@ -531,19 +526,15 @@ def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate
         return None
     deleted = {k for k, _ in chain}
     lines = [line for k, line in enumerate(arr.lines) if k not in deleted]
-    base = build_arrangement(lines)
-    cert = _witness_certificate(base, 1, 1, _triangle_witness(base))
-    if cert is None:
-        raise InternalInconsistency("the closed-form triangle fields do not certify the triangle")
+    cert = _triangle_certificate(build_arrangement(lines))
     for k, exps in reversed(chain):
         lines.append(arr.lines[k])
         cert = lift_certificate(cert, build_arrangement(lines), arr.lines[k], exps)
         if cert is None:
             raise InternalInconsistency(f"no lift across {arr.lines[k].coeffs} to {exps} on a deletion chain")
-    if chain:
-        ok, failing = check_certificate(arr, cert)
-        if not ok:
-            raise InternalInconsistency(f"certificate lifted up a deletion chain fails its re-check: {failing}")
+    ok, failing = check_certificate(arr, cert)
+    if not ok:
+        raise InternalInconsistency(f"certificate built on a deletion chain fails its re-check: {failing}")
     return cert
 
 

@@ -166,7 +166,8 @@ def cmd_verify(args) -> int:
             arrangement_hash(arr),
         )
         return DOMAIN_ERROR
-    outcome = verify_free(arr, exps[0], exps[1])
+    # freeness has a multiset of exponents, so d2,d1 asks what d1,d2 does
+    outcome = verify_free(arr, *sorted(exps))
     if isinstance(outcome, NotFreeAtExponents):
         _emit(
             "verify",

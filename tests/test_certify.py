@@ -305,9 +305,9 @@ def chain_cases():
 
 
 def kernel_verdict(monkeypatch, arr, d1, d2):
-    """verify_free with the chain search switched off: the kernel path alone."""
+    """verify_free with no deletion chain: the kernel path alone."""
     with monkeypatch.context() as m:
-        m.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+        m.setattr(certify, "_deletion_chain", lambda *args: None)
         return verify_free(arr, d1, d2)
 
 
@@ -343,7 +343,8 @@ def test_chain_steps_match_the_lattice():
             assert (sub_exps.d1, sub_exps.d2) == recorded, name
             kept.remove(k)
         assert len(kept) == 3
-        assert certify._triangle_witness(build_arrangement([arr.lines[i] for i in kept])) is not None
+        tri = build_arrangement([arr.lines[i] for i in kept])
+        assert check_certificate(tri, certify._triangle_certificate(tri)) == (True, None)
 
 
 def test_chain_certifies_without_derivation_matrices(monkeypatch):
@@ -363,7 +364,7 @@ def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):
     calls = []
     original = certify.derivation_matrix
     monkeypatch.setattr(certify, "derivation_matrix", lambda *a: calls.append(a) or original(*a))
-    monkeypatch.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
     outcome = verify_free(free13, 6, 6)
     assert isinstance(outcome, Certified) and calls
     assert check_certificate(free13, outcome.certificate) == (True, None)
@@ -371,7 +372,8 @@ def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):
 
 def test_concurrent_lines_are_not_free():
     pencil = build_arrangement([canonicalize_line(*r) for r in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]])
-    assert certify._triangle_witness(pencil) is None
+    # the closed form has c = det(M) = 0, which the gate refuses
+    assert check_certificate(pencil, certify._triangle_certificate(pencil)) == (False, "scalar-zero")
     out = verify_free(pencil, 1, 1)
     assert isinstance(out, NotFreeAtExponents)
 
@@ -388,12 +390,62 @@ def test_closed_form_triangle_certifies_random_triangles(monkeypatch):
         if any(r == [0, 0, 0] for r in rows):
             continue
         lines = [canonicalize_line(*r) for r in rows]
-        if len(set(lines)) < 3 or certify._triangle_witness(build_arrangement(lines)) is None:
+        if len(set(lines)) < 3:
             continue
         tri = build_arrangement(lines)
-        theta1, theta2 = certify._triangle_witness(tri)
-        assert is_tangent_field(tri, theta1, 1) and is_tangent_field(tri, theta2, 1)
+        cert = certify._triangle_certificate(tri)
+        if cert.c == 0:  # concurrent
+            continue
+        assert is_tangent_field(tri, cert.theta1, 1) and is_tangent_field(tri, cert.theta2, 1)
+        assert exact_determinant(tri, cert.theta1, cert.theta2) == {
+            e: cert.c * v for e, v in product_of_lines(tri.lines).items()
+        }
         out = verify_free(tri, 1, 1)
-        assert isinstance(out, Certified)
+        assert out == Certified(cert)
         assert check_certificate(tri, out.certificate) == (True, None)
         done += 1
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [("free13", fixtures.free_13), ("free19", fixtures.free_19), ("free20", fixtures.free_20),
+     ("two_pencil_7x7", lambda: supersolvable_two_pencil(7, 7))],
+)
+def test_greedy_descent_reaches_a_triangle_in_any_line_order(name, build):
+    # the descent never backtracks, so an order on which it stalled would
+    # silently send these inputs to the kernels
+    arr = build()
+    exps = candidate_exponents(arr)
+    rng = random.Random(name)
+    for _ in range(50):
+        lines = list(arr.lines)
+        rng.shuffle(lines)
+        chain = certify._deletion_chain(build_arrangement(lines), exps.d1, exps.d2)
+        assert chain is not None and len(chain) == arr.n - 3, name
+
+
+@pytest.mark.parametrize("arr", [fixtures.boolean_arrangement(), fixtures.near_pencil(6), fixtures.free_13()])
+def test_chain_certificate_is_gated_once(monkeypatch, arr):
+    calls = []
+    original = certify.check_certificate
+    monkeypatch.setattr(certify, "check_certificate", lambda *a: calls.append(a) or original(*a))
+    exps = candidate_exponents(arr)
+    cert = certify.chain_certificate(arr, exps.d1, exps.d2)
+    assert cert is not None and len(calls) == 1
+    assert calls[0][0] is arr and calls[0][1] == cert
+
+
+@pytest.mark.parametrize("arr", [fixtures.boolean_arrangement(), fixtures.near_pencil(6)])
+def test_tampered_triangle_certificate_fails_the_gate(monkeypatch, arr):
+    # a wrong c at the bottom of the chain, the bare triangle's included,
+    # reaches check_certificate and is refused there
+    closed_form = certify._triangle_certificate
+
+    def tampered(tri):
+        cert = closed_form(tri)
+        return dataclasses.replace(cert, c=cert.c + 1)
+
+    monkeypatch.setattr(certify, "_triangle_certificate", tampered)
+    exps = candidate_exponents(arr)
+    with pytest.raises(certify.InternalInconsistency, match="determinant-mismatch"):
+        certify.chain_certificate(arr, exps.d1, exps.d2)

@@ -269,6 +269,17 @@ def test_verify_writes_no_certificate_it_cannot_print(bad_files, capsys):
     assert not os.path.exists(path + ".cert.json")
 
 
+def test_verify_reads_exponents_in_either_order(files, tmp_path, capsys):
+    # the exponents of a free arrangement are a multiset: 3,1 asks what 1,3 does
+    paths = [str(tmp_path / f"{order}.cert.json") for order in ("forward", "backward")]
+    _, forward = run(capsys, ["verify", files["near_pencil5"], "--exponents", "1,3", "--certificate-out", paths[0]])
+    code, backward = run(capsys, ["verify", files["near_pencil5"], "--exponents", "3,1", "--certificate-out", paths[1]])
+    assert code == 0
+    assert backward["payload"]["verdict"] == "certified"
+    assert backward["payload"]["exponents"] == forward["payload"]["exponents"] == ["1", "3"]
+    assert open(paths[0]).read() == open(paths[1]).read()
+
+
 def test_saito_exponent_order_swaps_nullities(tmp_path, capsys):
     path = str(tmp_path / "free20.json")
     write_arrangement(path, fixtures.free_20())

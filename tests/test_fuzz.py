@@ -77,6 +77,7 @@ def assert_answered(argv):
     if code == 2:
         assert out == ""
         assert json.loads(err)["error"]
+    return code, out, err
 
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -106,3 +107,22 @@ def test_certificate_reader_never_raises(path, value):
         cert_path = Path(tmp) / "near_pencil5.cert.json"
         cert_path.write_text(json.dumps(data))
         assert_answered(["check", str(arr_path), str(cert_path)])
+
+
+def test_exponent_overrides_in_both_orders_are_answered():
+    # every --exponents d1,d2 with small entries, each pair in both orders:
+    # only sums other than n - 1 = 4 and nonpositive entries are usage errors
+    with tempfile.TemporaryDirectory() as tmp:
+        arr_path = Path(tmp) / "arr.json"
+        arr_path.write_text(json.dumps(NEAR_PENCIL))
+        out = str(Path(tmp) / "out.json")
+        for d1 in range(-1, 6):
+            for d2 in range(-1, 6):
+                pair = f"{d1},{d2}"
+                valid = min(d1, d2) >= 1 and d1 + d2 == 4
+                for argv in (
+                    ["verify", str(arr_path), "--exponents", pair, "--certificate-out", out],
+                    ["saito", str(arr_path), "--exponents", pair, "--als-iters", "1", "--als-restarts", "1"],
+                ):
+                    code, _, _ = assert_answered(argv)
+                    assert (code != 2) == valid, (argv, code)

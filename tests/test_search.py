@@ -421,7 +421,7 @@ def test_lift_equal_exponents_free13(free13):
 @pytest.mark.parametrize("a,b,d1,d2", [(2, 4, 3, 4), (2, 4, 2, 5), (3, 3, 3, 4)])
 def test_lift_agrees_with_verify_free_two_pencil(monkeypatch, a, b, d1, d2):
     # the oracle is the kernel path alone, independent of the addition theorem
-    monkeypatch.setattr(certify, "CHAIN_NODE_BUDGET", 0)
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
     disc = construct_certified(a, b)
     seed = disc.arrangement
     cfg = ExtensionConfig(pool_bound=2)

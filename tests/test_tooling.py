@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -50,3 +51,15 @@ def test_benchmark_selftest_passes():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_library_code_has_no_assert():
+    # python -O strips assert statements, so validation in the package must
+    # be an explicit raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "freelines").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
