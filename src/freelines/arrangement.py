@@ -117,6 +117,14 @@ class Arrangement:
 
     lines: tuple[Line, ...]
 
+    def __post_init__(self):
+        # distinct lines make Q squarefree, which Saito's criterion needs
+        seen: dict[Line, int] = {}
+        for i, line in enumerate(self.lines):
+            if line in seen:
+                raise DuplicateLine(seen[line], i)
+            seen[line] = i
+
     @property
     def n(self) -> int:
         return len(self.lines)
@@ -129,14 +137,9 @@ class Arrangement:
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...]) -> Arrangement:
-    """Build an arrangement, preserving order and rejecting duplicates."""
+    """Build an arrangement, preserving order; Arrangement rejects duplicates."""
     if not lines:
         raise ValueError("an arrangement needs at least one line")
-    seen: dict[Line, int] = {}
-    for i, line in enumerate(lines):
-        if line in seen:
-            raise DuplicateLine(seen[line], i)
-        seen[line] = i
     return Arrangement(tuple(lines))
 
 

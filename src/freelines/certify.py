@@ -2,12 +2,14 @@
 
 An arrangement of n lines is free with exponents (d1, d2) exactly when some
 pair of tangent fields theta1, theta2 of those degrees satisfies
-det(euler, theta1, theta2) = c * Q with c != 0. The determinant of tangent
-fields is always divisible by Q, and the degrees match, so any nonzero
-determinant over the kernels is automatically proportional to Q: scanning
-basis pairs of the kernels modulo Euler multiples therefore either produces a
-certificate or proves that the bilinear map vanishes identically at these
-exponents, refuting freeness at (d1, d2).
+det(euler, theta1, theta2) = c * Q with c != 0. The lines are distinct, so Q
+is squarefree, and the determinant of tangent fields is then divisible by Q
+(Saito's lemma); the degrees match, so it is c * Q for a constant c, and c is
+read at one point P off the arrangement (_saito_scalar). No polynomial is
+expanded to decide it. Scanning basis pairs of the kernels modulo Euler
+multiples therefore either produces a certificate or proves that the
+bilinear map vanishes identically at these exponents, refuting freeness at
+(d1, d2).
 
 Before any kernel, the lattice alone may already prove freeness. If the
 line set minus a line H is free with exponents (a, b - 1) (or (a - 1, b))
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from . import exactlinalg
 from .arrangement import (
@@ -57,14 +59,7 @@ from .derivations import (
     line_kernel_basis,
     null_space_exact,
 )
-from .monomials import (
-    Poly,
-    monomial_basis,
-    poly_equal_upto_scalar,
-    poly_from_line,
-    poly_mul,
-    product_of_lines,
-)
+from .monomials import Poly, monomial_basis, poly_from_line, poly_mul
 
 ExactDerivation = tuple[Poly, Poly, Poly]
 
@@ -72,10 +67,11 @@ ExactDerivation = tuple[Poly, Poly, Poly]
 class InternalInconsistency(RuntimeError):
     """An exact claim that a theorem guarantees failed its exact check.
 
-    For example, a nonzero kernel-pair determinant that is not proportional
-    to Q, or a lift that the addition theorem guarantees but that fails or
-    does not pass check_certificate. This signals a bug, never a property
-    of the input.
+    For example, a kernel-pair certificate that does not pass
+    check_certificate (which re-derives tangency without the derivation
+    matrix), or a lift that the addition theorem guarantees but that fails
+    or does not pass check_certificate. This signals a bug, never a
+    property of the input.
     """
 
 
@@ -219,6 +215,41 @@ def _evaluate(form: Poly, powers: list[list[int]]) -> int:
     return sum(v * px[a] * py[b] * pz[c] for (a, b, c), v in form.items())
 
 
+def _field_at(theta: ExactDerivation, powers: list[list[int]]) -> tuple[int, int, int]:
+    return tuple(_evaluate(comp, powers) for comp in theta)
+
+
+def _saito_point(arr: Arrangement) -> tuple[int, int, int]:
+    """P = (1, K, K^2), K = 2 * max|line coefficient| + 1: a point on no line.
+
+    alpha(P) = a + b*K + c*K^2 has the signed base-K digits a, b, c, each of
+    absolute value below K / 2 and not all zero, so it is not zero.
+    """
+    k = 2 * max(abs(v) for line in arr.lines for v in line.coeffs) + 1
+    return (1, k, k * k)
+
+
+def _det_at(point: tuple[int, int, int], v1: tuple[int, int, int], v2: tuple[int, int, int]) -> int:
+    """det(P, v1, v2) for rows P, v1, v2."""
+    return sum(p * c for p, c in zip(point, _cross(v1, v2)))
+
+
+def _saito_scalar(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDerivation) -> Fraction:
+    """c = det(P, theta1(P), theta2(P)) / Q(P) at the point P of _saito_point.
+
+    For fields tangent to every line, of degrees summing to n - 1, Saito's
+    lemma gives det(E, theta1, theta2) = c * Q with c constant, Q squarefree
+    because the lines are distinct, and Q(P) != 0; so this is that c, and
+    the determinant is zero exactly when c is. Meaningless for other fields:
+    callers check tangency and degrees first.
+    """
+    point = _saito_point(arr)
+    (t1, s1), (t2, s2) = _integral(theta1), _integral(theta2)
+    powers = _powers(point, max((sum(e) for t in (t1, t2) for comp in t for e in comp), default=0))
+    det = _det_at(point, _field_at(t1, powers), _field_at(t2, powers))
+    return Fraction(det, prod(line.evaluate(point) for line in arr.lines) * s1 * s2)
+
+
 def _unpack(value: int, bits: int, count: int) -> list[int]:
     """The count signed base-2^bits digits of value, lowest first, each in [-2^(bits-1), 2^(bits-1))."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
@@ -253,33 +284,6 @@ def _triangle_certificate(arr: Arrangement) -> FreenessCertificate:
     return FreenessCertificate(1, 1, fields[0], fields[1], Fraction(det), arrangement_hash(arr))
 
 
-def _check_pair(
-    arr: Arrangement,
-    q_poly: Poly,
-    d1: int,
-    d2: int,
-    theta1: ExactDerivation,
-    theta2: ExactDerivation,
-) -> FreenessCertificate | None:
-    det = exact_determinant(arr, theta1, theta2)
-    if not det:
-        return None
-    c = poly_equal_upto_scalar(det, q_poly)
-    if c is None:
-        raise InternalInconsistency(
-            "nonzero determinant of tangent fields is not proportional to the "
-            "defining polynomial"
-        )
-    return FreenessCertificate(
-        d1=d1,
-        d2=d2,
-        theta1=theta1,
-        theta2=theta2,
-        c=c,
-        arrangement_hash=arrangement_hash(arr),
-    )
-
-
 def _bit_size(vec) -> int:
     return sum(abs(v).bit_length() for v in vec)
 
@@ -289,9 +293,10 @@ def _witness_certificate(
 ) -> FreenessCertificate | None:
     """The certificate of a witness pair, or None when it does not certify."""
     theta1, theta2 = witness
-    if is_tangent_field(arr, theta1, d1) and is_tangent_field(arr, theta2, d2):
-        return _check_pair(arr, product_of_lines(arr.lines), d1, d2, theta1, theta2)
-    return None
+    if not (is_tangent_field(arr, theta1, d1) and is_tangent_field(arr, theta2, d2)):
+        return None
+    c = _saito_scalar(arr, theta1, theta2)
+    return FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(arr)) if c else None
 
 
 def verify_free(
@@ -304,16 +309,21 @@ def verify_free(
     """Certify or refute freeness of the arrangement at exponents (d1, d2).
 
     A caller-supplied witness pair (from a known construction) is tried
-    first and re-checked exactly, so it can only speed things up. Without
-    one, a greedy descent on the lattice looks for a deletion chain down to
-    a triangle, with no budget, and a chain found is lifted into a
-    certificate that passes check_certificate (see chain_certificate).
-    When the descent gets stuck, the exact kernels at both degrees are
-    computed, quotiented by the Euler multiples, and basis pairs are
-    scanned in order of increasing coefficient size. The first nonzero
-    determinant yields the certificate; if every pair vanishes the bilinear
-    map is identically zero on the kernels and NotFreeAtExponents is
-    returned. als has no effect; it is accepted only for existing callers.
+    first: both fields must be tangent and _saito_scalar nonzero, so it can
+    only speed things up. Without one, a greedy descent on the lattice
+    looks for a deletion chain down to a triangle, with no budget, and a
+    chain found is lifted into a certificate that passes check_certificate
+    (see chain_certificate). When the descent gets stuck, the exact kernels
+    at both degrees are computed, quotiented by the Euler multiples, and
+    basis pairs are scanned in order of increasing coefficient size. Each
+    basis vector is evaluated once at the point P of _saito_point, so a
+    pair's determinant at P is one 3x3 integer determinant; it is nonzero
+    exactly when det(E, theta1, theta2) is. The first nonzero pair yields
+    the certificate, which must pass check_certificate (InternalInconsistency
+    otherwise); if every pair vanishes the bilinear map is identically zero
+    on the kernels and NotFreeAtExponents is returned. So every Certified
+    passes the same exact test as a certificate file. als has no effect;
+    it is accepted only for existing callers.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
@@ -325,23 +335,30 @@ def verify_free(
         cert = _witness_certificate(arr, d1, d2, witness)
     if cert is not None:
         return Certified(cert)
-    q_poly = product_of_lines(arr.lines)
-    basis1 = null_space_exact(derivation_matrix(arr, d1))
-    basis2 = basis1 if d2 == d1 else null_space_exact(derivation_matrix(arr, d2))
-    comp1 = basis1.complement
-    comp2 = basis2.complement
-    order1 = sorted(range(len(comp1)), key=lambda i: _bit_size(comp1[i]))
-    order2 = sorted(range(len(comp2)), key=lambda j: _bit_size(comp2[j]))
+    point = _saito_point(arr)
+
+    def fields_at_point(d):
+        comp = null_space_exact(derivation_matrix(arr, d)).complement
+        fields = [vector_to_derivation(vec, d) for vec in comp]
+        powers = _powers(point, d)
+        order = sorted(range(len(comp)), key=lambda i: _bit_size(comp[i]))
+        return fields, [_field_at(theta, powers) for theta in fields], order
+
+    fields1, values1, order1 = fields_at_point(d1)
+    fields2, values2, order2 = (fields1, values1, order1) if d2 == d1 else fields_at_point(d2)
     pairs_scanned = 0
     for i in order1:
         for j in order2:
             if d1 == d2 and i >= j:
                 continue  # antisymmetric in the equal-degree case
             pairs_scanned += 1
-            theta1 = vector_to_derivation(comp1[i], d1)
-            theta2 = vector_to_derivation(comp2[j], d2)
-            cert = _check_pair(arr, q_poly, d1, d2, theta1, theta2)
-            if cert is not None:
+            if _det_at(point, values1[i], values2[j]):
+                theta1, theta2 = fields1[i], fields2[j]
+                c = _saito_scalar(arr, theta1, theta2)
+                cert = FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(arr))
+                ok, failing = check_certificate(arr, cert)
+                if not ok:
+                    raise InternalInconsistency(f"kernel-pair certificate fails its re-check: {failing}")
                 return Certified(cert)
     return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=pairs_scanned)
 
@@ -362,6 +379,8 @@ def verify_arrangement(arr: Arrangement, witness=None) -> VerificationOutcome:
 def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool, str | None]:
     """Re-derive every certificate claim from scratch with exact arithmetic.
 
+    Once both fields are tangent at degrees summing to n - 1 and c != 0,
+    det(E, theta1, theta2) = c * Q is decided at one point by _saito_scalar.
     Returns (True, None) or (False, name-of-first-failing-check).
     """
     if cert.arrangement_hash != arrangement_hash(arr):
@@ -376,12 +395,8 @@ def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool
         return False, "theta2-kernel"
     if cert.c == 0:
         return False, "scalar-zero"
-    det = exact_determinant(arr, cert.theta1, cert.theta2)
-    q_poly = product_of_lines(arr.lines)
-    c = Fraction(cert.c)
-    for e in det.keys() | q_poly.keys():
-        if det.get(e, 0) * c.denominator != c.numerator * q_poly.get(e, 0):
-            return False, "determinant-mismatch"
+    if _saito_scalar(arr, cert.theta1, cert.theta2) != cert.c:
+        return False, "determinant-mismatch"
     return True, None
 
 

@@ -7,7 +7,6 @@ vector in the package is written in this order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -102,26 +101,6 @@ def poly_to_vector(p: Poly, d: int) -> list:
 def vector_to_poly(vec, d: int) -> Poly:
     mons = monomial_basis(d).monomials
     return {m: v for m, v in zip(mons, vec) if v}
-
-
-def poly_equal_upto_scalar(p: Poly, q: Poly) -> Fraction | None:
-    """Return c with p == c*q exactly (c nonzero), or None.
-
-    Zero p against nonzero q returns None; both zero returns None as well
-    since no nonzero scalar is determined.
-    """
-    if not p or not q:
-        return None
-    e0, q0 = next(iter(q.items()))
-    p0 = p.get(e0, 0)
-    if not p0:
-        # some coefficient of q is nonzero where p vanishes
-        return None
-    # p == (p0 / q0) * q, compared by cross-multiplication
-    for e in p.keys() | q.keys():
-        if p.get(e, 0) * q0 != p0 * q.get(e, 0):
-            return None
-    return Fraction(p0) / Fraction(q0)
 
 
 @lru_cache(maxsize=None)

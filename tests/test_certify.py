@@ -1,11 +1,19 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from freelines import certify, fixtures
-from freelines.arrangement import build_arrangement, candidate_exponents, canonicalize_line
+from freelines.arrangement import (
+    Arrangement,
+    DuplicateLine,
+    Line,
+    build_arrangement,
+    candidate_exponents,
+    canonicalize_line,
+)
 from freelines.certify import (
     Certified,
     NoCandidateExponents,
@@ -16,14 +24,22 @@ from freelines.certify import (
     exact_determinant,
     is_tangent_field,
     read_certificate,
+    vector_to_derivation,
     verify_arrangement,
     verify_free,
     write_certificate,
 )
-from freelines.derivations import DegreeMismatch, derivation_matrix
+from freelines.derivations import DegreeMismatch, derivation_matrix, null_space_exact
 from freelines.monomials import monomial_basis, poly_from_line, poly_mul, poly_to_vector, product_of_lines
 from freelines.saito import saito_functional
-from freelines.search import candidate_pool, construct_certified, supersolvable_two_pencil
+from freelines.search import (
+    ExtensionConfig,
+    candidate_pool,
+    cascade,
+    construct_certified,
+    supersolvable_two_pencil,
+    two_pencil_witness,
+)
 
 
 def disjoint_pencils(k=5, m=2):
@@ -212,11 +228,27 @@ def test_verify_arrangement_no_exponents(generic4):
     assert out.reason == "delta-negative"
 
 
-def test_tampered_scalar_detected(boolean):
-    cert = verify_free(boolean, 1, 1).certificate
-    bad = dataclasses.replace(cert, c=cert.c * 2)
-    ok, failing = check_certificate(boolean, bad)
-    assert not ok and failing == "determinant-mismatch"
+def euler_multiple(m):
+    """The field m * E for a monomial m: tangent to every line, determinant 0 against anything."""
+    return tuple({tuple(a + b for a, b in zip(m, e)): 1} for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+TAMPERS = [
+    ("scalar doubled", lambda cert: dataclasses.replace(cert, c=cert.c * 2)),
+    ("scalar plus a third", lambda cert: dataclasses.replace(cert, c=cert.c + Fraction(1, 3))),
+    # tangent, so only the determinant (identically 0) can refuse it
+    ("theta2 an Euler multiple", lambda cert: dataclasses.replace(cert, theta2=euler_multiple((cert.d2 - 1, 0, 0)))),
+]
+
+
+def test_tampered_scalar_detected(boolean, near_pencil5):
+    for arr in (boolean, near_pencil5):
+        exps = candidate_exponents(arr)
+        cert = verify_free(arr, exps.d1, exps.d2).certificate
+        for name, tamper in TAMPERS:
+            bad = tamper(cert)
+            assert is_tangent_field(arr, bad.theta2, bad.d2), name
+            assert check_certificate(arr, bad) == (False, "determinant-mismatch"), name
 
 
 def test_perturbed_theta_detected(boolean):
@@ -449,3 +481,126 @@ def test_tampered_triangle_certificate_fails_the_gate(monkeypatch, arr):
     exps = candidate_exponents(arr)
     with pytest.raises(certify.InternalInconsistency, match="determinant-mismatch"):
         certify.chain_certificate(arr, exps.d1, exps.d2)
+
+
+# ---------------------------------------------------------------------------
+# det(E, theta1, theta2) = c * Q decided at one point
+# ---------------------------------------------------------------------------
+
+
+def expanded_ratio(arr, theta1, theta2):
+    """det(E, theta1, theta2) / Q from both expansions, or None when it is no constant."""
+    det = exact_determinant(arr, theta1, theta2)
+    q = product_of_lines(arr.lines)
+    e, q0 = next(iter(q.items()))
+    c = Fraction(det.get(e, 0), q0)
+    return c if det == {k: c * v for k, v in q.items() if c} else None
+
+
+def certified_inputs():
+    out = [(arr, verify_arrangement(arr).certificate)
+           for arr in (fixtures.free_13(), fixtures.free_19(), fixtures.free_20())]
+    for d1 in range(1, 7):
+        for d2 in range(d1, 14 - d1):
+            disc = construct_certified(d1, d2)
+            out.append((disc.arrangement, disc.certificate))
+    catalog = cascade([fixtures.near_pencil(5)], 7, config=ExtensionConfig(pool_bound=2))
+    out += [(d.arrangement, d.certificate) for ds in catalog.entries.values() for d in ds]
+    return out
+
+
+def test_saito_scalar_matches_the_expanded_ratio():
+    rng = random.Random(12)
+    cases = certified_inputs()
+    assert len(cases) == 3 + 42 + 287
+    for arr, cert in cases:
+        assert certify._saito_scalar(arr, cert.theta1, cert.theta2) == expanded_ratio(arr, cert.theta1, cert.theta2)
+        s1, s2 = (Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 10**12)) for _ in range(2))
+        theta1 = tuple({e: s1 * v for e, v in comp.items()} for comp in cert.theta1)
+        theta2 = tuple({e: s2 * v for e, v in comp.items()} for comp in cert.theta2)
+        c = certify._saito_scalar(arr, theta1, theta2)
+        assert c == expanded_ratio(arr, theta1, theta2) == s1 * s2 * cert.c
+
+
+@pytest.mark.parametrize("k,m", [(9, 4), (10, 5)])
+def test_saito_scalar_vanishes_with_the_expansion_on_mutants(k, m):
+    arr = disjoint_pencils(k, m)
+    exps = candidate_exponents(arr)
+    fields = [[vector_to_derivation(vec, d) for vec in null_space_exact(derivation_matrix(arr, d)).complement]
+              for d in (exps.d1, exps.d2)]
+    count = 0
+    for theta1 in fields[0]:
+        for theta2 in fields[1]:
+            c = certify._saito_scalar(arr, theta1, theta2)
+            assert (c == 0) == (exact_determinant(arr, theta1, theta2) == {})
+            count += 1
+    assert count >= 15
+
+
+def test_saito_point_lies_on_no_line():
+    rng = random.Random(6)
+    bound = 10**6
+    extremes = [canonicalize_line(a, b, c) for a in (-bound, 0, bound) for b in (-bound, bound - 1, bound)
+                for c in (-bound, 1, bound)]
+    for trial in range(200):
+        lines = set(extremes if trial == 0 else ())
+        size = rng.randint(3, 30)
+        while len(lines) < size:
+            row = [rng.randint(-bound, bound) for _ in range(3)]
+            if any(row):
+                lines.add(canonicalize_line(*row))
+        arr = build_arrangement(sorted(lines))
+        point = certify._saito_point(arr)
+        assert all(line.evaluate(point) for line in arr.lines)
+
+
+def test_repeated_lines_are_no_arrangement():
+    # on x, x, y the fields x d/dx and z d/dz are tangent, of degrees summing
+    # to n - 1, and det(P)/Q(P) is a nonzero number; but det = -xyz is no
+    # multiple of Q = x^2 y, since Q is not squarefree: the one-point test
+    # needs distinct lines, and Arrangement refuses repeated ones
+    x, y = Line(1, 0, 0), Line(0, 1, 0)
+    with pytest.raises(DuplicateLine) as exc:
+        Arrangement((x, x, y))
+    assert (exc.value.i, exc.value.j) == (0, 1)
+    x_dx, z_dz = ({(1, 0, 0): 1}, {}, {}), ({}, {}, {(0, 0, 1): 1})
+    assert certify._saito_scalar(SimpleNamespace(lines=(x, x, y)), x_dx, z_dz) == -9
+    assert certify.exact_determinant_from_parts(x_dx, z_dz) == {(1, 1, 1): -1}
+    assert product_of_lines((x, x, y)) == {(2, 1, 0): 1}
+
+
+def test_verify_and_check_expand_no_determinant(monkeypatch):
+    # the determinant is read at one point on every verify and check path
+    def refuse(*args):
+        raise AssertionError("a determinant was expanded")
+
+    mutant = disjoint_pencils(9, 4)
+    exps = candidate_exponents(mutant)
+    comp = [null_space_exact(derivation_matrix(mutant, d)).complement[0] for d in (exps.d1, exps.d2)]
+    fake = certify.FreenessCertificate(exps.d1, exps.d2, vector_to_derivation(comp[0], exps.d1),
+                                       vector_to_derivation(comp[1], exps.d2), Fraction(1),
+                                       certify.arrangement_hash(mutant))
+    monkeypatch.setattr(certify, "exact_determinant_from_parts", refuse)
+    free13 = fixtures.free_13()
+    out = verify_free(free13, 6, 6)
+    assert check_certificate(free13, out.certificate) == (True, None)
+    arr = supersolvable_two_pencil(3, 5)
+    out = verify_free(arr, 3, 5, witness=two_pencil_witness(3, 5))
+    assert check_certificate(arr, out.certificate) == (True, None)
+    assert isinstance(verify_free(mutant, exps.d1, exps.d2), NotFreeAtExponents)
+    assert check_certificate(mutant, fake) == (False, "determinant-mismatch")
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
+    out = verify_free(free13, 6, 6)
+    assert check_certificate(free13, out.certificate) == (True, None)
+
+
+def test_kernel_pair_certificate_is_gated(monkeypatch, boolean):
+    # a kernel holding y d/dx, which is not tangent to x = 0, as a wrong
+    # derivation matrix would: its pair with z d/dz is nonzero at P, and the
+    # gate re-derives tangency without the matrix
+    y_dx = (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    z_dz = (0, 0, 0, 0, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
+    monkeypatch.setattr(certify, "null_space_exact", lambda matrix: SimpleNamespace(complement=[y_dx, z_dz]))
+    with pytest.raises(certify.InternalInconsistency, match="theta1-kernel"):
+        verify_free(boolean, 1, 1)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -21,7 +20,6 @@ from freelines.derivations import (
 from freelines.exactlinalg import in_kernel
 from freelines.monomials import (
     monomial_basis,
-    poly_equal_upto_scalar,
     poly_to_vector,
     vector_to_poly,
 )
@@ -38,17 +36,6 @@ def test_monomial_basis_small():
 @pytest.mark.parametrize("d", range(8))
 def test_monomial_basis_size(d):
     assert monomial_basis(d).size == comb(d + 2, 2)
-
-
-def test_poly_equal_upto_scalar():
-    q = {(1, 0, 0): 2, (0, 1, 1): Fraction(-3, 5)}
-    assert poly_equal_upto_scalar({(1, 0, 0): 3, (0, 1, 1): Fraction(-9, 10)}, q) == Fraction(3, 2)
-    assert poly_equal_upto_scalar({(1, 0, 0): 3, (0, 1, 1): -1}, q) is None
-    assert poly_equal_upto_scalar({(1, 0, 0): 3, (0, 1, 1): Fraction(-9, 10), (0, 0, 2): 1}, q) is None
-    assert poly_equal_upto_scalar({(0, 1, 1): Fraction(-9, 10)}, q) is None
-    assert poly_equal_upto_scalar({}, q) is None and poly_equal_upto_scalar(q, {}) is None
-    big = 10**40 + 7
-    assert poly_equal_upto_scalar({e: big * v for e, v in q.items()}, q) == big
 
 
 def test_line_kernel_examples():

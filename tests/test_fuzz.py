@@ -2,13 +2,17 @@
 
 One value of a valid file is replaced by arbitrary JSON. Whatever the value,
 the CLI must answer with an exit code (0, 1 or 2) and never a traceback; a
-usage error (2) prints nothing to stdout and a JSON error to stderr.
+usage error (2) prints nothing to stdout and a JSON error to stderr. A
+certificate with one number changed must get the verdict of an oracle that
+expands the determinant.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -16,11 +20,14 @@ from hypothesis import strategies as st
 
 from freelines import fixtures
 from freelines.arrangement import arrangement_to_json
-from freelines.certify import certificate_to_json, verify_free
+from freelines.certify import certificate_to_json, exact_determinant, verify_free
 from freelines.cli import main
+from freelines.derivations import derivation_matrix
+from freelines.monomials import monomial_basis, poly_to_vector, product_of_lines
 
 NEAR_PENCIL = arrangement_to_json(fixtures.near_pencil(5))
-CERTIFICATE = certificate_to_json(verify_free(fixtures.near_pencil(5), 1, 3).certificate)
+NEAR_PENCIL_CERT = verify_free(fixtures.near_pencil(5), 1, 3).certificate
+CERTIFICATE = certificate_to_json(NEAR_PENCIL_CERT)
 
 # values that parse as JSON but not as a finite rational: half of all draws
 hostile = st.one_of(
@@ -126,3 +133,48 @@ def test_exponent_overrides_in_both_orders_are_answered():
                 ):
                     code, _, _ = assert_answered(argv)
                     assert (code != 2) == valid, (argv, code)
+
+
+# every number of the certificate: c, and each coefficient slot of theta1 and theta2
+SLOTS = [("c", None, None)] + [
+    (field, comp, mon)
+    for field, d in (("theta1", NEAR_PENCIL_CERT.d1), ("theta2", NEAR_PENCIL_CERT.d2))
+    for comp in range(3)
+    for mon in monomial_basis(d).monomials
+]
+
+
+def perturbed(cert, slot, delta):
+    field, comp, mon = slot
+    if field == "c":
+        return dataclasses.replace(cert, c=cert.c + delta)
+    theta = [dict(p) for p in getattr(cert, field)]
+    theta[comp][mon] = theta[comp].get(mon, 0) + delta
+    theta[comp] = {e: v for e, v in theta[comp].items() if v}
+    return dataclasses.replace(cert, **{field: tuple(theta)})
+
+
+def oracle_accepts(arr, cert):
+    """Tangency by the derivation matrix and det(E, theta1, theta2) = c * Q by expansion."""
+    for theta, d in ((cert.theta1, cert.d1), (cert.theta2, cert.d2)):
+        vec = [v for comp in theta for v in poly_to_vector(comp, d)]
+        if any(sum(r * v for r, v in zip(row, vec)) for row in derivation_matrix(arr, d).rows):
+            return False
+    q = product_of_lines(arr.lines)
+    return cert.c != 0 and exact_determinant(arr, cert.theta1, cert.theta2) == {e: cert.c * v for e, v in q.items()}
+
+
+@FUZZ
+@given(
+    slot=st.sampled_from(SLOTS),
+    delta=st.integers(-3, 3) | st.fractions(min_value=-5, max_value=5, max_denominator=50),
+)
+def test_check_agrees_with_the_expanded_determinant(slot, delta):
+    cert = perturbed(NEAR_PENCIL_CERT, slot, Fraction(delta))
+    with tempfile.TemporaryDirectory() as tmp:
+        arr_path = Path(tmp) / "near_pencil5.json"
+        arr_path.write_text(json.dumps(NEAR_PENCIL))
+        cert_path = Path(tmp) / "near_pencil5.cert.json"
+        cert_path.write_text(json.dumps(certificate_to_json(cert)))
+        code, _, _ = assert_answered(["check", str(arr_path), str(cert_path)])
+    assert code == (0 if oracle_accepts(fixtures.near_pencil(5), cert) else 1), (slot, delta)
