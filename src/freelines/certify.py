@@ -24,13 +24,15 @@ line at a time, and every chain certificate, a bare triangle's included,
 passes one check_certificate, so no verdict rests on the descent.
 Refutations always come from the kernels.
 
-Tangency to a line and the lift systems read one packed integer per line.
-Restricted to the line u + k*w, theta(alpha) is a polynomial r(k) of degree
-at most d whose coefficients are bounded by B = sum|v| * M^d, v the
+Tangency to a line and the lifts read one packed integer per field and
+line. Restricted to the line u + k*w, theta(alpha) is a polynomial r(k) of
+degree at most d whose coefficients are bounded by B = sum|v| * M^d, v the
 coefficients of theta(alpha) and M = max_i(|u_i| + |w_i|). At K = 2^b with
 2^(b - 1) > B, r(K) is zero exactly when r is, and the signed base-K digits
-of r(K) are r's coefficients (a Kronecker substitution). All of it is exact
-integer arithmetic.
+of r(K) are r's coefficients (a Kronecker substitution). A lift across an
+added line is then one exact division of two such restrictions, as the
+addition theorem prescribes; no kernel is solved for it. All of it is exact
+integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from . import exactlinalg
 from .arrangement import (
     MAX_DECIMAL_DIGITS,
     Arrangement,
@@ -69,9 +70,9 @@ class InternalInconsistency(RuntimeError):
 
     For example, a kernel-pair certificate that does not pass
     check_certificate (which re-derives tangency without the derivation
-    matrix), or a lift that the addition theorem guarantees but that fails
-    or does not pass check_certificate. This signals a bug, never a
-    property of the input.
+    matrix), or a lift that the addition theorem guarantees but whose
+    division leaves a remainder, or whose result does not pass
+    check_certificate. This signals a bug, never a property of the input.
     """
 
 
@@ -187,11 +188,10 @@ def _pack_point(line: Line, d: int, weight: int) -> tuple[tuple[int, int, int], 
 
     With (u, w) = line_kernel_basis(line) and M = max_i(|u_i| + |w_i|), an
     integer form of degree e <= d and coefficient weight sum|v| restricts to
-    r(k) = form(u + k*w) with coefficients bounded by weight * M^e, and so
-    does m(u + k*w) * r(k) for a monomial m of degree d - e. bits is chosen
-    with 2^(bits - 1) > weight * M^d, so such an r(K) is zero exactly when r
-    is, and _unpack reads r's coefficients off its signed base-K digits
-    (a Kronecker substitution).
+    r(k) = form(u + k*w) with coefficients bounded by weight * M^e. bits is
+    chosen with 2^(bits - 1) > weight * M^d, so such an r(K) is zero exactly
+    when r is, and _unpack reads r's coefficients off its signed base-K
+    digits (a Kronecker substitution).
     """
     u, w = line_kernel_basis(line)
     m = max(abs(a) + abs(b) for a, b in zip(u, w))
@@ -411,10 +411,11 @@ def lift_certificate(
     """Certificate at exponents exps of a seed arrangement plus one line, built from the seed's.
 
     Tries, in index order, each seed field theta_j whose degree plus one,
-    with the other field's degree, gives exps (see _lift_across); by Terao's
-    addition theorem one of them succeeds when the extension is free with
-    exps. None means none did. The result is not re-checked: callers gate it
-    with check_certificate.
+    with the other field's degree, gives exps; each try is one exact
+    division on the new line (see _lift_across). By Terao's addition
+    theorem one of them succeeds when the extension is free with exps.
+    None means none did. The result is not re-checked: callers gate it with
+    check_certificate.
     """
     degs = (seed.d1, seed.d2)
     for j in (0, 1):
@@ -425,6 +426,30 @@ def lift_certificate(
     return None
 
 
+def _exact_quotient(num: list, den: list, e: int) -> list[Fraction] | None:
+    """q with num = q * den and deg q <= e, lowest coefficient first; None when there is none.
+
+    Coefficient lists are lowest first and may end in zeros; the quotient
+    has no trailing zero, so a zero numerator gives []. A zero denominator
+    divides only a zero numerator.
+    """
+    while num and not num[-1]:
+        num = num[:-1]
+    while den and not den[-1]:
+        den = den[:-1]
+    if not num:
+        return []
+    if not den or len(num) < len(den) or len(num) - len(den) > e:
+        return None
+    rem = [Fraction(v) for v in num]
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for p in reversed(range(len(q))):
+        q[p] = rem[p + len(den) - 1] / den[-1]
+        for k, v in enumerate(den):
+            rem[p + k] -= q[p] * v
+    return None if any(rem) else q
+
+
 def _lift_across(
     seed: FreenessCertificate, extended: Arrangement, line: Line, multiplied: int
 ) -> FreenessCertificate | None:
@@ -433,41 +458,50 @@ def _lift_across(
     Let theta_j be that field and theta_i the other, so det(E, theta_1,
     theta_2) = c * Q' over the seed. Then phi = alpha * theta_j is tangent
     to every line of the extension, and psi = lam * theta_i + f * theta_j,
-    with f of degree d_i - d_j, is tangent to the new line alpha = 0 exactly
-    when (lam, f) lies in the kernel of a (d_i + 1)-row integer system: the
-    coefficients of psi(alpha)(u + k*w) in k. Its columns are the signed
-    base-K digits (_pack_point, _unpack) of theta_i(alpha)(P) and of
-    m(P) * theta_j(alpha)(P) at the one packed point P = u + K*w, m running
-    over the monomials of f; one K bounds every column. det(E, phi, psi) =
-    +-lam * c * Q, so a kernel vector with lam != 0 gives the certificate;
-    None means there is none.
+    with f of degree e = d_i - d_j, is tangent to the new line alpha = 0
+    exactly when lam * r_i + f|_H * r_j = 0, r_i and r_j the restrictions
+    of theta_i(alpha) and theta_j(alpha) to the line, read off the digits
+    of one packed value each (_pack_point, _unpack). So a lift exists
+    exactly when r_j divides r_i with a quotient q of degree at most e
+    (_exact_quotient; r_i = 0 gives f = 0). On the line s*u + t*w, with
+    u_s != 0 = w_s and w_t != 0 = u_t, x_s = s*u_s and x_t = t*w_t, so
+    f = -lam * sum_p q_p / (u_s^(e-p) * w_t^p) * x_s^(e-p) * x_t^p, and lam
+    is the lcm of those denominators. det(E, phi, psi) = +-lam * c * Q;
+    None means there is no lift through theta_j.
     """
     thetas, scales = zip(*(_integral(t) for t in (seed.theta1, seed.theta2)))
     j, i = multiplied, 1 - multiplied
     degs = (seed.d1, seed.d2)
     dj, di = degs[j], degs[i]
-    mons = monomial_basis(di - dj).monomials if di >= dj else ()
+    e = di - dj
     form_i, form_j = _line_form(thetas[i], line), _line_form(thetas[j], line)
-    point, bits = _pack_point(line, di, max(_weight(form_i), _weight(form_j)))
-    powers = _powers(point, di)
-    values = [_evaluate(form_i, powers)]
-    if mons:
-        r_j = _evaluate(form_j, powers)
-        values += [_evaluate({m: r_j}, powers) for m in mons]
-    cols = [_unpack(v, bits, di + 1) for v in values]
-    kernel = exactlinalg.kernel_basis([list(r) for r in zip(*cols)], len(cols))
-    vec = next((v for v in kernel if v[0]), None)
-    if vec is None:
+    top = max(di, dj)
+    point, bits = _pack_point(line, top, max(_weight(form_i), _weight(form_j)))
+    powers = _powers(point, top)
+    r_i = _unpack(_evaluate(form_i, powers), bits, di + 1)
+    r_j = _unpack(_evaluate(form_j, powers), bits, dj + 1)
+    q = _exact_quotient(r_i, r_j, e)
+    if q is None:
         return None
-    lam, f = vec[0], dict(zip(mons, vec[1:]))
+    u, w = line_kernel_basis(line)
+    s = next(k for k in range(3) if u[k] and not w[k])
+    t = next(k for k in range(3) if w[k] and not u[k])
+    terms = [-qp / (u[s] ** (e - p) * w[t] ** p) for p, qp in enumerate(q)]
+    lam = lcm(*(v.denominator for v in terms))
+    f: Poly = {}
+    for p, v in enumerate(terms):
+        if v:
+            mon = [0, 0, 0]
+            mon[s], mon[t] = e - p, p
+            f[tuple(mon)] = int(v * lam)
     alpha = poly_from_line(line.coeffs)
     phi = tuple(poly_mul(alpha, comp) for comp in thetas[j])
     psi = []
     for comp_i, comp_j in zip(thetas[i], thetas[j]):
-        comp = {e: lam * v for e, v in comp_i.items()}
-        for e, v in poly_mul(f, comp_j).items():
-            comp[e] = comp.get(e, 0) + v
-        psi.append({e: v for e, v in comp.items() if v})
+        comp = {m: lam * v for m, v in comp_i.items()}
+        for m, v in poly_mul(f, comp_j).items():
+            comp[m] = comp.get(m, 0) + v
+        psi.append({m: v for m, v in comp.items() if v})
     # det(E, phi, psi) = alpha * lam * det(E, theta_j, theta_i)
     c = Fraction(seed.c) * lam * scales[0] * scales[1] * (1 if j == 0 else -1)
     if dj + 1 <= di:

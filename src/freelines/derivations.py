@@ -72,7 +72,6 @@ class DerivationMatrix:
     arrangement: Arrangement
     degree: int
     rows: tuple[tuple[int, ...], ...]
-    row_provenance: tuple[tuple[int, int], ...]  # (line index, coefficient index)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,8 +101,7 @@ def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     mons = monomial_basis(d).monomials
     nd = len(mons)
     rows: list[tuple[int, ...]] = []
-    provenance: list[tuple[int, int]] = []
-    for li, line in enumerate(arr.lines):
+    for line in arr.lines:
         a, b, c = line.coeffs
         u, w = line_kernel_basis(line)
         # per monomial: coefficients of m(s*u + t*w) indexed by the power of s
@@ -120,8 +118,7 @@ def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
                     row[nd + mi] = b * lp
                     row[2 * nd + mi] = c * lp
             rows.append(tuple(row))
-            provenance.append((li, p))
-    return DerivationMatrix(arr, d, tuple(rows), tuple(provenance))
+    return DerivationMatrix(arr, d, tuple(rows))
 
 
 def euler_multiples(d: int) -> list[tuple[int, ...]]:

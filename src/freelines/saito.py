@@ -27,13 +27,15 @@ from .derivations import (
     null_space_from_fields,
 )
 
+# a contraction whose norm is at most this counts as zero
+ZERO_GUARD = 1e-12
+
 
 @dataclass(frozen=True)
 class ALSConfig:
     iterations: int = 10
     restarts: int = 3
     rng_seed: int = 0
-    zero_guard: float = 1e-12
 
     def __post_init__(self):
         if self.iterations < 1 or self.restarts < 1:
@@ -77,9 +79,9 @@ def homogeneous_lsq(a_mat: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float
     return alpha, c
 
 
-def _cos2(vec: np.ndarray, q: np.ndarray, zero_guard: float) -> float:
+def _cos2(vec: np.ndarray, q: np.ndarray) -> float:
     nv = np.linalg.norm(vec)
-    if nv <= zero_guard:
+    if nv <= ZERO_GUARD:
         return 0.0
     r = float(np.dot(vec, q)) ** 2 / (nv * nv * float(np.dot(q, q)))
     return min(r, 1.0)
@@ -108,7 +110,7 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
             for side in (2, 1):
                 a_mat = contract_matrix(t, alpha2 if side == 2 else alpha1, side)
                 cand, c_cand = homogeneous_lsq(a_mat, q)
-                cand_cos = _cos2(a_mat @ cand, q, config.zero_guard)
+                cand_cos = _cos2(a_mat @ cand, q)
                 if cand_cos >= cur:
                     c = c_cand
                     if side == 2:
@@ -119,7 +121,7 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
                 hist.append(cur)
         restart_losses.append(1.0 - cur)
         zero_flags.append(
-            np.linalg.norm(contract(t, alpha1, alpha2)) <= config.zero_guard
+            np.linalg.norm(contract(t, alpha1, alpha2)) <= ZERO_GUARD
         )
         if best is None or 1.0 - cur < best.loss:
             best = ALSResult(

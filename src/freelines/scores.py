@@ -2,8 +2,7 @@
 
 The closed forms for the interpolating scores are reference stand-ins: the
 three-regime combinatorial score, sigma_b2, sigma_int and sigma_pen are each
-defined here (and cross-checked by scripts/score_reference.py), isolated in
-ScoreConfig so alternatives stay pluggable.
+defined here (and cross-checked by scripts/score_reference.py).
 With candidate exponents the algebraic score is the exact freeness verdict:
 on exact kernels every nonzero Saito determinant is c*Q, so the angular loss
 is 0 or 1 and 1 - loss is that verdict, found here without a tensor or ALS.
@@ -25,27 +24,24 @@ from .certify import Certified, VerificationOutcome, verify_free
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Normalizers and targets for the shaping scores.
+    """Targets for the shaping scores.
 
-    delta_max defaults to (n-1)^2 (the magnitude of the discriminant of a
-    pencil), per-arrangement, when left at None. Target exponents switch the
-    no-exponent tier of the algebraic score to b2 targeting and define
-    b2_target = (n-1) + d1*d2.
+    Target exponents switch the no-exponent tier of the algebraic score to
+    b2 targeting and define b2_target = (n-1) + d1*d2.
     """
 
-    delta_max: float | None = None
     target_exponents: tuple[int, int] | None = None
-
-    def delta_max_for(self, n: int) -> float:
-        if self.delta_max is not None:
-            return self.delta_max
-        return float(max((n - 1) ** 2, 1))
 
     def b2_target(self, n: int) -> int | None:
         if self.target_exponents is None:
             return None
         d1, d2 = self.target_exponents
         return (n - 1) + d1 * d2
+
+
+def _delta_max(n: int) -> float:
+    """Normalizer of the discriminant distances: (n-1)^2, the magnitude of a pencil's discriminant."""
+    return float(max((n - 1) ** 2, 1))
 
 
 def _clamp(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -79,7 +75,7 @@ def _admissible_square_distance(delta: int, n: int) -> int:
     return best
 
 
-def sigma_comb(arr: Arrangement, config: ScoreConfig = ScoreConfig()) -> float:
+def sigma_comb(arr: Arrangement) -> float:
     """1 on a perfect-square discriminant, interpolating toward -1 otherwise.
 
     Three regimes: b2 < n-1 scores -1 outright, negative discriminants use
@@ -94,7 +90,7 @@ def sigma_comb(arr: Arrangement, config: ScoreConfig = ScoreConfig()) -> float:
     if delta >= 0 and isqrt(delta) ** 2 == delta:
         return 1.0
     dist = _square_distance(delta)
-    return _clamp(1.0 - 2.0 * dist / config.delta_max_for(n))
+    return _clamp(1.0 - 2.0 * dist / _delta_max(n))
 
 
 def sigma_alg(
@@ -120,7 +116,7 @@ def sigma_alg(
             return -_clamp(abs(b2 - target) / target, 0.0, 1.0)
         # b2 on target but exponents still missing (pencil): fall through
     dist = _admissible_square_distance(discriminant(arr), n)
-    return max(-1.0, -dist / config.delta_max_for(n))
+    return max(-1.0, -dist / _delta_max(n))
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def reward(
     n = arr.n
     summary = intersection_summary(arr)
     if n >= 3:
-        comb = sigma_comb(arr, config)
+        comb = sigma_comb(arr)
         alg = sigma_alg(arr, config, outcome)
         feas = 1.0 if candidate_exponents(arr) is not None else 0.0
     else:

@@ -1,10 +1,11 @@
 """Construction search: candidate pools, extension, two-pencils, beam, cascade.
 
 Everything here is deterministic given its configuration: candidates are
-iterated in canonical order and ties break on canonical keys. Extension and
-cascade are exact and run no kernel of the extended arrangement: Terao's
-addition theorem and Abe's deletion theorem decide which candidates are free,
-and each child's certificate is lifted from its seed's and re-checked.
+iterated in canonical order and ties break on canonical keys. Extension is
+exact and runs no kernel at all: Terao's addition theorem and Abe's deletion
+theorem decide which candidates are free, and each child's certificate is
+lifted from its seed's by one exact division on the new line and re-checked.
+A cascade computes kernels only to certify a seed with no deletion chain.
 The beam search is scored by exact freeness verdicts, so nothing here is
 random.
 """
@@ -369,9 +370,6 @@ class Catalog:
     @property
     def size(self) -> int:
         return len(self._hashes)
-
-    def at_level(self, n: int) -> list[Discovery]:
-        return [d for key, ds in self.entries.items() if key[0] == n for d in ds]
 
 
 def cascade(

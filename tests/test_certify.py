@@ -4,6 +4,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelines import certify, fixtures
 from freelines.arrangement import (
@@ -160,6 +162,45 @@ def test_unpack_reads_signed_digits_and_refuses_a_remainder():
     assert certify._unpack(value, 4, 4) == coeffs
     with pytest.raises(certify.InternalInconsistency):
         certify._unpack(value, 4, 3)
+
+
+def convolve(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return out
+
+
+nonzero = st.integers(-99, 99).filter(bool)
+
+
+@given(
+    q=st.lists(st.fractions(max_denominator=50).filter(lambda v: abs(v) < 100), max_size=5).filter(
+        lambda q: not q or q[-1]
+    ),
+    den=st.tuples(st.lists(st.integers(-99, 99), max_size=4), nonzero).map(lambda t: t[0] + [t[1]]),
+    slack=st.integers(0, 2),
+    pad=st.integers(0, 2),
+    bump=st.tuples(st.integers(0, 3), nonzero),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_quotient_divides_exactly(q, den, slack, pad, bump):
+    num = convolve(q, den) if q else []
+    e = len(q) - 1 + slack
+    # lists read off _unpack end in zeros when the top coefficients vanish
+    assert certify._exact_quotient(num + [0] * pad, den + [0] * pad, e) == q
+    assert certify._exact_quotient([0] * pad, den, e) == []
+    assert certify._exact_quotient([0] * pad, [0] * pad, -1) == []
+    if q:
+        assert certify._exact_quotient(num, den, len(q) - 2) is None
+        assert certify._exact_quotient(num, [0] * pad, e) is None
+    if len(den) > 1:
+        # a nonzero remainder of degree below den's makes a non-multiple
+        k, delta = bump[0] % (len(den) - 1), bump[1]
+        off = (num or [0] * len(den))[:]
+        off[k] += delta
+        assert certify._exact_quotient(off, den, e + len(den)) is None
 
 
 def tangency_oracle(arr, theta, d):

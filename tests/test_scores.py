@@ -163,8 +163,3 @@ def test_reward_boolean_episode_trace():
     assert r3.feasible == 1.0
     assert r3.terminal_bonus == 1.0
     assert r3.total == pytest.approx(4.0, abs=1e-9)
-
-
-def test_delta_max_override(generic4):
-    cfg = ScoreConfig(delta_max=6.0)
-    assert sigma_comb(generic4, cfg) == pytest.approx(0.0)  # 1 - 2*3/6

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines import certify, exactlinalg
+from freelines import certify, exactlinalg, fixtures
 from freelines.arrangement import (
     DuplicateLine,
     arrangement_hash,
@@ -24,6 +24,7 @@ from freelines.certify import (
     NotFreeAtExponents,
     certificate_to_json,
     check_certificate,
+    lift_certificate,
     verify_arrangement,
     verify_free,
 )
@@ -31,6 +32,7 @@ from freelines.fixtures import near_pencil
 from freelines.scores import RewardWeights
 from freelines.search import (
     ExtensionConfig,
+    _lift_routes,
     beam_search_build,
     bootstrap_extend,
     candidate_pool,
@@ -390,9 +392,9 @@ def catalog_digest(catalog):
 
 def test_cascade_certificates_are_pinned():
     # every lifted certificate, byte for byte; the same recipe to n <= 8 gives
-    # 1867 certificates and b2ff74647bade06bdd44c39dc760689f1ce1d8a4b53237b2f6a89905fba04ba7
+    # 1867 certificates and 7abcfedd7b1883d3bcfe039dc925a0cb265d065f295f3a538592241930397a01
     catalog = cascade([near_pencil(5)], 7, config=ExtensionConfig(pool_bound=2))
-    assert catalog_digest(catalog) == (287, "d57eaa72acd08f67d2755ad6dcd90dba40ea8171f1a9f228a339e627f54dc53c")
+    assert catalog_digest(catalog) == (287, "53b1c5cdc805d91ca8ffa5872923b5bcafc5597f5f9e2de496593fa60881bb2f")
 
 
 def children_hashes(discoveries):
@@ -468,16 +470,48 @@ def test_lift_from_fraction_certificate():
         assert_lifted_children_check(found)
 
 
-def test_non_adjacent_target_runs_no_kernel(monkeypatch):
+def test_non_adjacent_target_runs_no_lift(monkeypatch):
     seed = near_pencil(6)  # (1, 4): adjacent targets are (2, 4) and (1, 5)
     cert = seed_certificate(seed)
     calls = []
-    original = exactlinalg.kernel_basis
-    monkeypatch.setattr(exactlinalg, "kernel_basis", lambda *a: calls.append(a) or original(*a))
+    original = certify._lift_across
+    monkeypatch.setattr(certify, "_lift_across", lambda *a: calls.append(a) or original(*a))
     assert bootstrap_extend(seed, cert, 3, 3) == []
     assert calls == []
     assert bootstrap_extend(seed, cert, 2, 4)
     assert calls
+
+
+@pytest.mark.parametrize("seed", [near_pencil(6), fixtures.free_13()], ids=["near_pencil6", "free13"])
+def test_lift_exists_exactly_on_the_addition_theorem_count(seed):
+    # the addition theorem, candidate by candidate and route by route: the
+    # division finds a lift exactly when H meets the seed in the route's
+    # |A''| points, and every lift passes the exact check
+    cert = seed_certificate(seed)
+    lifted = 0
+    for line in enumerate_extension_candidates(seed, ExtensionConfig(pool_bound=2)):
+        extended = seed.extended(line)
+        for exps, points in _lift_routes(cert.d1, cert.d2):
+            lift = lift_certificate(cert, extended, line, exps)
+            assert (lift is not None) == (delta_b2(seed, line) == points), (line, exps)
+            if lift is not None:
+                assert (lift.d1, lift.d2) == exps
+                assert check_certificate(extended, lift) == (True, None)
+                lifted += 1
+    assert lifted
+
+
+def test_cascade_runs_no_kernel(monkeypatch, near_pencil5):
+    # the seed is certified by its deletion chain and every child by a lift,
+    # so no exact kernel is computed; cold caches keep the count honest
+    from freelines import derivations
+
+    derivations.derivation_matrix.cache_clear()
+    derivations.null_space_exact.cache_clear()
+    log = counted(monkeypatch, {"kernel_basis": exactlinalg.kernel_basis})
+    catalog = cascade([near_pencil5], 7, config=ExtensionConfig(pool_bound=2))
+    assert catalog.size == 287
+    assert log == []
 
 
 def test_seed_certificate_must_match(near_pencil5, boolean):
