@@ -23,20 +23,13 @@ from freelines import (
     NotFreeAtExponents,
     build_arrangement,
     candidate_exponents,
-    canonicalize_line,
     enumerate_extension_candidates,
     intersection_summary,
     verify_free,
 )
-from freelines.fixtures import free_13
+from freelines.fixtures import disjoint_pencils, free_13
 from freelines.saito import saito_functional
 from freelines.search import delta_b2
-
-
-def disjoint_pencils(k: int, m: int):
-    """k lines through [0:0:1] plus m through [1:0:0], no shared line."""
-    rows = [(1, 0, 0)] + [(1, -i, 0) for i in range(1, k)] + [(0, 1, -j) for j in range(1, m + 1)]
-    return build_arrangement([canonicalize_line(*r) for r in rows])
 
 
 def check_mutants() -> int:

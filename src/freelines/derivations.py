@@ -78,9 +78,9 @@ class DerivationMatrix:
         return (len(self.rows), 3 * basis_size(self.degree))
 
 
-def _binary_form_power(u: int, w: int, e: int) -> list[int]:
-    """Coefficients of (s*u + t*w)^e as a list indexed by the power of s."""
-    return [math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)]
+def _binary_form_powers(u: int, w: int, d: int) -> list[list[int]]:
+    """Coefficients of (s*u + t*w)^e for e = 0..d, each indexed by the power of s."""
+    return [[math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)] for e in range(d + 1)]
 
 
 def _conv(p: list[int], q: list[int]) -> list[int]:
@@ -95,7 +95,18 @@ def _conv(p: list[int], q: list[int]) -> list[int]:
 
 @lru_cache(maxsize=16)
 def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
-    """Constraint matrix for degree-d tangent fields; entries are integers."""
+    """Constraint matrix for degree-d tangent fields; entries are integers.
+
+    Line alpha = a x + b y + c z, parametrized as s*u + t*w by its
+    line_kernel_basis, gives d + 1 rows: row p holds the s^p coefficients of
+    alpha(f, g, h) restricted to the line, so column (block, m) carries the
+    block's coefficient of alpha times that of m(s*u + t*w). The powers
+    (s*u_i + t*w_i)^e, e <= d, are tabulated once per line, and each
+    monomial's restriction is the product of three table entries. On a line
+    through a coordinate point (a coefficient zero) each coordinate of
+    s*u + t*w is one term, so each monomial restricts to one term and each
+    column has at most one nonzero entry in the line's rows.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
     mons = monomial_basis(d).monomials
@@ -104,11 +115,9 @@ def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     for line in arr.lines:
         a, b, c = line.coeffs
         u, w = line_kernel_basis(line)
+        px, py, pz = (_binary_form_powers(u[i], w[i], d) for i in range(3))
         # per monomial: coefficients of m(s*u + t*w) indexed by the power of s
-        lam = []
-        for e1, e2, e3 in mons:
-            p = _conv(_binary_form_power(u[0], w[0], e1), _binary_form_power(u[1], w[1], e2))
-            lam.append(_conv(p, _binary_form_power(u[2], w[2], e3)))
+        lam = [_conv(_conv(px[e1], py[e2]), pz[e3]) for e1, e2, e3 in mons]
         for p in range(d + 1):
             row = [0] * (3 * nd)
             for mi in range(nd):

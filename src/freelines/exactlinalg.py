@@ -7,7 +7,11 @@ kernel_basis is multimodular and Las Vegas: never wrong, only retried.
   shape (primes, rows, cols), with lazy reduction (only the pivot row and the
   pivot column are reduced at each step, the whole block at least every
   LAZY_STEPS steps). Back-substitution mod p then gives the reduced row echelon
-  (RREF) entries at the free columns.
+  (RREF) entries at the free columns. Each rank-1 update, in elimination and
+  in back-substitution alike, goes only to the rows with a nonzero residue in
+  the pivot column for some prime of the batch: the other rows would subtract
+  zero. Derivation matrices are sparse (5-10% nonzero on the disjoint-pencil
+  mutants, about 30% on generic arrangements), so most rows are left out.
 - Across primes: a prime whose pivot columns are not the lexicographically
   smallest seen is unlucky and dropped; within a batch that happens at the
   first column where another prime finds a pivot and it finds none, so the
@@ -192,6 +196,15 @@ def _echelon_mod(a: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndar
     entry 1 with zeros below it), those primes and their common pivot
     columns. a is reduced in place until a prime is dropped. The pivot row is
     the first with a nonzero residue.
+
+    After the pivot row is normalized, only the rows below it with a nonzero
+    residue in the pivot column for some prime are updated; for all other
+    rows the product to subtract is zero, so the result is the same residue
+    for residue. Every entry still receives at most one product below 2^52
+    per step, so the LAZY_STEPS bound on an unreduced entry holds as before.
+    When the first row with a nonzero residue is the same for every prime,
+    as it almost always is, the step swaps that row in for all primes at
+    once and reads the rows to update off the same column scan.
     """
     nrows, ncols = a.shape[1:]
     pc = primes[:, None]
@@ -204,23 +217,33 @@ def _echelon_mod(a: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndar
         col = a[:, r:, c] % pc
         a[:, r:, c] = col
         nz = col != 0
-        has = nz.any(axis=1)
-        if not has.any():
+        rows = nz.any(axis=0).nonzero()[0]  # offsets from r of the rows to pivot or update
+        if not rows.size:
             continue
-        if not has.all():
-            a, primes, nz = a[has], primes[has], nz[has]
-            pc, plist = primes[:, None], primes.tolist()
-        piv = nz.argmax(axis=1) + r
-        moved = np.flatnonzero(piv != r)
-        if moved.size:
+        if nz[:, rows[0]].all():
+            # one pivot row for every prime; the row it swaps with is zero at c
+            if rows[0]:
+                held = a[:, r].copy()
+                a[:, r] = a[:, r + rows[0]]
+                a[:, r + rows[0]] = held
+            hit = rows[1:] + r
+        else:
+            has = nz.any(axis=1)
+            if not has.all():
+                a, primes, nz = a[has], primes[has], nz[has]
+                pc, plist = primes[:, None], primes.tolist()
+            piv = nz.argmax(axis=1) + r
+            moved = np.flatnonzero(piv != r)
             held = a[moved, r].copy()
             a[moved, r] = a[moved, piv[moved]]
             a[moved, piv[moved]] = held
+            hit = np.flatnonzero((a[:, r + 1:, c] != 0).any(axis=0)) + (r + 1)
         prow = a[:, r, c:] % pc
         inv = [pow(v, -1, q) for v, q in zip(prow[:, 0].tolist(), plist)]
         prow = prow * np.array(inv, dtype=np.int64)[:, None] % pc
         a[:, r, c:] = prow
-        a[:, r + 1:, c:] -= a[:, r + 1:, c, None] * prow[:, None, :]
+        if hit.size:
+            a[:, hit, c:] -= a[:, hit, c, None] * prow[:, None, :]
         pivots.append(c)
         r += 1
         lazy += 1
@@ -235,16 +258,22 @@ def _rref_at_free(u: np.ndarray, primes: np.ndarray, pivots: list[int], free: li
     """RREF entries of pivot row i at free column free[j] modulo primes[k]: (primes, rank, free).
 
     u holds echelon forms that share the pivot columns `pivots`, pivot entries 1.
+    Pivot row i is subtracted only from the rows above it whose entry in
+    column pivots[i] is nonzero for some prime, the others would subtract
+    zero; at most one product per step reaches an entry, as in _echelon_mod.
     """
     r = len(pivots)
     upper = u[:, :r][:, :, pivots]
     w = u[:, :r][:, :, free]
     pc = primes[:, None]
+    hits = (upper != 0).any(axis=0)  # hits[j, i]: row j takes a multiple of row i
     lazy = 0
     for i in range(r - 1, -1, -1):
         xi = w[:, i] % pc
         w[:, i] = xi
-        w[:, :i] -= upper[:, :i, i, None] * xi[:, None, :]
+        hit = hits[:i, i].nonzero()[0]
+        if hit.size:
+            w[:, hit] -= upper[:, hit, i, None] * xi[:, None, :]
         lazy += 1
         if lazy == LAZY_STEPS:
             w %= primes[:, None, None]

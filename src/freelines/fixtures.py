@@ -3,7 +3,8 @@
 free_13/free_19/free_20 are verified free arrangements with known
 multiplicity profiles and exponents (6,6), (7,11) and (9,10); the smaller
 constructions (coordinate triangle, near-pencils) have classical hand-checkable
-behavior.
+behavior. disjoint_pencils builds the non-free mutants that the refutation
+tests and benchmark use.
 """
 
 from __future__ import annotations
@@ -114,6 +115,18 @@ def free_20() -> Arrangement:
         (1, F(-1, 27), F(73, 54)),
         (1, F(1, 15), F(91, 60)),
     ])
+
+
+def disjoint_pencils(k: int, m: int) -> Arrangement:
+    """k lines through [0:0:1] plus m through [1:0:0], sharing no line.
+
+    disjoint_pencils(5, 2) mutates the 7-line two-pencil: same n, same
+    b2 = 15 and candidate exponents (3, 3), but not free. (9, 4), (10, 5),
+    (11, 5), (13, 6) and (13, 7), the verify-refute benchmark's inputs, also
+    have candidate exponents and are not free.
+    """
+    rows = [(1, 0, 0)] + [(1, -i, 0) for i in range(1, k)] + [(0, 1, -j) for j in range(1, m + 1)]
+    return _from_table(rows)
 
 
 def generic_four() -> Arrangement:

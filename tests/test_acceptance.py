@@ -14,7 +14,6 @@ from freelines import fixtures
 from freelines.arrangement import (
     build_arrangement,
     candidate_exponents,
-    canonicalize_line,
     intersection_summary,
     read_arrangement,
     write_arrangement,
@@ -271,8 +270,7 @@ def test_criterion_7_refutation_path():
     """A b2-preserving mutant is refuted exactly and sits above the prefilter."""
     # the 7-line two-pencil mutated into two disjoint pencils: same n, same
     # b2 = 15, same candidate exponents (3, 3), but no shared line
-    rows = [(1, 0, 0), (1, -1, 0), (1, -2, 0), (1, -3, 0), (1, -4, 0), (0, 1, -1), (0, 1, -2)]
-    mutant = build_arrangement([canonicalize_line(*r) for r in rows])
+    mutant = fixtures.disjoint_pencils(5, 2)
     assert intersection_summary(mutant).b2 == 15
     exps = candidate_exponents(mutant)
     assert (exps.d1, exps.d2) == (3, 3)

@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelines.arrangement import Line, build_arrangement, canonicalize_line
 from freelines.certify import exact_determinant
@@ -59,6 +61,48 @@ def test_derivation_matrix_shapes(boolean, free13):
     m13 = derivation_matrix(free13, 6)
     assert m13.shape == (13 * 7, 3 * comb(8, 2))
     assert m13.shape == (91, 84)
+
+
+def restricted_monomial(m, u, w):
+    """Coefficients of m(s*u + t*w) by the power of s, one linear factor at a time."""
+    poly = [1]
+    for i, e in enumerate(m):
+        for _ in range(e):
+            nxt = [0] * (len(poly) + 1)
+            for p, v in enumerate(poly):
+                nxt[p] += v * w[i]
+                nxt[p + 1] += v * u[i]
+            poly = nxt
+    return poly
+
+
+coefficient = st.integers(-(10**6), 10**6)
+nonzero = coefficient.filter(bool)
+# the three branches of line_kernel_basis: a != 0; a = 0 != b; a = b = 0
+line_a = st.tuples(nonzero, coefficient, coefficient)
+line_b = st.tuples(st.just(0), nonzero, coefficient)
+
+
+@given(st.lists(line_a, min_size=1, max_size=4), st.lists(line_b, min_size=1, max_size=3),
+       st.integers(1, 7), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_derivation_matrix_matches_expanded_restrictions(lines_a, lines_b, d, rng):
+    lines = list(dict.fromkeys(canonicalize_line(*t) for t in lines_a + lines_b + [(0, 0, 1)]))
+    rng.shuffle(lines)
+    arr = build_arrangement(lines)
+    mons = monomial_basis(d).monomials
+    nd = len(mons)
+    expected = []
+    for line in arr.lines:
+        u, w = line_kernel_basis(line)
+        assert line.evaluate(u) == line.evaluate(w) == 0
+        assert np.cross(u, w).any()  # u and w span the line's plane
+        restricted = [restricted_monomial(m, u, w) for m in mons]
+        for p in range(d + 1):
+            expected.append(tuple(
+                coeff * restricted[mi][p] for coeff in line.coeffs for mi in range(nd)
+            ))
+    assert derivation_matrix(arr, d).rows == tuple(expected)
 
 
 def test_boolean_degree1_kernel_members(boolean):

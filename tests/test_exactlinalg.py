@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +208,134 @@ def test_exact_kernels_are_pinned(name, d, digest):
     exps = candidate_exponents(arr)
     assert d in (exps.d1, exps.d2)
     assert _vectors_digest(null_space_exact(derivation_matrix(arr, d)).vectors) == digest
+
+
+# sha256 of the null_space_exact vectors and of the derivation_matrix rows of
+# the verify-refute benchmark's disjoint-pencil mutants at both candidate
+# degrees, as dense elimination and per-monomial restriction produced them
+PINNED_MUTANTS = [
+    ((9, 4), 5,
+     "d0164227b4402a024825ba85e8b2649c648d9f7d1888aa79c7c6be184d0da6bf",
+     "62bdae9668cb82698f20c9ab35a07b409de23411e67635ad1ace6820664757da"),
+    ((9, 4), 7,
+     "c56ca57710303ff1b17669768bc2867430e32fe5177050ee95aa9156a3c6a636",
+     "3776a25f7e3a0de03c844f7de1eb52c104f193f74339d76b51404875feaa4d6b"),
+    ((10, 5), 7,
+     "b64c9c3fd5527aadb6a4b23ce1590a9238cbc9bef3b7e84f8c4301308846c655",
+     "32fe3e69a5a076d354b5b1c9df021145a281579fa8754942f7beabf12eb19e95"),
+    ((11, 5), 6,
+     "ce2dcb8de693880675ca4d9bcffb0495888cc76e58757bd64519f81df815d842",
+     "af390e37433b97e955c71bdd49dd9b9f9b1e87b2be6b31c26288f24c2d21d9dd"),
+    ((11, 5), 9,
+     "664983e68f1483d3ce2311bacc889aca62b2487aff43aab5f4396a56517a11fc",
+     "ad37963518615a3f257c349ccd4afd8be141ddce7f8027d5d83b653cd21af7b9"),
+    ((13, 6), 7,
+     "1b7270b577755e89e2dcf6e23fe9897d70d8c8a52754aa9424521af4d9188ed1",
+     "8013948b974afd9536cc361ff875566b39e1bf54e7cae214df9184a82dccd578"),
+    ((13, 6), 11,
+     "72703af15e20f8453e7462a7ae996dcc3c1a6abae5af3289a8e0b89b32d1817c",
+     "56009eb0ecd05ac084b0d003bc49de4cae5dbf2cada83c1109631d34f620af0a"),
+    ((13, 7), 9,
+     "0aa66f29d2bb3c689374cb4d7a7ce4d44b76fe8f21bcf5dfd90527cb63d3bff0",
+     "cb23d57eeaea070618ed4a1616b794613f12e0b06f2b21371e0751c8147e066f"),
+    ((13, 7), 10,
+     "d62d075ee8b5eade7af5c3530583eb7f4ed1297a48c8f109455b41c6bacd74b2",
+     "371c80002da93b3c3b6c2378ea635ffd51a1f83928cf47b3a9c3ad6e57e93074"),
+]
+
+
+@pytest.mark.parametrize("km,d,kernel_digest,matrix_digest", PINNED_MUTANTS,
+                         ids=[f"pencils_{k}_{m}-{d}" for (k, m), d, _, _ in PINNED_MUTANTS])
+def test_mutant_kernels_are_pinned(km, d, kernel_digest, matrix_digest):
+    arr = fixtures.disjoint_pencils(*km)
+    exps = candidate_exponents(arr)
+    assert d in (exps.d1, exps.d2)
+    matrix = derivation_matrix(arr, d)
+    assert _vectors_digest(matrix.rows) == matrix_digest
+    assert _vectors_digest(null_space_exact(matrix).vectors) == kernel_digest
+
+
+@st.composite
+def sparse_tall(draw):
+    """6-30 rows, 3-14 columns, 5-30% nonzero entries up to 2^40, some rows zero or repeated."""
+    ncols = draw(st.integers(3, 14))
+    nrows = draw(st.integers(max(6, ncols), 30))
+    cells = nrows * ncols
+    count = draw(st.integers(-(-cells // 20), cells * 3 // 10))
+    where = draw(st.lists(st.integers(0, cells - 1), min_size=count, max_size=count, unique=True))
+    entry = st.integers(-(2**40), 2**40).filter(bool)
+    values = draw(st.lists(entry, min_size=count, max_size=count))
+    m = [[0] * ncols for _ in range(nrows)]
+    for cell, v in zip(where, values):
+        m[cell // ncols][cell % ncols] = v
+    for i in range(1, nrows):
+        kind = draw(st.sampled_from(["keep"] * 4 + ["zero", "repeat"]))
+        if kind == "zero":
+            m[i] = [0] * ncols
+        elif kind == "repeat":
+            m[i] = list(m[draw(st.integers(0, i - 1))])
+    return m, ncols
+
+
+@pytest.mark.parametrize("steps", [1, 3, exactlinalg.LAZY_STEPS])
+@given(sparse_tall())
+@settings(max_examples=60, deadline=None)
+def test_kernel_of_sparse_tall_matrices(steps, case):
+    # elimination and back-substitution subtract only from rows with a
+    # nonzero residue in the pivot column; sparse inputs leave most rows out
+    m, ncols = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "LAZY_STEPS", steps)
+        basis = kernel_basis(m, ncols)
+    assert basis == rref_kernel_oracle(m, ncols)
+    assert len(basis) == ncols - rref_rank_oracle(m, ncols)
+
+
+def echelon_mod_oracle(m, ncols, p):
+    """Row echelon form mod p, first nonzero residue as pivot, one row at a time."""
+    rows = [[x % p for x in r] for r in m]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@pytest.mark.parametrize("steps", [1, 2, exactlinalg.LAZY_STEPS])
+@given(sparse_tall(), st.lists(st.sampled_from([3, 5, 7, 11, 13, 67108859, 67108837]),
+                               min_size=1, max_size=5, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_restricted_updates_match_row_by_row_elimination(steps, case, primes):
+    # every residue of the echelon forms and of the RREF entries at the free
+    # columns, for the primes of smallest pivot profile: small primes make
+    # some primes unlucky, so the batch drops them mid-elimination
+    m, ncols = case
+    oracle = {p: echelon_mod_oracle(m, ncols, p) for p in primes}
+    best = min(tuple(piv) + (ncols,) for _, piv in oracle.values())
+    lucky = [p for p in primes if tuple(oracle[p][1]) + (ncols,) == best]
+    batch = np.array(primes, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "LAZY_STEPS", steps)
+        a, kept, pivots = exactlinalg._echelon_mod(exactlinalg._Residues(m, ncols)(batch), batch)
+        free = [c for c in range(ncols) if c not in pivots]
+        w = exactlinalg._rref_at_free(a, kept, pivots, free)
+    assert kept.tolist() == lucky and tuple(pivots) + (ncols,) == best
+    for k, p in enumerate(lucky):
+        rows, _ = oracle[p]
+        assert a[k].tolist() == rows
+        for i in range(len(pivots) - 1, -1, -1):
+            for j in range(i):
+                f = rows[j][pivots[i]]
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], rows[i])]
+        assert w[k].tolist() == [[rows[i][f] for f in free] for i in range(len(pivots))]

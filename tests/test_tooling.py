@@ -29,11 +29,13 @@ def test_traced_names_resolve():
 
 @pytest.mark.parametrize(
     "script,args",
-    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"]), ("find_refutation.py", [])],
+    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"]), ("find_refutation.py", []),
+     ("kernel_timing.py", ["1", "pencils_9_4", "free_13"])],
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
-    # find_refutation.py runs saito_functional's kernel path on non-free inputs
+    # find_refutation.py runs saito_functional's kernel path on non-free inputs;
+    # kernel_timing.py times the exact kernel path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
