@@ -30,9 +30,11 @@ degree at most d whose coefficients are bounded by B = sum|v| * M^d, v the
 coefficients of theta(alpha) and M = max_i(|u_i| + |w_i|). At K = 2^b with
 2^(b - 1) > B, r(K) is zero exactly when r is, and the signed base-K digits
 of r(K) are r's coefficients (a Kronecker substitution). A lift across an
-added line is then one exact division of two such restrictions, as the
-addition theorem prescribes; no kernel is solved for it. All of it is exact
-integer and rational arithmetic.
+added line is then one exact division of the two fields' restrictions,
+read at one packed point, as the addition theorem prescribes; no kernel is
+solved for it. The division tries theta1, then theta2, and the first that
+divides fixes the lifted exponents, which are unique for a free
+arrangement. All of it is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .derivations import (
     line_kernel_basis,
     null_space_exact,
 )
-from .monomials import Poly, monomial_basis, poly_from_line, poly_mul
+from .monomials import Poly, basis_size, poly_from_line, poly_mul, vector_to_poly
 
 ExactDerivation = tuple[Poly, Poly, Poly]
 
@@ -115,12 +117,8 @@ VerificationOutcome = Certified | NotFreeAtExponents | NoCandidateExponents
 
 def vector_to_derivation(vec, d: int) -> ExactDerivation:
     """Split a stacked coefficient vector into (f, g, h) polynomial dicts."""
-    mons = monomial_basis(d).monomials
-    nd = len(mons)
-    f = {m: v for m, v in zip(mons, vec[:nd]) if v}
-    g = {m: v for m, v in zip(mons, vec[nd : 2 * nd]) if v}
-    h = {m: v for m, v in zip(mons, vec[2 * nd :]) if v}
-    return f, g, h
+    nd = basis_size(d)
+    return tuple(vector_to_poly(vec[k * nd : (k + 1) * nd], d) for k in range(3))
 
 
 def _derivation_degree_ok(theta: ExactDerivation, d: int) -> bool:
@@ -363,12 +361,12 @@ def verify_free(
     return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=pairs_scanned)
 
 
-def verify_arrangement(arr: Arrangement, witness=None) -> VerificationOutcome:
+def verify_arrangement(arr: Arrangement) -> VerificationOutcome:
     """verify_free at the arrangement's own candidate exponents."""
     exps = candidate_exponents(arr)
     if exps is None:
         return NoCandidateExponents(no_exponent_reason(arr))
-    return verify_free(arr, exps.d1, exps.d2, witness=witness)
+    return verify_free(arr, exps.d1, exps.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,82 +404,47 @@ def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool
 
 
 def lift_certificate(
-    seed: FreenessCertificate, extended: Arrangement, line: Line, exps: tuple[int, int]
+    seed: FreenessCertificate, extended: Arrangement, line: Line
 ) -> FreenessCertificate | None:
-    """Certificate at exponents exps of a seed arrangement plus one line, built from the seed's.
+    """Certificate of a seed arrangement plus one line, built from the seed's by one exact division.
 
-    Tries, in index order, each seed field theta_j whose degree plus one,
-    with the other field's degree, gives exps; each try is one exact
-    division on the new line (see _lift_across). By Terao's addition
-    theorem one of them succeeds when the extension is free with exps.
-    None means none did. The result is not re-checked: callers gate it with
-    check_certificate.
-    """
-    degs = (seed.d1, seed.d2)
-    for j in (0, 1):
-        if tuple(sorted((degs[j] + 1, degs[1 - j]))) == exps:
-            lifted = _lift_across(seed, extended, line, j)
-            if lifted is not None:
-                return lifted
-    return None
-
-
-def _exact_quotient(num: list, den: list, e: int) -> list[Fraction] | None:
-    """q with num = q * den and deg q <= e, lowest coefficient first; None when there is none.
-
-    Coefficient lists are lowest first and may end in zeros; the quotient
-    has no trailing zero, so a zero numerator gives []. A zero denominator
-    divides only a zero numerator.
-    """
-    while num and not num[-1]:
-        num = num[:-1]
-    while den and not den[-1]:
-        den = den[:-1]
-    if not num:
-        return []
-    if not den or len(num) < len(den) or len(num) - len(den) > e:
-        return None
-    rem = [Fraction(v) for v in num]
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for p in reversed(range(len(q))):
-        q[p] = rem[p + len(den) - 1] / den[-1]
-        for k, v in enumerate(den):
-            rem[p + k] -= q[p] * v
-    return None if any(rem) else q
-
-
-def _lift_across(
-    seed: FreenessCertificate, extended: Arrangement, line: Line, multiplied: int
-) -> FreenessCertificate | None:
-    """One lift of lift_certificate: alpha multiplies the seed field of index multiplied.
-
-    Let theta_j be that field and theta_i the other, so det(E, theta_1,
+    Let theta_j be one seed field and theta_i the other, so det(E, theta_1,
     theta_2) = c * Q' over the seed. Then phi = alpha * theta_j is tangent
     to every line of the extension, and psi = lam * theta_i + f * theta_j,
     with f of degree e = d_i - d_j, is tangent to the new line alpha = 0
     exactly when lam * r_i + f|_H * r_j = 0, r_i and r_j the restrictions
-    of theta_i(alpha) and theta_j(alpha) to the line, read off the digits
-    of one packed value each (_pack_point, _unpack). So a lift exists
-    exactly when r_j divides r_i with a quotient q of degree at most e
-    (_exact_quotient; r_i = 0 gives f = 0). On the line s*u + t*w, with
-    u_s != 0 = w_s and w_t != 0 = u_t, x_s = s*u_s and x_t = t*w_t, so
-    f = -lam * sum_p q_p / (u_s^(e-p) * w_t^p) * x_s^(e-p) * x_t^p, and lam
-    is the lcm of those denominators. det(E, phi, psi) = +-lam * c * Q;
-    None means there is no lift through theta_j.
+    of theta_i(alpha) and theta_j(alpha) to the line. Both are read off the
+    digits of their values at one packed point, packed once for both fields
+    (_pack_point, _unpack). So a lift through theta_j exists exactly when
+    r_j divides r_i with a quotient q of degree at most e (_exact_quotient;
+    r_i = 0 gives f = 0). On the line s*u + t*w, with u_s != 0 = w_s and
+    w_t != 0 = u_t, x_s = s*u_s and x_t = t*w_t, so f = -lam * sum_p q_p /
+    (u_s^(e-p) * w_t^p) * x_s^(e-p) * x_t^p, and lam is the lcm of those
+    denominators. det(E, phi, psi) = +-lam * c * Q, so for a valid seed a
+    division that succeeds always gives a valid certificate, at exponents
+    (d_j + 1, d_i).
+
+    theta_1 is tried first, then theta_2. The exponents of a free
+    arrangement are unique, so when d_1 < d_2 at most one of the two
+    divides: the one Terao's addition theorem names by |A''|, which
+    guarantees that it does when the extension is free. When d_1 = d_2 both
+    reach (d_1, d_1 + 1). None means neither divides. The result is not
+    re-checked: callers gate it with check_certificate.
     """
     thetas, scales = zip(*(_integral(t) for t in (seed.theta1, seed.theta2)))
-    j, i = multiplied, 1 - multiplied
     degs = (seed.d1, seed.d2)
-    dj, di = degs[j], degs[i]
-    e = di - dj
-    form_i, form_j = _line_form(thetas[i], line), _line_form(thetas[j], line)
-    top = max(di, dj)
-    point, bits = _pack_point(line, top, max(_weight(form_i), _weight(form_j)))
+    forms = [_line_form(theta, line) for theta in thetas]
+    top = max(degs)
+    point, bits = _pack_point(line, top, max(_weight(form) for form in forms))
     powers = _powers(point, top)
-    r_i = _unpack(_evaluate(form_i, powers), bits, di + 1)
-    r_j = _unpack(_evaluate(form_j, powers), bits, dj + 1)
-    q = _exact_quotient(r_i, r_j, e)
-    if q is None:
+    r = [_unpack(_evaluate(form, powers), bits, d + 1) for form, d in zip(forms, degs)]
+    for j, i in ((0, 1), (1, 0)):
+        dj, di = degs[j], degs[i]
+        e = di - dj
+        q = _exact_quotient(r[i], r[j], e)
+        if q is not None:
+            break
+    else:
         return None
     u, w = line_kernel_basis(line)
     s = next(k for k in range(3) if u[k] and not w[k])
@@ -509,21 +472,46 @@ def _lift_across(
     return FreenessCertificate(di, dj + 1, tuple(psi), phi, -c, arrangement_hash(extended))
 
 
+def _exact_quotient(num: list, den: list, e: int) -> list[Fraction] | None:
+    """q with num = q * den and deg q <= e, lowest coefficient first; None when there is none.
+
+    Coefficient lists are lowest first and may end in zeros; the quotient
+    has no trailing zero, so a zero numerator gives []. A zero denominator
+    divides only a zero numerator.
+    """
+    while num and not num[-1]:
+        num = num[:-1]
+    while den and not den[-1]:
+        den = den[:-1]
+    if not num:
+        return []
+    if not den or len(num) < len(den) or len(num) - len(den) > e:
+        return None
+    rem = [Fraction(v) for v in num]
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for p in reversed(range(len(q))):
+        q[p] = rem[p + len(den) - 1] / den[-1]
+        for k, v in enumerate(den):
+            rem[p + k] -= q[p] * v
+    return None if any(rem) else q
+
+
 # ---------------------------------------------------------------------------
 # Deletion chains (inductive freeness)
 # ---------------------------------------------------------------------------
 
 
-def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple[int, int]]] | None:
-    """Lines to delete, first to last, down to a triangle, read off the lattice.
+def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[int] | None:
+    """Indices of the lines to delete, first to last, down to a triangle, read off the lattice.
 
     From a line set with exponents (a, b), a line meeting the others in
     a + 1 points may go, leaving (a, b - 1), and one meeting them in b + 1
-    points leaves (a - 1, b); the smaller exponent stays at least 1. Each
-    step is recorded with the exponents of the set before it. The descent
-    is greedy: it deletes the first such line in line order and never
-    undoes a step, since by Terao's deletion theorem every step keeps a
-    free set free. None when some set on the way has no such line.
+    points leaves (a - 1, b); the smaller exponent stays at least 1. The
+    exponents are tracked only to decide which lines qualify: the lift
+    back up reads them off its divisions. The descent is greedy: it
+    deletes the first such line in line order and never undoes a step,
+    since by Terao's deletion theorem every step keeps a free set free.
+    None when some set on the way has no such line.
     """
     s = intersection_summary(arr)
     # Deleting H lowers b2 by |A^H|, so every set on the way keeps
@@ -536,7 +524,7 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple
         for k in p.incident_lines:
             others[k].append(mask & ~(1 << k))
     mask, a, b = (1 << arr.n) - 1, d1, d2
-    chain: list[tuple[int, tuple[int, int]]] = []
+    chain: list[int] = []
     while len(chain) < arr.n - 3:
         for k in range(arr.n):
             if not mask >> k & 1:
@@ -552,7 +540,7 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[tuple[int, tuple
                 break
         else:
             return None
-        chain.append((k, (a, b)))
+        chain.append(k)
         mask &= ~(1 << k)
         a, b = lo, hi
     return chain
@@ -563,8 +551,9 @@ def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate
 
     The triangle at the bottom of the chain gets its closed-form
     certificate; each deleted line is then added back, last deleted first,
-    by lift_certificate, which the addition theorem guarantees to succeed.
-    The final certificate, a bare triangle's included, passes one
+    by lift_certificate, whose division the addition theorem guarantees to
+    succeed and which reads each step's exponents off that division. The
+    final certificate, a bare triangle's included, passes one
     check_certificate; a failure raises InternalInconsistency. Exponents
     outside 1 <= d1 <= d2 give None.
     """
@@ -573,14 +562,13 @@ def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate
     chain = _deletion_chain(arr, d1, d2)
     if chain is None:
         return None
-    deleted = {k for k, _ in chain}
-    lines = [line for k, line in enumerate(arr.lines) if k not in deleted]
+    lines = [line for k, line in enumerate(arr.lines) if k not in chain]
     cert = _triangle_certificate(build_arrangement(lines))
-    for k, exps in reversed(chain):
+    for k in reversed(chain):
         lines.append(arr.lines[k])
-        cert = lift_certificate(cert, build_arrangement(lines), arr.lines[k], exps)
+        cert = lift_certificate(cert, build_arrangement(lines), arr.lines[k])
         if cert is None:
-            raise InternalInconsistency(f"no lift across {arr.lines[k].coeffs} to {exps} on a deletion chain")
+            raise InternalInconsistency(f"no lift across {arr.lines[k].coeffs} on a deletion chain")
     ok, failing = check_certificate(arr, cert)
     if not ok:
         raise InternalInconsistency(f"certificate built on a deletion chain fails its re-check: {failing}")

@@ -22,6 +22,7 @@ from .arrangement import (
     Arrangement,
     DuplicateLine,
     Line,
+    _cross,
     arrangement_from_json,
     arrangement_hash,
     arrangement_to_json,
@@ -99,11 +100,7 @@ class ExtensionConfig:
 
 
 def _join(p: tuple[int, int, int], q: tuple[int, int, int]) -> Line | None:
-    cx = (
-        p[1] * q[2] - p[2] * q[1],
-        p[2] * q[0] - p[0] * q[2],
-        p[0] * q[1] - p[1] * q[0],
-    )
+    cx = _cross(p, q)
     if cx == (0, 0, 0):
         return None
     return canonicalize_line(*cx)
@@ -162,7 +159,10 @@ def bootstrap_extend(
     exponents (a, b + 1) (Terao's addition theorem; Abe's deletion theorem
     rules out every other free extension). So a target not adjacent to (a, b)
     returns [] at once, and on an adjacent target every candidate with the
-    matching |A''| is free. Its certificate is lifted from the seed's and
+    matching |A''| is free. Its certificate is lifted from the seed's by
+    lift_certificate, whose division picks the seed field; the |A''| filter
+    has already fixed the route, and b2 = n + d1' * d2' with d1' + d2' = n
+    fixes the exponents of any certificate of the extension. Each lift is
     re-checked exactly; a lift that fails raises InternalInconsistency.
     Extensions whose arrangement hash is in known are skipped before the
     lift. Returns the certified extensions in candidate order.
@@ -170,7 +170,8 @@ def bootstrap_extend(
     n = seed.n
     if d1p + d2p != n:
         raise ValueError(f"target exponents must sum to n = {n} for an (n+1)-line extension")
-    if certificate.arrangement_hash != arrangement_hash(seed):
+    seed_hash = arrangement_hash(seed)
+    if certificate.arrangement_hash != seed_hash:
         raise ValueError("the seed certificate is for another arrangement")
     if certificate.d1 + certificate.d2 != n - 1:
         raise ValueError(f"seed certificate exponents do not sum to n - 1 = {n - 1}")
@@ -185,7 +186,7 @@ def bootstrap_extend(
         extended = seed.extended(line)
         if arrangement_hash(extended) in known:
             continue
-        lifted = lift_certificate(certificate, extended, line, (d1p, d2p))
+        lifted = lift_certificate(certificate, extended, line)
         if lifted is None:
             raise InternalInconsistency(
                 f"no lift of the ({a}, {b}) seed certificate across {line.coeffs}"
@@ -199,7 +200,7 @@ def bootstrap_extend(
                 certificate=lifted,
                 provenance={
                     "source": "bootstrap",
-                    "seed_hash": arrangement_hash(seed),
+                    "seed_hash": seed_hash,
                     "added_line": [str(line.a), str(line.b), str(line.c)],
                     "delta_b2_target": str(points),
                     "witness": "lifted",

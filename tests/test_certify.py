@@ -402,20 +402,23 @@ def test_chain_verdicts_match_the_kernel_path(monkeypatch):
 
 
 def test_chain_steps_match_the_lattice():
-    # each set along a chain has the candidate exponents recorded for it,
-    # and the chain ends in a triangle
+    # every set along a chain has candidate exponents, each deletion lowers
+    # exactly one of them by one, and the chain ends in a triangle
     for name, arr in chain_cases():
         exps = candidate_exponents(arr)
         chain = certify._deletion_chain(arr, exps.d1, exps.d2)
         if chain is None:
             continue
         kept = list(range(arr.n))
-        for k, recorded in chain:
-            sub = build_arrangement([arr.lines[i] for i in kept])
-            sub_exps = candidate_exponents(sub)
-            assert (sub_exps.d1, sub_exps.d2) == recorded, name
+        before = (exps.d1, exps.d2)
+        for k in chain:
             kept.remove(k)
-        assert len(kept) == 3
+            sub_exps = candidate_exponents(build_arrangement([arr.lines[i] for i in kept]))
+            assert sub_exps is not None, name
+            after = (sub_exps.d1, sub_exps.d2)
+            assert sorted(b - a for b, a in zip(before, after)) == [0, 1], name
+            before = after
+        assert len(kept) == 3 and before == (1, 1)
         tri = build_arrangement([arr.lines[i] for i in kept])
         assert check_certificate(tri, certify._triangle_certificate(tri)) == (True, None)
 

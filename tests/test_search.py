@@ -397,6 +397,11 @@ def test_cascade_certificates_are_pinned():
     assert catalog_digest(catalog) == (287, "53b1c5cdc805d91ca8ffa5872923b5bcafc5597f5f9e2de496593fa60881bb2f")
 
 
+def test_cascade_to_eight_lines_is_pinned():
+    catalog = cascade([near_pencil(5)], 8, config=ExtensionConfig(pool_bound=2))
+    assert catalog_digest(catalog) == (1867, "7abcfedd7b1883d3bcfe039dc925a0cb265d065f295f3a538592241930397a01")
+
+
 def children_hashes(discoveries):
     return {d.certificate.arrangement_hash for d in discoveries}
 
@@ -472,33 +477,57 @@ def test_lift_from_fraction_certificate():
 
 def test_non_adjacent_target_runs_no_lift(monkeypatch):
     seed = near_pencil(6)  # (1, 4): adjacent targets are (2, 4) and (1, 5)
+    from freelines import search
+
     cert = seed_certificate(seed)
     calls = []
-    original = certify._lift_across
-    monkeypatch.setattr(certify, "_lift_across", lambda *a: calls.append(a) or original(*a))
+    original = search.lift_certificate
+    monkeypatch.setattr(search, "lift_certificate", lambda *a: calls.append(a) or original(*a))
     assert bootstrap_extend(seed, cert, 3, 3) == []
     assert calls == []
     assert bootstrap_extend(seed, cert, 2, 4)
     assert calls
 
 
-@pytest.mark.parametrize("seed", [near_pencil(6), fixtures.free_13()], ids=["near_pencil6", "free13"])
-def test_lift_exists_exactly_on_the_addition_theorem_count(seed):
-    # the addition theorem, candidate by candidate and route by route: the
-    # division finds a lift exactly when H meets the seed in the route's
-    # |A''| points, and every lift passes the exact check
-    cert = seed_certificate(seed)
-    lifted = 0
+@pytest.mark.parametrize(
+    "seed,cert",
+    [(near_pencil(6), None), (fixtures.free_13(), None),
+     (construct_certified(2, 4).arrangement, construct_certified(2, 4).certificate)],
+    ids=["near_pencil6", "free13", "two_pencil_2x4"],
+)
+def test_lift_exists_exactly_on_the_addition_theorem_count(seed, cert):
+    # the addition theorem, candidate by candidate: the division finds a
+    # lift exactly when H meets the seed in a route's |A''| points, at that
+    # route's exponents, and every lift passes the exact check
+    cert = cert or seed_certificate(seed)
+    routes = {points: exps for exps, points in _lift_routes(cert.d1, cert.d2)}
+    lifted = set()
     for line in enumerate_extension_candidates(seed, ExtensionConfig(pool_bound=2)):
         extended = seed.extended(line)
-        for exps, points in _lift_routes(cert.d1, cert.d2):
-            lift = lift_certificate(cert, extended, line, exps)
-            assert (lift is not None) == (delta_b2(seed, line) == points), (line, exps)
-            if lift is not None:
-                assert (lift.d1, lift.d2) == exps
-                assert check_certificate(extended, lift) == (True, None)
-                lifted += 1
-    assert lifted
+        lift = lift_certificate(cert, extended, line)
+        exps = routes.get(delta_b2(seed, line))
+        assert (lift is not None) == (exps is not None), line
+        if lift is not None:
+            assert (lift.d1, lift.d2) == exps
+            assert check_certificate(extended, lift) == (True, None)
+            lifted.add(exps)
+    assert lifted == set(routes.values())
+
+
+def test_lift_packs_one_point_for_both_fields(monkeypatch, boolean):
+    # on the (1, 1) triangle theta_1 does not divide for this line, so
+    # theta_2 is tried too, on the same packed point
+    cert = seed_certificate(boolean)
+    line = canonicalize_line(0, 1, -2)
+    packs, quotients = [], []
+    pack, quotient = certify._pack_point, certify._exact_quotient
+    monkeypatch.setattr(certify, "_pack_point", lambda *a: packs.append(a) or pack(*a))
+    monkeypatch.setattr(certify, "_exact_quotient", lambda *a: quotients.append(quotient(*a)) or quotients[-1])
+    extended = boolean.extended(line)
+    lift = lift_certificate(cert, extended, line)
+    assert [q is None for q in quotients] == [True, False]
+    assert len(packs) == 1
+    assert (lift.d1, lift.d2) == (1, 2) and check_certificate(extended, lift) == (True, None)
 
 
 def test_cascade_runs_no_kernel(monkeypatch, near_pencil5):
