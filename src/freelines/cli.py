@@ -148,7 +148,7 @@ def cmd_saito(args) -> int:
         "exponents": [str(ev.d1), str(ev.d2)],
         "k1": str(ev.k1),
         "k2": str(ev.k2),
-        "restart_losses": list(ev.result.restart_losses),
+        "restart_losses": list(ev.result.restart_losses) if ev.result else [],
         "elapsed_ms": ev.elapsed_ms,
         "reason": ev.reason,
     }

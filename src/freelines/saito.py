@@ -6,24 +6,29 @@ defining polynomial's coefficient vector q. Fixing either parameter vector
 makes the problem a homogeneous least squares solve, so the two sides are
 alternated; each half-step is accepted only if it does not lower the squared
 cosine, which keeps the recorded history monotone within a restart.
+
+saito_functional takes its freeness decision from verify_free alone. On exact
+spaces of tangent fields every nonzero Saito determinant is c*Q (Saito's
+criterion), so the loss is 0 or 1, and it is 1 exactly when verify_free
+refutes: then no basis, tensor or ALS is built. On a certified input both
+null bases come from the certificate, by the same criterion.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .arrangement import Arrangement
-from .certify import chain_certificate
+from .certify import NotFreeAtExponents, verify_free
 from .derivations import (
     SaitoTensor,
     assemble_saito_tensor,
-    contract,
     contract_matrix,
     derivation_matrix,
-    null_space_float,
+    null_space_exact,
     null_space_from_fields,
 )
 
@@ -50,7 +55,6 @@ class ALSResult:
     c: float
     history: tuple[float, ...]  # squared cosine after each accepted half-step
     restart_losses: tuple[float, ...]
-    all_contractions_zero: bool = False
 
 
 def homogeneous_lsq(a_mat: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -93,11 +97,11 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
     Within a restart, alpha1 and alpha2 are alternately re-solved through
     homogeneous_lsq; a candidate that would lower the squared cosine is
     discarded (the previous iterate is kept), so history is non-decreasing.
+    A contraction of norm at most ZERO_GUARD has squared cosine 0, so a zero
+    or rounding-noise tensor keeps the loss at 1.
     """
     q = t.q
-    best: ALSResult | None = None
-    restart_losses: list[float] = []
-    zero_flags: list[bool] = []
+    runs: list[ALSResult] = []
     for r in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed & (2**64 - 1), r]))
         alpha2 = rng.standard_normal(t.k2)
@@ -119,31 +123,11 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
                         alpha2 = cand
                     cur = cand_cos
                 hist.append(cur)
-        restart_losses.append(1.0 - cur)
-        zero_flags.append(
-            np.linalg.norm(contract(t, alpha1, alpha2)) <= ZERO_GUARD
-        )
-        if best is None or 1.0 - cur < best.loss:
-            best = ALSResult(
-                loss=1.0 - cur,
-                alpha1=alpha1,
-                alpha2=alpha2,
-                c=c,
-                history=tuple(hist),
-                restart_losses=(),
-            )
-    if best is None:
-        raise ValueError("ALS needs at least one restart")
-    all_zero = all(zero_flags)
-    return ALSResult(
-        loss=1.0 if all_zero else best.loss,
-        alpha1=best.alpha1,
-        alpha2=best.alpha2,
-        c=best.c,
-        history=best.history,
-        restart_losses=tuple(restart_losses),
-        all_contractions_zero=all_zero,
-    )
+        runs.append(ALSResult(
+            loss=1.0 - cur, alpha1=alpha1, alpha2=alpha2, c=c, history=tuple(hist), restart_losses=()
+        ))
+    best = min(runs, key=lambda run: run.loss)  # the first restart wins a tie
+    return replace(best, restart_losses=tuple(run.loss for run in runs))
 
 
 @dataclass(frozen=True)
@@ -153,12 +137,12 @@ class SaitoEvaluation:
     loss: float
     d1: int
     d2: int
-    k1: int
+    k1: int  # exact nullity of D(A)_d1, Euler multiples included
     k2: int
-    result: ALSResult
+    result: ALSResult | None  # None when verify_free refutes
     elapsed_ms: float
-    tensor: SaitoTensor = field(repr=False)
-    reason: str | None = None  # "all-contractions-zero" when ALS forced the loss to 1
+    tensor: SaitoTensor | None = field(repr=False)  # None when verify_free refutes
+    reason: str | None = None  # "not-free-at-exponents" when verify_free refutes
 
 
 def saito_functional(
@@ -169,31 +153,30 @@ def saito_functional(
 ) -> SaitoEvaluation:
     """Evaluate the angular freeness loss of an arrangement at (d1, d2).
 
-    The tensor is built on orthonormal bases of D(A)_d1 and D(A)_d2 modulo
-    Euler multiples, which the Saito determinant sends to zero; k1 and k2
-    report the full nullities. When the lattice gives a deletion chain, both
-    bases come from its checked certificate by Saito's criterion (see
-    null_space_from_fields) and no derivation matrix is built; otherwise
-    they are the orthonormalized exact kernels. A quotient can be empty, and
-    then every contraction is zero and the loss is 1.
+    verify_free decides freeness at the exponents, in either order. On a
+    refutation the loss is 1, and k1 and k2 are the nullities of the exact
+    kernels its pair scan has just built (cached). On a certificate, chain,
+    witness or kernel scan alike, D(A)_d1 and D(A)_d2 come from it by Saito's
+    criterion (see null_space_from_fields); the tensor is built on their
+    orthonormal bases modulo Euler multiples, which the Saito determinant
+    sends to zero, and ALS minimizes the loss on it.
     """
     t0 = time.perf_counter()
-    if d1 + d2 != arr.n - 1:
-        raise ValueError(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
-    cert = chain_certificate(arr, *sorted((d1, d2)))
-    if cert is not None:
-        fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
-        v1 = null_space_from_fields(d1, fields)
-        v2 = null_space_from_fields(d2, fields) if d2 != d1 else v1
-    else:
-        v1 = null_space_float(derivation_matrix(arr, d1))
-        v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
+    outcome = verify_free(arr, *sorted((d1, d2)))
+    if isinstance(outcome, NotFreeAtExponents):
+        k1, k2 = (null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
+        return SaitoEvaluation(
+            loss=1.0, d1=d1, d2=d2, k1=k1, k2=k2, result=None,
+            elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=None, reason="not-free-at-exponents",
+        )
+    cert = outcome.certificate
+    fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
+    v1 = null_space_from_fields(d1, fields)
+    v2 = null_space_from_fields(d2, fields) if d2 != d1 else v1
     w1 = v1.quotient
     tensor = assemble_saito_tensor(arr, w1, v2.quotient if d2 != d1 else w1)
     result = als_minimize(tensor, config)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    reason = "all-contractions-zero" if result.all_contractions_zero else None
     return SaitoEvaluation(
         loss=result.loss, d1=d1, d2=d2, k1=v1.nullity, k2=v2.nullity,
-        result=result, elapsed_ms=elapsed, reason=reason, tensor=tensor,
+        result=result, elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=tensor,
     )

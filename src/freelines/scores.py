@@ -4,8 +4,10 @@ The closed forms for the interpolating scores are reference stand-ins: the
 three-regime combinatorial score, sigma_b2, sigma_int and sigma_pen are each
 defined here (and cross-checked by scripts/score_reference.py).
 With candidate exponents the algebraic score is the exact freeness verdict:
-on exact kernels every nonzero Saito determinant is c*Q, so the angular loss
-is 0 or 1 and 1 - loss is that verdict, found here without a tensor or ALS.
+on exact spaces of tangent fields every nonzero Saito determinant is c*Q, so
+the angular loss is 0 or 1, and saito_functional reads it off verify_free.
+1 - loss is that verdict, taken here from verify_free directly, without a
+tensor or ALS.
 """
 
 from __future__ import annotations

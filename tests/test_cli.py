@@ -370,6 +370,22 @@ def test_survey(files, capsys):
     assert rows[2]["loss"] is None and rows[2]["reason"] == "delta-negative"
 
 
+def test_saito_and_survey_answer_a_refuted_input(tmp_path, capsys):
+    # verify_free refutes the mutant, so the loss is 1 with no ALS run
+    path = str(tmp_path / "mutant.json")
+    write_arrangement(path, fixtures.disjoint_pencils(5, 2))
+    code, data = run(capsys, ["saito", path])
+    assert code == 0
+    payload = data["payload"]
+    assert payload["loss"] == 1.0
+    assert payload["restart_losses"] == []
+    assert payload["reason"] == "not-free-at-exponents"
+    assert (payload["k1"], payload["k2"]) == ("9", "9")
+    code, data = run(capsys, ["survey", path])
+    assert code == 0
+    assert data["payload"]["rows"][0]["loss"] == 1.0
+
+
 def test_cascade_cli(files, tmp_path, capsys):
     out = str(tmp_path / "cat")
     code, data = run(

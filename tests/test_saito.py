@@ -1,14 +1,17 @@
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from freelines import certify, fixtures, saito
+from freelines import certify, derivations, exactlinalg, fixtures, saito
 from freelines.arrangement import build_arrangement, candidate_exponents, canonicalize_line
 from freelines.derivations import (
     SaitoTensor,
+    assemble_saito_tensor,
     derivation_matrix,
     euler_multiples,
+    null_space_exact,
     null_space_float,
 )
 from freelines.saito import (
@@ -17,7 +20,7 @@ from freelines.saito import (
     homogeneous_lsq,
     saito_functional,
 )
-from freelines.search import supersolvable_two_pencil
+from freelines.search import candidate_pool, supersolvable_two_pencil
 
 
 def _random_tensor(rng, n_out=None, k1=None, k2=None):
@@ -103,16 +106,17 @@ def test_als_restart_determinism():
     assert r1.loss == r2.loss
 
 
-def test_als_zero_tensor_reports_all_contractions_zero():
+def test_als_zero_tensor_gives_loss_one():
+    # a zero map, or one of rounding noise, never passes ZERO_GUARD
     rng = np.random.default_rng(5)
     t = _random_tensor(rng)
-    zero = SaitoTensor(
-        n=t.n, d1=t.d1, d2=t.d2, v1=t.v1, v2=t.v2, q=t.q, q_exact=t.q_exact,
-        tensor=np.zeros_like(t.tensor),
-    )
-    result = als_minimize(zero, ALSConfig(restarts=2))
-    assert result.all_contractions_zero
-    assert result.loss == 1.0
+    for tensor in (np.zeros_like(t.tensor), 1e-15 * rng.standard_normal(t.tensor.shape)):
+        vanishing = SaitoTensor(
+            n=t.n, d1=t.d1, d2=t.d2, v1=t.v1, v2=t.v2, q=t.q, q_exact=t.q_exact, tensor=tensor,
+        )
+        result = als_minimize(vanishing, ALSConfig(restarts=2))
+        assert result.loss == 1.0
+        assert result.restart_losses == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("name", ["boolean", "free13", "free19", "free20"])
@@ -130,18 +134,21 @@ def test_tensor_is_built_modulo_euler_multiples(name, request):
     assert ev.tensor.tensor.shape == (ev.tensor.out_size, ev.tensor.k1, ev.tensor.k2)
 
 
+def _generic6():
+    return build_arrangement([canonicalize_line(1, t, t * t) for t in range(6)])
+
+
 @pytest.mark.parametrize("d1,d2", [(1, 4), (2, 3)])
 def test_empty_euler_quotient_gives_loss_one(d1, d2):
     # six lines tangent to a conic: no three concurrent, and no tangent field
     # below degree 4 besides the Euler multiples
-    generic6 = build_arrangement([canonicalize_line(1, t, t * t) for t in range(6)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev = saito_functional(generic6, d1, d2)
-    assert ev.tensor.k1 == 0
+        ev = saito_functional(_generic6(), d1, d2)
+    assert ev.tensor is None
     assert ev.k1 == len(euler_multiples(d1))
     assert ev.loss == 1.0
-    assert ev.reason == "all-contractions-zero"
+    assert ev.reason == "not-free-at-exponents"
 
 
 def test_boolean_loss_tiny(boolean):
@@ -227,25 +234,71 @@ def _basis_cases():
     return named + [(f"pool1_{i}", arr) for i, arr in enumerate(random_pool_arrangements(40, seed=9))]
 
 
-def test_chain_bases_match_the_kernel_path(monkeypatch):
+def _kernel_path(arr, d1, d2, config):
+    """Orthonormalized exact kernels, their tensor and ALS: the oracle of saito_functional."""
+    v1 = null_space_float(derivation_matrix(arr, d1))
+    v2 = null_space_float(derivation_matrix(arr, d2)) if d2 != d1 else v1
+    w1 = v1.quotient
+    tensor = assemble_saito_tensor(arr, w1, v2.quotient if d2 != d1 else w1)
+    return v1.nullity, v2.nullity, tensor, als_minimize(tensor, config)
+
+
+def test_certificate_bases_match_the_kernel_path():
+    # every basis case is free, so saito_functional builds its tensor on
+    # certificate bases; the reference is built on the exact kernels
     config = ALSConfig(iterations=2, restarts=1)
-    chained = 0
     for name, arr in _basis_cases():
         exps = candidate_exponents(arr)
-        chained += certify.chain_certificate(arr, exps.d1, exps.d2) is not None
         ev = saito_functional(arr, exps.d1, exps.d2, config=config)
-        with monkeypatch.context() as m:
-            m.setattr(certify, "_deletion_chain", lambda *args: None)
-            ref = saito_functional(arr, exps.d1, exps.d2, config=config)
-        assert (ev.k1, ev.k2) == (ref.k1, ref.k2), name
-        assert ev.tensor.tensor.shape == ref.tensor.tensor.shape, name
+        k1, k2, tensor, ref = _kernel_path(arr, exps.d1, exps.d2, config)
+        assert (ev.k1, ev.k2) == (k1, k2), name
+        assert ev.tensor.tensor.shape == tensor.tensor.shape, name
         assert abs(ev.loss - ref.loss) <= 1e-12, name
         # the kernel path's own float basis of free_19 at degree 11 is only
         # about 1e-6 from the kernel (see the test above)
         tol = 1e-5 if name == "free19" else 1e-9
-        assert _max_angle(ev.tensor.v1, ref.tensor.v1) <= tol, name
-        assert _max_angle(ev.tensor.v2, ref.tensor.v2) <= tol, name
-    assert chained >= 30
+        assert _max_angle(ev.tensor.v1, tensor.v1) <= tol, name
+        assert _max_angle(ev.tensor.v2, tensor.v2) <= tol, name
+
+
+# disjoint_pencils(5, 2) and the verify-refute benchmark's five mutants
+PENCILS = ((5, 2), (9, 4), (10, 5), (11, 5), (13, 6), (13, 7))
+
+
+def _refuted_cases(pool_sets=12, seed=16):
+    """Inputs verify_free refutes: generic6, the disjoint-pencil mutants and random pool sets.
+
+    The pool sets are random 7-10-line sets of the R = 2 pool with candidate
+    exponents, about a third of which are not free, drawn until pool_sets
+    are refuted.
+    """
+    cases = [(f"generic6_{d1}_{d2}", _generic6(), d1, d2) for d1, d2 in ((1, 4), (2, 3))]
+    for k, m in PENCILS:
+        arr = fixtures.disjoint_pencils(k, m)
+        exps = candidate_exponents(arr)
+        cases.append((f"pencils_{k}_{m}", arr, exps.d1, exps.d2))
+    rng = random.Random(seed)
+    lines = candidate_pool(2).lines
+    refuted = 0
+    while refuted < pool_sets:
+        arr = build_arrangement(rng.sample(lines, rng.randint(7, 10)))
+        exps = candidate_exponents(arr)
+        if exps is not None and isinstance(certify.verify_free(arr, exps.d1, exps.d2), certify.NotFreeAtExponents):
+            cases.append((f"pool2_{refuted}", arr, exps.d1, exps.d2))
+            refuted += 1
+    return cases
+
+
+def test_refuted_inputs_have_a_zero_kernel_tensor():
+    # the kernel path stays an oracle: on a refuted input every determinant
+    # of exact kernel vectors is 0 * Q, so the float tensor is rounding
+    # noise and ALS leaves the loss at 1, as saito_functional reports
+    config = ALSConfig(iterations=2, restarts=2)
+    for name, arr, d1, d2 in _refuted_cases():
+        _, _, tensor, ref = _kernel_path(arr, d1, d2, config)
+        assert np.max(np.abs(tensor.tensor), initial=0.0) <= 1e-12, name
+        assert ref.loss == 1.0, name
+        assert saito_functional(arr, d1, d2).loss == ref.loss, name
 
 
 def test_free_inputs_lose_nothing_at_reversed_exponents():
@@ -267,13 +320,52 @@ def test_chain_bases_build_no_derivation_matrix(monkeypatch):
         assert saito_functional(arr, exps.d1, exps.d2).loss <= 1e-12
 
 
-def test_non_free_input_takes_the_kernel_path(monkeypatch):
-    from test_certify import disjoint_pencils
-
+def test_refutation_builds_no_basis_tensor_or_als(monkeypatch):
     calls = []
-    original = saito.derivation_matrix
-    monkeypatch.setattr(saito, "derivation_matrix", lambda *a: calls.append(a) or original(*a))
-    ev = saito_functional(disjoint_pencils(), 3, 3)
-    assert calls
-    assert ev.loss == 1.0
-    assert ev.reason == "all-contractions-zero"
+    kernel_basis = exactlinalg.kernel_basis
+    monkeypatch.setattr(exactlinalg, "kernel_basis", lambda *a: calls.append(a) or kernel_basis(*a))
+
+    def kernel_calls_cold(run) -> int:
+        derivations.derivation_matrix.cache_clear()
+        derivations.null_space_exact.cache_clear()
+        calls.clear()
+        run()
+        return len(calls)
+
+    def refuse(*args):
+        raise AssertionError("saito_functional built a float basis, tensor or ALS on a refutation")
+
+    mutant, big_mutant = fixtures.disjoint_pencils(5, 2), fixtures.disjoint_pencils(9, 4)
+    exps = candidate_exponents(big_mutant)
+    for arr, d1, d2 in [(mutant, 3, 3), (big_mutant, exps.d2, exps.d1), (_generic6(), 4, 1)]:
+        alone = kernel_calls_cold(lambda: certify.verify_free(arr, *sorted((d1, d2))))
+        evs = []
+        with monkeypatch.context() as m:
+            for name in ("_orthonormal_basis", "null_space_float", "assemble_saito_tensor"):
+                m.setattr(derivations, name, refuse)
+            m.setattr(saito, "assemble_saito_tensor", refuse)
+            m.setattr(saito, "als_minimize", refuse)
+            assert kernel_calls_cold(lambda: evs.append(saito_functional(arr, d1, d2))) == alone
+        ev = evs[0]
+        assert (ev.loss, ev.reason, ev.result, ev.tensor) == (1.0, "not-free-at-exponents", None, None)
+        assert (ev.k1, ev.k2) == tuple(null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
+
+
+@pytest.mark.parametrize("name", ["np6", "two_pencil_7x7", "free13", "free19", "free20"])
+def test_chainless_free_inputs_take_certificate_bases(name, monkeypatch):
+    # with no deletion chain, the certificate comes from the kernel pair scan,
+    # and the bases still come from it by Saito's criterion, not from the
+    # kernel's float basis
+    arr = dict(_basis_cases())[name]
+    exps = candidate_exponents(arr)
+
+    def refuse(*args):
+        raise AssertionError("saito_functional orthonormalized an exact kernel")
+
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
+    for module in (derivations, saito):
+        monkeypatch.setattr(module, "null_space_float", refuse, raising=False)
+    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=2, restarts=1))
+    assert ev.loss <= 1e-12
+    for d, v in ((ev.d1, ev.tensor.v1), (ev.d2, ev.tensor.v2)):
+        assert np.max(np.abs(_row_normalized(arr, d) @ v)) <= 1e-9

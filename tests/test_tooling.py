@@ -34,7 +34,7 @@ def test_traced_names_resolve():
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
-    # find_refutation.py runs saito_functional's kernel path on non-free inputs;
+    # find_refutation.py runs verify_free's kernel pair scan on non-free inputs;
     # kernel_timing.py times the exact kernel path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
