@@ -24,17 +24,25 @@ line at a time, and every chain certificate, a bare triangle's included,
 passes one check_certificate, so no verdict rests on the descent.
 Refutations always come from the kernels.
 
-Tangency to a line and the lifts read one packed integer per field and
-line. Restricted to the line u + k*w, theta(alpha) is a polynomial r(k) of
-degree at most d whose coefficients are bounded by B = sum|v| * M^d, v the
-coefficients of theta(alpha) and M = max_i(|u_i| + |w_i|). At K = 2^b with
-2^(b - 1) > B, r(K) is zero exactly when r is, and the signed base-K digits
-of r(K) are r's coefficients (a Kronecker substitution). A lift across an
-added line is then one exact division of the two fields' restrictions,
-read at one packed point, as the addition theorem prescribes; no kernel is
-solved for it. The division tries theta1, then theta2, and the first that
-divides fixes the lifted exponents, which are unique for a free
-arrangement. All of it is exact integer and rational arithmetic.
+Tangency and the lifts read packed integers (Kronecker substitution). On
+the line alpha = 0, with e its first nonzero coefficient and s < t the
+other two coordinates, the points U + k*W with U = (x_e = -a_s, x_s = a_e,
+x_t = 0) and W = (x_e = -a_t, x_s = 0, x_t = a_e) run along the line, and
+theta(alpha) restricts to r(k) of degree at most d with coefficients
+bounded by B = (sum_c |a_c| * |theta_c|_1) * M^d, M = max(|a_e|, |a_s| +
+|a_t|). One K = 2^b with 2^(b - 1) > B for every line makes r(K) zero
+exactly when r is. At k = K a component F of degree d takes the value
+sum_i x_e^i * a_e^(d-i) * G_i, where G_i packs F's coefficients of
+x_e^i x_s^j x_t^k at K^k and depends on the line only through e; so
+is_tangent_field builds the groups G_i once per eliminated coordinate and
+spends O(d) big-integer steps on each line. A lift restricts to one line
+only, so it packs one point of that line with its own K (_pack_point,
+from its line_kernel_basis) and reads r's coefficients off the signed
+base-K digits of r(K). A lift across an added line is then one exact
+division of the two fields' restrictions, as the addition theorem
+prescribes; no kernel is solved for it. The division tries theta1, then
+theta2, and the first that divides fixes the lifted exponents, which are
+unique for a free arrangement. All of it is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -141,22 +149,82 @@ def exact_determinant(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDe
 def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     """Exact check that alpha | theta(alpha) for every line of the arrangement.
 
-    On the line alpha = 0, parametrized as u + k*w, theta(alpha) restricts to
-    a polynomial r(k) of degree at most d, and theta is tangent to the line
-    exactly when r is zero. One value decides it: at the packed point
-    u + K*w of _pack_point, r(K) is zero exactly when r is. Equivalent to
-    membership in the kernel of the derivation matrix, derived independently.
+    For the line alpha = (a_0, a_1, a_2), let e be the first coordinate with
+    a_e != 0 and s < t the other two (_chart). The points U + k*W, with
+    U = (x_e = -a_s, x_s = a_e, x_t = 0) and W = (x_e = -a_t, x_s = 0,
+    x_t = a_e), run along the line, and theta(alpha) restricts to a
+    polynomial r(k) of degree at most d, zero exactly when theta is tangent
+    to the line. One value decides it: at k = K = 2^bits, r(K) is zero
+    exactly when r is, since 2^(bits - 1) exceeds every coefficient of every
+    line's r (_tangency_bits). At that point P, x_s = a_e and x_t = a_e*K,
+    so a component F has F(P) = sum_i x_e^i * a_e^(d-i) * G_i, where G_i
+    packs F's coefficients of x_e^i x_s^j x_t^k at K^k and does not depend
+    on the line (_packed_groups). The groups are built once per eliminated
+    coordinate, so each line costs 3(d + 1) small-by-packed products and a
+    d-step Horner evaluation in x_e. Equivalent to membership in the kernel
+    of the derivation matrix, derived independently.
     """
     if not _derivation_degree_ok(theta, d):
         return False
     theta, _ = _integral(theta)
-    for line in arr.lines:
-        form = _line_form(theta, line)
-        if form:
-            point, _ = _pack_point(line, d, _weight(form))
-            if _evaluate(form, _powers(point, d)):
-                return False
+    charts = [_chart(line.coeffs) for line in arr.lines]
+    bits = _tangency_bits(arr, charts, theta, d)
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for line, (e, s, t) in zip(arr.lines, charts):
+        if e not in groups:
+            groups[e] = _packed_groups(theta, d, e, t, bits)
+        a0, a1, a2 = a = line.coeffs
+        sums = [a0 * gf + a1 * gg + a2 * gh for gf, gg, gh in groups[e]]
+        if not any(sums):
+            continue
+        x_e, a_e = -(a[s] + (a[t] << bits)), a[e]
+        acc, scale = sums[d], 1
+        for i in reversed(range(d)):
+            scale *= a_e
+            acc = acc * x_e + scale * sums[i]
+        if acc:
+            return False
     return True
+
+
+_CHARTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _chart(coeffs: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(e, s, t): e the first coordinate with a nonzero coefficient, s < t the other two."""
+    return _CHARTS[0 if coeffs[0] else 1 if coeffs[1] else 2]
+
+
+def _tangency_bits(
+    arr: Arrangement, charts: list[tuple[int, int, int]], theta: ExactDerivation, d: int
+) -> int:
+    """bits with 2^(bits - 1) > max over lines of (sum_c |a_c| * |theta_c|_1) * M^d.
+
+    On a line's chart (_chart) the coordinates of U + k*W are linear in k
+    with coefficient sums at most M = max(|a_e|, |a_s| + |a_t|), and the
+    integral field theta(alpha) has coefficient sum at most
+    sum_c |a_c| * |theta_c|_1, so this bounds every coefficient of r(k)
+    for every line, and one K = 2^bits serves them all.
+    """
+    w0, w1, w2 = (sum(abs(v) for v in comp.values()) for comp in theta)
+    bound = 0
+    for line, (e, s, t) in zip(arr.lines, charts):
+        a0, a1, a2 = a = line.coeffs
+        m = max(abs(a[e]), abs(a[s]) + abs(a[t]))
+        bound = max(bound, (abs(a0) * w0 + abs(a1) * w1 + abs(a2) * w2) * m**d)
+    return bound.bit_length() + 1
+
+
+def _packed_groups(theta: ExactDerivation, d: int, e: int, t: int, bits: int) -> list[tuple[int, int, int]]:
+    """(G_i of f, G_i of g, G_i of h) for i = 0..d.
+
+    G_i sums v * 2^(bits * k) over a component's terms v * x_e^i x_s^j x_t^k.
+    """
+    out = [[0] * (d + 1) for _ in theta]
+    for g, comp in zip(out, theta):
+        for mon, v in comp.items():
+            g[mon[e]] += v << (bits * mon[t])
+    return list(zip(*out))
 
 
 def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:

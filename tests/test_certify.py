@@ -254,6 +254,90 @@ def test_is_tangent_field_matches_the_derivation_matrix(free13, free19, free20):
     assert len(verdicts) == 324 and 0 < sum(verdicts) < len(verdicts)
 
 
+def permute_coordinates(arr, fields, perm):
+    """The arrangement and fields in the coordinates y_i = x_perm[i].
+
+    Line a*x gets the coefficients a_perm[i], and component perm[i] of a field,
+    its exponents permuted the same way, becomes component i; theta(alpha) is
+    the same polynomial in the new coordinates, so tangency is preserved.
+    """
+    lines = [canonicalize_line(*(line.coeffs[p] for p in perm)) for line in arr.lines]
+    moved = [tuple({tuple(m[p] for p in perm): v for m, v in theta[p].items()} for p in perm)
+             for theta in fields]
+    return build_arrangement(lines), moved
+
+
+PERMUTATIONS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def test_is_tangent_field_matches_the_derivation_matrix_in_every_chart(free19):
+    # is_tangent_field evaluates each line on a chart picked by its first
+    # nonzero coefficient; the permuted free_19 puts its line (0, 4, 11) in
+    # every position, and the permuted disjoint-pencil mutants bring the
+    # coordinate lines, z = 0 among them
+    rng = random.Random(20261019)
+    cert = verify_arrangement(free19).certificate
+    inputs = [(free19, [(cert.theta1, cert.d1), (cert.theta2, cert.d2)])]
+    for k, m in ((5, 2), (9, 4)):
+        mutant = fixtures.disjoint_pencils(k, m)
+        d = candidate_exponents(mutant).d1
+        kernel = null_space_exact(derivation_matrix(mutant, d)).vectors
+        inputs.append((mutant, [(vector_to_derivation(vec, d), d) for vec in kernel]))
+    charts, verdicts = set(), []
+    for arr, fields in inputs:
+        for perm in PERMUTATIONS:
+            moved_arr, moved = permute_coordinates(arr, [theta for theta, _ in fields], perm)
+            charts |= {certify._chart(line.coeffs)[0] for line in moved_arr.lines}
+            for theta, (_, d) in zip(moved, fields):
+                assert is_tangent_field(moved_arr, theta, d)
+                for field in perturbed_fields(theta, d, rng):
+                    verdict = is_tangent_field(moved_arr, field, d)
+                    assert verdict == tangency_oracle(moved_arr, field, d)
+                    verdicts.append(verdict)
+    assert charts == {0, 1, 2}
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("scalar", [10**30 + 7, Fraction(10**30 + 7, 3)], ids=["int", "fraction"])
+@pytest.mark.parametrize("restriction", ["bottom", "top", "cancelling"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_tangency_reads_the_edge_digits_of_the_packing(e, restriction, scalar):
+    # the field scalar * F * d/dx_e is tangent to every line through the
+    # coordinate point p_e (a_e = 0) and not to x_e = 0, where it restricts to
+    # r(k) = F(1, k) with M = 1, so r's coefficient sum is the bound itself:
+    # "bottom" is the single term scalar * k^0, "top" the single term
+    # scalar * k^d, and "cancelling" is k^4 - 2^m * k^3 (over 3 for the
+    # Fraction case), whose bound is 2^m + 1: K = 2^m would be a root
+    d = 5
+    s, t = (k for k in range(3) if k != e)
+
+    def mon(j, k):
+        out = [0, 0, 0]
+        out[s], out[t] = j, k
+        return tuple(out)
+
+    if restriction == "bottom":
+        form = {mon(d, 0): scalar}
+    elif restriction == "top":
+        form = {mon(0, d): scalar}
+    else:
+        unit = scalar / scalar.numerator if isinstance(scalar, Fraction) else 1
+        power = 1 << (scalar.numerator.bit_length() - 1)
+        form = {mon(d - 4, 4): unit, mon(d - 3, 3): -power * unit}
+    theta = tuple(form if k == e else {} for k in range(3))
+    through = []
+    for r in ((1, 0), (0, 1), (1, -1), (1, 2), (3, -5)):
+        coeffs = [0, 0, 0]
+        coeffs[s], coeffs[t] = r
+        through.append(canonicalize_line(*coeffs))
+    axis = canonicalize_line(*(int(k == e) for k in range(3)))
+    assert is_tangent_field(build_arrangement(through), theta, d)
+    for lines in (through + [axis], [axis] + through):
+        arr = build_arrangement(lines)
+        assert not is_tangent_field(arr, theta, d)
+        assert not tangency_oracle(arr, theta, d)
+
+
 def test_refutation_disjoint_pencils():
     arr = disjoint_pencils()
     out = verify_free(arr, 3, 3)
