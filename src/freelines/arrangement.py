@@ -171,7 +171,7 @@ def intersection_point(l1: Line, l2: Line) -> tuple[int, int, int]:
     return _normalize_triple(*_cross(l1.coeffs, l2.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionPoint:
     coords: tuple[int, int, int]
     incident_lines: tuple[int, ...]

@@ -48,6 +48,7 @@ unique for a free arrangement. All of it is exact integer and rational arithmeti
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -375,30 +376,37 @@ def verify_free(
     """Certify or refute freeness of the arrangement at exponents (d1, d2).
 
     A caller-supplied witness pair (from a known construction) is tried
-    first: both fields must be tangent and _saito_scalar nonzero, so it can
-    only speed things up. Without one, a greedy descent on the lattice
-    looks for a deletion chain down to a triangle, with no budget, and a
-    chain found is lifted into a certificate that passes check_certificate
-    (see chain_certificate). When the descent gets stuck, the exact kernels
-    at both degrees are computed, quotiented by the Euler multiples, and
-    basis pairs are scanned in order of increasing coefficient size. Each
-    basis vector is evaluated once at the point P of _saito_point, so a
-    pair's determinant at P is one 3x3 integer determinant; it is nonzero
-    exactly when det(E, theta1, theta2) is. The first nonzero pair yields
-    the certificate, which must pass check_certificate (InternalInconsistency
-    otherwise); if every pair vanishes the bilinear map is identically zero
-    on the kernels and NotFreeAtExponents is returned. So every Certified
-    passes the same exact test as a certificate file. als has no effect;
-    it is accepted only for existing callers.
+    first. Without one, als may be a saito_functional evaluation of the
+    same input: the certificate it carries at (d1, d2), if any, is tried as
+    the witness. A witness certifies only when both fields are tangent to
+    this arrangement at these degrees and _saito_scalar is nonzero, and the
+    certificate then gets this arrangement's hash, so a wrong or tampered
+    witness can only cost its check. When there is none, or it fails, a
+    greedy descent on the lattice looks for a deletion chain down to a
+    triangle, with no budget, and a chain found is lifted into a
+    certificate that passes check_certificate (see chain_certificate). When
+    the descent gets stuck, the exact kernels at both degrees are computed,
+    quotiented by the Euler multiples, and basis pairs are scanned in order
+    of increasing coefficient size. Each basis vector is evaluated once at
+    the point P of _saito_point, so a pair's determinant at P is one 3x3
+    integer determinant; it is nonzero exactly when det(E, theta1, theta2)
+    is. The first nonzero pair yields the certificate, which must pass
+    check_certificate (InternalInconsistency otherwise); if every pair
+    vanishes the bilinear map is identically zero on the kernels and
+    NotFreeAtExponents is returned. So every Certified passes the same
+    exact test as a certificate file.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
     if not 1 <= d1 <= d2:
         raise ValueError("exponents must satisfy 1 <= d1 <= d2")
     if witness is None:
+        supplied = getattr(als, "certificate", None)
+        if isinstance(supplied, FreenessCertificate) and (supplied.d1, supplied.d2) == (d1, d2):
+            witness = (supplied.theta1, supplied.theta2)
+    cert = None if witness is None else _witness_certificate(arr, d1, d2, witness)
+    if cert is None:
         cert = chain_certificate(arr, d1, d2)
-    else:
-        cert = _witness_certificate(arr, d1, d2, witness)
     if cert is not None:
         return Certified(cert)
     point = _saito_point(arr)
@@ -675,9 +683,18 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
-def _rational_from_json(val, what: str) -> Fraction:
+# Certificate coefficients are mostly plain integers, which int() parses
+# without Fraction's general-literal regex; everything else goes to Fraction.
+_PLAIN_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _rational_from_json(val, what: str) -> int | Fraction:
+    """The rational of val's text: an int for plain integer text, else a Fraction."""
+    text = str(val)
+    if _PLAIN_INTEGER.match(text):
+        return int(text)
     try:
-        return Fraction(_bounded_decimal(str(val), what))
+        return Fraction(_bounded_decimal(text, what))
     except ZeroDivisionError as exc:
         raise ValueError(f"{what}: {val!r} has a zero denominator") from exc
 
@@ -725,7 +742,7 @@ def certificate_from_json(data: dict) -> FreenessCertificate:
     d1, d2 = (int(str(x)) for x in exponents)
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
-    c = _rational_from_json(data["c"], "c")
+    c = Fraction(_rational_from_json(data["c"], "c"))
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
         arrangement_hash=str(data["arrangement_hash"]),

@@ -11,7 +11,9 @@ saito_functional takes its freeness decision from verify_free alone. On exact
 spaces of tangent fields every nonzero Saito determinant is c*Q (Saito's
 criterion), so the loss is 0 or 1, and it is 1 exactly when verify_free
 refutes: then no basis, tensor or ALS is built. On a certified input both
-null bases come from the certificate, by the same criterion.
+null bases come from the certificate, by the same criterion, and the
+evaluation carries that certificate: verify_free(..., als=evaluation)
+re-checks it as a witness rather than deriving it again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrangement import Arrangement
-from .certify import NotFreeAtExponents, verify_free
+from .certify import FreenessCertificate, NotFreeAtExponents, verify_free
 from .derivations import (
     SaitoTensor,
     assemble_saito_tensor,
@@ -132,7 +134,13 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
 
 @dataclass(frozen=True)
 class SaitoEvaluation:
-    """Full pipeline output: loss, ALS diagnostics, dimensions and timing."""
+    """Full pipeline output: loss, ALS diagnostics, dimensions, timing and the certificate.
+
+    certificate is the one verify_free returned, which the bases and so the
+    loss were read from; None on a refutation. Passed back as
+    verify_free(..., als=evaluation), it is re-checked there as a witness
+    instead of building the certificate a second time.
+    """
 
     loss: float
     d1: int
@@ -142,6 +150,7 @@ class SaitoEvaluation:
     result: ALSResult | None  # None when verify_free refutes
     elapsed_ms: float
     tensor: SaitoTensor | None = field(repr=False)  # None when verify_free refutes
+    certificate: FreenessCertificate | None = field(repr=False)  # None when verify_free refutes
     reason: str | None = None  # "not-free-at-exponents" when verify_free refutes
 
 
@@ -159,7 +168,8 @@ def saito_functional(
     witness or kernel scan alike, D(A)_d1 and D(A)_d2 come from it by Saito's
     criterion (see null_space_from_fields); the tensor is built on their
     orthonormal bases modulo Euler multiples, which the Saito determinant
-    sends to zero, and ALS minimizes the loss on it.
+    sends to zero, and ALS minimizes the loss on it. The certificate is
+    returned with the loss.
     """
     t0 = time.perf_counter()
     outcome = verify_free(arr, *sorted((d1, d2)))
@@ -167,7 +177,8 @@ def saito_functional(
         k1, k2 = (null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
         return SaitoEvaluation(
             loss=1.0, d1=d1, d2=d2, k1=k1, k2=k2, result=None,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=None, reason="not-free-at-exponents",
+            elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=None, certificate=None,
+            reason="not-free-at-exponents",
         )
     cert = outcome.certificate
     fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
@@ -178,5 +189,5 @@ def saito_functional(
     result = als_minimize(tensor, config)
     return SaitoEvaluation(
         loss=result.loss, d1=d1, d2=d2, k1=v1.nullity, k2=v2.nullity,
-        result=result, elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=tensor,
+        result=result, elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=tensor, certificate=cert,
     )

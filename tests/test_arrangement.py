@@ -108,6 +108,13 @@ def test_fixture_profiles(free13, free19, free20):
     assert intersection_summary(free20).b2 == 109
 
 
+def test_intersection_points_are_slotted(free13):
+    # the summary cache holds thousands of points; slots keep each one small
+    point = intersection_summary(free13).points[0]
+    assert not hasattr(point, "__dict__")
+    assert point.multiplicity == len(point.incident_lines)
+
+
 def test_candidate_exponents_fixtures(free13, free19):
     e13 = candidate_exponents(free13)
     assert (e13.d1, e13.d2, e13.discriminant) == (6, 6, 0)

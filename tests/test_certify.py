@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines import certify, fixtures
+from freelines import certify, derivations, exactlinalg, fixtures
 from freelines.arrangement import (
     Arrangement,
     DuplicateLine,
@@ -415,18 +415,131 @@ def test_certificate_json_uses_rational_strings(boolean):
     assert check_certificate(boolean, rebuilt) == (True, None)
 
 
+def _parse(parse, text):
+    """(value, None) from parse(text), or (None, exception type) when it raises."""
+    try:
+        return parse(text), None
+    except Exception as exc:
+        return None, type(exc)
+
+
+INTEGER_LIKE = st.one_of(
+    st.integers().map(str),
+    st.from_regex(r"[-+ ]?[0-9_\u0663\u0967]{0,8}[\n ]?", fullmatch=True),
+    st.sampled_from(["-0", "007", "+5", " 5", "5_000", "\u0663\u0663", "-\u0967", "--5", "-", "", "0x5", "5.0"]),
+    st.integers(4295, 4400).map(lambda k: "7" * k),
+    st.integers(4295, 4400).map(lambda k: "-" + "7" * k),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=INTEGER_LIKE)
+def test_coefficient_reader_agrees_with_fraction(text):
+    # plain integers take int(); every text reads to Fraction(text)'s value
+    # or raises the same exception type
+    got, got_exc = _parse(lambda t: certify._rational_from_json(t, "c"), text)
+    want, want_exc = _parse(Fraction, text)
+    assert got_exc is want_exc
+    assert got == want
+    assert type(got) in (int, Fraction, type(None))
+
+
+def test_certificate_reader_keeps_its_result_types(near_pencil5):
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["c"] = "007"
+    back = certificate_from_json(data)
+    assert type(back.c) is Fraction and back.c == 7
+    assert all(type(v) is int for theta in (back.theta1, back.theta2) for comp in theta for v in comp.values())
+
+
 def test_verify_free_validates_exponents(boolean):
     with pytest.raises(DegreeMismatch):
         verify_free(boolean, 1, 2)
 
 
-def test_verify_accepts_als_rationalization(near_pencil5):
-    # als is accepted and ignored: the certificate is the pair scan's
-    ev = saito_functional(near_pencil5, 1, 3)
-    out = verify_free(near_pencil5, 1, 3, als=ev)
-    assert isinstance(out, Certified)
-    assert out == verify_free(near_pencil5, 1, 3)
-    assert check_certificate(near_pencil5, out.certificate) == (True, None)
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call is recorded; returns the list of recorded calls."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def _cold_kernels(monkeypatch):
+    """Record kernel_basis calls with the kernel caches cleared, so no cached kernel hides one."""
+    derivations.derivation_matrix.cache_clear()
+    derivations.null_space_exact.cache_clear()
+    return _count_calls(monkeypatch, exactlinalg, "kernel_basis")
+
+
+def test_verify_accepts_als_rationalization(near_pencil5, free19, monkeypatch):
+    # the evaluation's certificate is re-checked as a witness: the same
+    # Certified as a fresh verify_free, with no second deletion chain, at
+    # either exponent order of the functional
+    cases = []
+    for arr in (near_pencil5, free19):
+        exps = candidate_exponents(arr)
+        evs = [saito_functional(arr, exps.d1, exps.d2), saito_functional(arr, exps.d2, exps.d1)]
+        cases.append((arr, exps, verify_free(arr, exps.d1, exps.d2), evs))
+    chains = _count_calls(monkeypatch, certify, "_deletion_chain")
+    for arr, exps, fresh, evs in cases:
+        for ev in evs:
+            assert ev.certificate == fresh.certificate
+            assert verify_free(arr, exps.d1, exps.d2, als=ev) == fresh
+    assert chains == []
+
+
+def test_verify_accepts_the_certificate_of_a_permuted_copy(free19, monkeypatch):
+    exps = candidate_exponents(free19)
+    ev = saito_functional(free19, exps.d1, exps.d2)
+    lines = list(free19.lines)
+    random.Random(19).shuffle(lines)
+    copy = build_arrangement(lines)
+    chains = _count_calls(monkeypatch, certify, "_deletion_chain")
+    out = verify_free(copy, exps.d1, exps.d2, als=ev)
+    assert chains == []
+    assert out.certificate.arrangement_hash == certify.arrangement_hash(copy)
+    assert check_certificate(copy, out.certificate) == (True, None)
+
+
+def test_verify_rechecks_a_foreign_or_tampered_evaluation(free13, monkeypatch):
+    # a certificate of another 13-line free set at (6, 6), or one with a
+    # coefficient of theta1 changed, fails the witness check; the chain
+    # then certifies, with no kernel
+    ev = saito_functional(free13, 6, 6)
+    foreign = saito_functional(supersolvable_two_pencil(6, 6), 6, 6)
+    f, g, h = ev.certificate.theta1
+    mon = next(iter(f))
+    tampered_theta1 = ({**f, mon: f[mon] + 1}, g, h)
+    tampered = dataclasses.replace(ev, certificate=dataclasses.replace(ev.certificate, theta1=tampered_theta1))
+    fresh = verify_free(free13, 6, 6)
+    kernels = _cold_kernels(monkeypatch)
+    chains = _count_calls(monkeypatch, certify, "_deletion_chain")
+    for other in (foreign, tampered):
+        out = verify_free(free13, 6, 6, als=other)
+        assert out == fresh
+        assert check_certificate(free13, out.certificate) == (True, None)
+    assert len(chains) == 2
+    assert kernels == []
+
+
+def test_verify_ignores_the_evaluation_of_a_refutation():
+    mutant = disjoint_pencils(5, 2)
+    ev = saito_functional(mutant, 3, 3)
+    assert ev.certificate is None
+    assert verify_free(mutant, 3, 3, als=ev) == verify_free(mutant, 3, 3)
+
+
+def test_failing_witness_falls_through_to_the_chain(free19, monkeypatch):
+    # the chain runs before any kernel, witness or not: a wrong witness costs
+    # its check, not the kernel pair scan at d = 7 and 11
+    exps = candidate_exponents(free19)
+    fresh = verify_free(free19, exps.d1, exps.d2)
+    theta1, theta2 = fresh.certificate.theta1, fresh.certificate.theta2
+    kernels = _cold_kernels(monkeypatch)
+    for witness in [(theta2, theta1), (theta1, theta1), two_pencil_witness(exps.d1, exps.d2)]:
+        assert verify_free(free19, exps.d1, exps.d2, witness=witness) == fresh
+    assert kernels == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from freelines.derivations import (
     euler_multiples,
     null_space_exact,
     null_space_float,
+    null_space_from_fields,
 )
+from freelines.monomials import basis_size, monomial_basis
 from freelines.saito import (
     ALSConfig,
     als_minimize,
@@ -259,6 +263,54 @@ def test_certificate_bases_match_the_kernel_path():
         tol = 1e-5 if name == "free19" else 1e-9
         assert _max_angle(ev.tensor.v1, tensor.v1) <= tol, name
         assert _max_angle(ev.tensor.v2, tensor.v2) <= tol, name
+
+
+def _stacked_fields_basis(d, fields):
+    """null_space_from_fields by its first construction: exact columns, each scaled and converted alone."""
+    nd = basis_size(d)
+    index = monomial_basis(d).index
+    vectors = euler_multiples(d)
+    for theta, degree in fields:
+        if degree > d:
+            continue
+        for m in monomial_basis(d - degree).monomials:
+            vec = [0] * (3 * nd)
+            for block, comp in enumerate(theta):
+                for e, v in comp.items():
+                    vec[block * nd + index((e[0] + m[0], e[1] + m[1], e[2] + m[2]))] = v
+            vectors.append(vec)
+    return derivations._orthonormal_basis(d, vectors, basis_size(d - 1))
+
+
+def _chain_certificates(random_count=20):
+    from test_certify import random_pool_arrangements
+
+    named = [fixtures.free_13(), fixtures.free_19(), fixtures.free_20(), fixtures.near_pencil(6)]
+    out = []
+    for arr in named + random_pool_arrangements(3 * random_count, seed=1919):
+        exps = candidate_exponents(arr)
+        cert = certify.chain_certificate(arr, exps.d1, exps.d2)
+        if cert is not None:
+            out.append(cert)
+        if len(out) == len(named) + random_count:
+            break
+    return out
+
+
+def test_fields_basis_matches_the_stacked_vector_construction():
+    # one division per field coefficient gives the floats that one division
+    # per column entry gave, so the QR and every basis are bit for bit the same;
+    # a rational copy of free_13's fields covers Fraction coefficients
+    certs = _chain_certificates()
+    first = certs[0]
+    third = {e: Fraction(v, 3) for e, v in first.theta1[0].items()}
+    certs.append(dataclasses.replace(first, theta1=(third, *first.theta1[1:])))
+    for cert in certs:
+        fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
+        for d in sorted({cert.d1, cert.d2, cert.d2 + 1}):
+            got, want = null_space_from_fields(d, fields), _stacked_fields_basis(d, fields)
+            assert got.euler_dim == want.euler_dim
+            assert np.array_equal(got.basis, want.basis), (cert.arrangement_hash, d)
 
 
 # disjoint_pencils(5, 2) and the verify-refute benchmark's five mutants
