@@ -24,25 +24,28 @@ line at a time, and every chain certificate, a bare triangle's included,
 passes one check_certificate, so no verdict rests on the descent.
 Refutations always come from the kernels.
 
-Tangency and the lifts read packed integers (Kronecker substitution). On
-the line alpha = 0, with e its first nonzero coefficient and s < t the
-other two coordinates, the points U + k*W with U = (x_e = -a_s, x_s = a_e,
+Every exact field evaluation is a Kronecker substitution: integers are
+packed at a power of two K = 2^b and read off by shifts. On the line
+alpha = 0 the chart (e, s, t) takes e = 0 when all three coefficients are
+nonzero and otherwise the last nonzero one, with s < t the other two
+coordinates (_chart); the points U + k*W with U = (x_e = -a_s, x_s = a_e,
 x_t = 0) and W = (x_e = -a_t, x_s = 0, x_t = a_e) run along the line, and
 theta(alpha) restricts to r(k) of degree at most d with coefficients
 bounded by B = (sum_c |a_c| * |theta_c|_1) * M^d, M = max(|a_e|, |a_s| +
-|a_t|). One K = 2^b with 2^(b - 1) > B for every line makes r(K) zero
-exactly when r is. At k = K a component F of degree d takes the value
-sum_i x_e^i * a_e^(d-i) * G_i, where G_i packs F's coefficients of
-x_e^i x_s^j x_t^k at K^k and depends on the line only through e; so
-is_tangent_field builds the groups G_i once per eliminated coordinate and
-spends O(d) big-integer steps on each line. A lift restricts to one line
-only, so it packs one point of that line with its own K (_pack_point,
-from its line_kernel_basis) and reads r's coefficients off the signed
-base-K digits of r(K). A lift across an added line is then one exact
+|a_t|) (_line_bound). With 2^(b - 1) > B, r(K) is zero exactly when r is,
+and r's coefficients are the signed base-K digits of r(K). At k = K a
+component F of degree d takes the value sum_i x_e^i * a_e^(d-i) * G_i,
+where G_i packs F's coefficients of x_e^i x_s^j x_t^k at K^k and depends
+on the line only through its chart (_packed_groups, _restriction_at).
+is_tangent_field builds the groups once per chart and spends O(d)
+big-integer steps on each line; a lift reads both fields' restrictions to
+its one line at one K. A lift across an added line is then one exact
 division of the two fields' restrictions, as the addition theorem
 prescribes; no kernel is solved for it. The division tries theta1, then
 theta2, and the first that divides fixes the lifted exponents, which are
-unique for a free arrangement. All of it is exact integer and rational arithmetic.
+unique for a free arrangement. The Saito point P = (1, K, K^2) also has
+K = 2^b, so an integral field's value there is a sum of shifted
+coefficients. All of it is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .arrangement import (
 from .derivations import (
     DegreeMismatch,
     derivation_matrix,
-    line_kernel_basis,
     null_space_exact,
 )
 from .monomials import Poly, basis_size, poly_from_line, poly_mul, vector_to_poly
@@ -150,40 +152,30 @@ def exact_determinant(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDe
 def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     """Exact check that alpha | theta(alpha) for every line of the arrangement.
 
-    For the line alpha = (a_0, a_1, a_2), let e be the first coordinate with
-    a_e != 0 and s < t the other two (_chart). The points U + k*W, with
-    U = (x_e = -a_s, x_s = a_e, x_t = 0) and W = (x_e = -a_t, x_s = 0,
-    x_t = a_e), run along the line, and theta(alpha) restricts to a
-    polynomial r(k) of degree at most d, zero exactly when theta is tangent
-    to the line. One value decides it: at k = K = 2^bits, r(K) is zero
-    exactly when r is, since 2^(bits - 1) exceeds every coefficient of every
-    line's r (_tangency_bits). At that point P, x_s = a_e and x_t = a_e*K,
-    so a component F has F(P) = sum_i x_e^i * a_e^(d-i) * G_i, where G_i
-    packs F's coefficients of x_e^i x_s^j x_t^k at K^k and does not depend
-    on the line (_packed_groups). The groups are built once per eliminated
-    coordinate, so each line costs 3(d + 1) small-by-packed products and a
-    d-step Horner evaluation in x_e. Equivalent to membership in the kernel
-    of the derivation matrix, derived independently.
+    Each line alpha = (a_0, a_1, a_2) is read on its chart (e, s, t)
+    (_chart), where a_e != 0: the points U + k*W, with U = (x_e = -a_s,
+    x_s = a_e, x_t = 0) and W = (x_e = -a_t, x_s = 0, x_t = a_e), run along
+    the line, and theta(alpha) restricts to a polynomial r(k) of degree at
+    most d, zero exactly when theta is tangent to the line. One value
+    decides it: at k = K = 2^bits, r(K) is zero exactly when r is, since
+    2^(bits - 1) exceeds every coefficient of every line's r (_line_bound).
+    _restriction_at computes r(K) from groups that depend on the chart
+    only (_packed_groups), so they are built once per chart, at most three
+    times a call, and each line costs 3(d + 1) small-by-packed products and
+    a d-step Horner evaluation. Equivalent to membership in the kernel of
+    the derivation matrix, derived independently.
     """
     if not _derivation_degree_ok(theta, d):
         return False
     theta, _ = _integral(theta)
-    charts = [_chart(line.coeffs) for line in arr.lines]
-    bits = _tangency_bits(arr, charts, theta, d)
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for line, (e, s, t) in zip(arr.lines, charts):
-        if e not in groups:
-            groups[e] = _packed_groups(theta, d, e, t, bits)
-        a0, a1, a2 = a = line.coeffs
-        sums = [a0 * gf + a1 * gg + a2 * gh for gf, gg, gh in groups[e]]
-        if not any(sums):
-            continue
-        x_e, a_e = -(a[s] + (a[t] << bits)), a[e]
-        acc, scale = sums[d], 1
-        for i in reversed(range(d)):
-            scale *= a_e
-            acc = acc * x_e + scale * sums[i]
-        if acc:
+    lines = [line.coeffs for line in arr.lines]
+    bits = _line_bound(lines, theta, d).bit_length() + 1
+    groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for a in lines:
+        chart = _chart(a)
+        if chart not in groups:
+            groups[chart] = _packed_groups(theta, d, chart, bits)
+        if _restriction_at(groups[chart], a, chart, bits, d):
             return False
     return True
 
@@ -192,40 +184,69 @@ _CHARTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def _chart(coeffs: tuple[int, int, int]) -> tuple[int, int, int]:
-    """(e, s, t): e the first coordinate with a nonzero coefficient, s < t the other two."""
-    return _CHARTS[0 if coeffs[0] else 1 if coeffs[1] else 2]
+    """(e, s, t), the one chart on which certify reads the line: s < t the coordinates other than e.
+
+    e is 0 when all three coefficients are nonzero and otherwise the last
+    coordinate with a nonzero coefficient, so a_e != 0 and x_s, x_t are
+    coordinates on the line.
+    """
+    return _CHARTS[0 if all(coeffs) else 2 if coeffs[2] else 1 if coeffs[1] else 0]
 
 
-def _tangency_bits(
-    arr: Arrangement, charts: list[tuple[int, int, int]], theta: ExactDerivation, d: int
-) -> int:
-    """bits with 2^(bits - 1) > max over lines of (sum_c |a_c| * |theta_c|_1) * M^d.
+def _line_bound(lines: list[tuple[int, int, int]], theta: ExactDerivation, d: int) -> int:
+    """max over the lines of (sum_c |a_c| * |theta_c|_1) * M^d, M = max(|a_e|, |a_s| + |a_t|).
 
-    On a line's chart (_chart) the coordinates of U + k*W are linear in k
-    with coefficient sums at most M = max(|a_e|, |a_s| + |a_t|), and the
-    integral field theta(alpha) has coefficient sum at most
-    sum_c |a_c| * |theta_c|_1, so this bounds every coefficient of r(k)
-    for every line, and one K = 2^bits serves them all.
+    On a line's chart the coordinates of U + k*W are linear in k with
+    coefficient sums at most M, and the integral field theta(alpha) has
+    coefficient sum at most sum_c |a_c| * |theta_c|_1, so this bounds every
+    coefficient of r(k) = theta(alpha)(U + k*W) on every one of the lines.
     """
     w0, w1, w2 = (sum(abs(v) for v in comp.values()) for comp in theta)
     bound = 0
-    for line, (e, s, t) in zip(arr.lines, charts):
-        a0, a1, a2 = a = line.coeffs
+    for a in lines:
+        e, s, t = _chart(a)
         m = max(abs(a[e]), abs(a[s]) + abs(a[t]))
-        bound = max(bound, (abs(a0) * w0 + abs(a1) * w1 + abs(a2) * w2) * m**d)
-    return bound.bit_length() + 1
+        bound = max(bound, (abs(a[0]) * w0 + abs(a[1]) * w1 + abs(a[2]) * w2) * m**d)
+    return bound
 
 
-def _packed_groups(theta: ExactDerivation, d: int, e: int, t: int, bits: int) -> list[tuple[int, int, int]]:
-    """(G_i of f, G_i of g, G_i of h) for i = 0..d.
+def _packed_groups(
+    theta: ExactDerivation, d: int, chart: tuple[int, int, int], bits: int
+) -> list[tuple[int, int, int]]:
+    """(G_i of f, G_i of g, G_i of h) for i = 0..d on the chart (e, s, t).
 
     G_i sums v * 2^(bits * k) over a component's terms v * x_e^i x_s^j x_t^k.
     """
+    e, _, t = chart
     out = [[0] * (d + 1) for _ in theta]
     for g, comp in zip(out, theta):
         for mon, v in comp.items():
             g[mon[e]] += v << (bits * mon[t])
     return list(zip(*out))
+
+
+def _restriction_at(
+    groups: list[tuple[int, int, int]], a: tuple[int, int, int], chart: tuple[int, int, int], bits: int, d: int
+) -> int:
+    """r(K) = theta(alpha)(U + K*W), K = 2^bits, for the line a on its chart, from theta's _packed_groups.
+
+    At that point x_e = -(a_s + a_t*K), x_s = a_e and x_t = a_e*K, so a
+    component F of degree d takes the value sum_i x_e^i * a_e^(d-i) * G_i,
+    evaluated by Horner in x_e. When 2^(bits - 1) exceeds every coefficient
+    of r (_line_bound), r(K) is zero exactly when r is, and _unpack reads
+    r's coefficients off its signed base-K digits.
+    """
+    e, s, t = chart
+    a0, a1, a2 = a
+    sums = [a0 * gf + a1 * gg + a2 * gh for gf, gg, gh in groups]
+    if not any(sums):
+        return 0
+    x_e, a_e = -(a[s] + (a[t] << bits)), a[e]
+    acc, scale = sums[d], 1
+    for i in reversed(range(d)):
+        scale *= a_e
+        acc = acc * x_e + scale * sums[i]
+    return acc
 
 
 def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
@@ -236,69 +257,25 @@ def _integral(theta: ExactDerivation) -> tuple[ExactDerivation, int]:
     return tuple({e: int(v * den) for e, v in comp.items()} for comp in theta), den
 
 
-def _line_form(theta: ExactDerivation, line: Line) -> Poly:
-    """theta(alpha) = a*f + b*g + c*h for alpha = a*x + b*y + c*z, zero terms dropped."""
-    combined: Poly = {}
-    for comp, weight in zip(theta, line.coeffs):
-        if weight:
-            for e, v in comp.items():
-                combined[e] = combined.get(e, 0) + weight * v
-    return {e: v for e, v in combined.items() if v}
-
-
-def _weight(form: Poly) -> int:
-    return sum(abs(v) for v in form.values())
-
-
-def _pack_point(line: Line, d: int, weight: int) -> tuple[tuple[int, int, int], int]:
-    """The point u + K*w of the line alpha = 0, K = 2^bits, and bits.
-
-    With (u, w) = line_kernel_basis(line) and M = max_i(|u_i| + |w_i|), an
-    integer form of degree e <= d and coefficient weight sum|v| restricts to
-    r(k) = form(u + k*w) with coefficients bounded by weight * M^e. bits is
-    chosen with 2^(bits - 1) > weight * M^d, so such an r(K) is zero exactly
-    when r is, and _unpack reads r's coefficients off its signed base-K
-    digits (a Kronecker substitution).
-    """
-    u, w = line_kernel_basis(line)
-    m = max(abs(a) + abs(b) for a, b in zip(u, w))
-    bits = (weight * m**d).bit_length() + 1
-    return (u[0] + (w[0] << bits), u[1] + (w[1] << bits), u[2] + (w[2] << bits)), bits
-
-
-def _powers(point: tuple[int, int, int], d: int) -> list[list[int]]:
-    """Powers 0..d of each coordinate of the point."""
-    tables = []
-    for x in point:
-        table = [1]
-        for _ in range(d):
-            table.append(table[-1] * x)
-        tables.append(table)
-    return tables
-
-
-def _evaluate(form: Poly, powers: list[list[int]]) -> int:
-    px, py, pz = powers
-    return sum(v * px[a] * py[b] * pz[c] for (a, b, c), v in form.items())
-
-
-def _field_at(theta: ExactDerivation, powers: list[list[int]]) -> tuple[int, int, int]:
-    return tuple(_evaluate(comp, powers) for comp in theta)
-
-
 def _saito_point(arr: Arrangement) -> tuple[int, int, int]:
-    """P = (1, K, K^2), K = 2 * max|line coefficient| + 1: a point on no line.
+    """P = (1, K, K^2), K = 2^b with 2^(b - 1) > max|line coefficient|: a point on no line.
 
     alpha(P) = a + b*K + c*K^2 has the signed base-K digits a, b, c, each of
     absolute value below K / 2 and not all zero, so it is not zero.
     """
-    k = 2 * max(abs(v) for line in arr.lines for v in line.coeffs) + 1
+    k = 1 << (max(abs(v) for line in arr.lines for v in line.coeffs).bit_length() + 1)
     return (1, k, k * k)
 
 
-def _det_at(point: tuple[int, int, int], v1: tuple[int, int, int], v2: tuple[int, int, int]) -> int:
-    """det(P, v1, v2) for rows P, v1, v2."""
-    return sum(p * c for p, c in zip(point, _cross(v1, v2)))
+def _value_at(theta: ExactDerivation, bits: int) -> tuple[int, int, int]:
+    """theta(P) at P = (1, 2^bits, 2^(2*bits)) of an integral field: sum v << bits*(j + 2k) per component."""
+    return tuple(sum(v << bits * (j + 2 * k) for (_, j, k), v in comp.items()) for comp in theta)
+
+
+def _det_at(bits: int, v1: tuple[int, int, int], v2: tuple[int, int, int]) -> int:
+    """det(P, v1, v2) for rows P = (1, 2^bits, 2^(2*bits)), v1, v2."""
+    c0, c1, c2 = _cross(v1, v2)
+    return c0 + (c1 << bits) + (c2 << 2 * bits)
 
 
 def _saito_scalar(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDerivation) -> Fraction:
@@ -307,13 +284,14 @@ def _saito_scalar(arr: Arrangement, theta1: ExactDerivation, theta2: ExactDeriva
     For fields tangent to every line, of degrees summing to n - 1, Saito's
     lemma gives det(E, theta1, theta2) = c * Q with c constant, Q squarefree
     because the lines are distinct, and Q(P) != 0; so this is that c, and
-    the determinant is zero exactly when c is. Meaningless for other fields:
-    callers check tangency and degrees first.
+    the determinant is zero exactly when c is. Both fields are scaled to
+    integers and read at P by shifts (_value_at). Meaningless for other
+    fields: callers check tangency and degrees first.
     """
     point = _saito_point(arr)
+    bits = point[1].bit_length() - 1
     (t1, s1), (t2, s2) = _integral(theta1), _integral(theta2)
-    powers = _powers(point, max((sum(e) for t in (t1, t2) for comp in t for e in comp), default=0))
-    det = _det_at(point, _field_at(t1, powers), _field_at(t2, powers))
+    det = _det_at(bits, _value_at(t1, bits), _value_at(t2, bits))
     return Fraction(det, prod(line.evaluate(point) for line in arr.lines) * s1 * s2)
 
 
@@ -387,14 +365,15 @@ def verify_free(
     certificate that passes check_certificate (see chain_certificate). When
     the descent gets stuck, the exact kernels at both degrees are computed,
     quotiented by the Euler multiples, and basis pairs are scanned in order
-    of increasing coefficient size. Each basis vector is evaluated once at
-    the point P of _saito_point, so a pair's determinant at P is one 3x3
-    integer determinant; it is nonzero exactly when det(E, theta1, theta2)
-    is. The first nonzero pair yields the certificate, which must pass
-    check_certificate (InternalInconsistency otherwise); if every pair
-    vanishes the bilinear map is identically zero on the kernels and
-    NotFreeAtExponents is returned. So every Certified passes the same
-    exact test as a certificate file.
+    of increasing coefficient size. Each basis vector is integral and is
+    evaluated once at the point P of _saito_point, by shifts (_value_at),
+    so a pair's determinant at P is one 3x3 integer determinant; it is
+    nonzero exactly when det(E, theta1, theta2) is. The first nonzero pair
+    yields the certificate, with c = det(P) / Q(P) read off those same
+    values, and it must pass check_certificate (InternalInconsistency
+    otherwise); if every pair vanishes the bilinear map is identically zero
+    on the kernels and NotFreeAtExponents is returned. So every Certified
+    passes the same exact test as a certificate file.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
@@ -410,13 +389,13 @@ def verify_free(
     if cert is not None:
         return Certified(cert)
     point = _saito_point(arr)
+    bits = point[1].bit_length() - 1
 
     def fields_at_point(d):
         comp = null_space_exact(derivation_matrix(arr, d)).complement
         fields = [vector_to_derivation(vec, d) for vec in comp]
-        powers = _powers(point, d)
         order = sorted(range(len(comp)), key=lambda i: _bit_size(comp[i]))
-        return fields, [_field_at(theta, powers) for theta in fields], order
+        return fields, [_value_at(theta, bits) for theta in fields], order
 
     fields1, values1, order1 = fields_at_point(d1)
     fields2, values2, order2 = (fields1, values1, order1) if d2 == d1 else fields_at_point(d2)
@@ -426,10 +405,10 @@ def verify_free(
             if d1 == d2 and i >= j:
                 continue  # antisymmetric in the equal-degree case
             pairs_scanned += 1
-            if _det_at(point, values1[i], values2[j]):
-                theta1, theta2 = fields1[i], fields2[j]
-                c = _saito_scalar(arr, theta1, theta2)
-                cert = FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(arr))
+            det = _det_at(bits, values1[i], values2[j])
+            if det:
+                c = Fraction(det, prod(line.evaluate(point) for line in arr.lines))
+                cert = FreenessCertificate(d1, d2, fields1[i], fields2[j], c, arrangement_hash(arr))
                 ok, failing = check_certificate(arr, cert)
                 if not ok:
                     raise InternalInconsistency(f"kernel-pair certificate fails its re-check: {failing}")
@@ -489,16 +468,18 @@ def lift_certificate(
     to every line of the extension, and psi = lam * theta_i + f * theta_j,
     with f of degree e = d_i - d_j, is tangent to the new line alpha = 0
     exactly when lam * r_i + f|_H * r_j = 0, r_i and r_j the restrictions
-    of theta_i(alpha) and theta_j(alpha) to the line. Both are read off the
-    digits of their values at one packed point, packed once for both fields
-    (_pack_point, _unpack). So a lift through theta_j exists exactly when
-    r_j divides r_i with a quotient q of degree at most e (_exact_quotient;
-    r_i = 0 gives f = 0). On the line s*u + t*w, with u_s != 0 = w_s and
-    w_t != 0 = u_t, x_s = s*u_s and x_t = t*w_t, so f = -lam * sum_p q_p /
-    (u_s^(e-p) * w_t^p) * x_s^(e-p) * x_t^p, and lam is the lcm of those
-    denominators. det(E, phi, psi) = +-lam * c * Q, so for a valid seed a
-    division that succeeds always gives a valid certificate, at exponents
-    (d_j + 1, d_i).
+    of theta_i(alpha) and theta_j(alpha) to the line, both taken on the
+    line's chart (e, s, t) (_chart) as polynomials in k at the points
+    U + k*W. Both are read at k = K = 2^bits, with one bits for both fields
+    (_line_bound, _restriction_at), and _unpack reads their coefficients
+    off the signed base-K digits. So a lift through theta_j exists exactly
+    when r_j divides r_i with a quotient q of degree at most
+    e = d_i - d_j (_exact_quotient; r_i = 0 gives f = 0). On the chart
+    x_s = a_e and x_t = a_e * k, so f = sum_p f_p * x_s^(e-p) * x_t^p
+    restricts to a_e^e * sum_p f_p * k^p, and f_p = -lam * q_p / a_e^e,
+    with lam the lcm of the denominators of the q_p / a_e^e.
+    det(E, phi, psi) = +-lam * c * Q, so for a valid seed a division that
+    succeeds always gives a valid certificate, at exponents (d_j + 1, d_i).
 
     theta_1 is tried first, then theta_2. The exponents of a free
     arrangement are unique, so when d_1 < d_2 at most one of the two
@@ -509,11 +490,11 @@ def lift_certificate(
     """
     thetas, scales = zip(*(_integral(t) for t in (seed.theta1, seed.theta2)))
     degs = (seed.d1, seed.d2)
-    forms = [_line_form(theta, line) for theta in thetas]
-    top = max(degs)
-    point, bits = _pack_point(line, top, max(_weight(form) for form in forms))
-    powers = _powers(point, top)
-    r = [_unpack(_evaluate(form, powers), bits, d + 1) for form, d in zip(forms, degs)]
+    a = line.coeffs
+    chart = _chart(a)
+    bits = max(_line_bound([a], theta, d) for theta, d in zip(thetas, degs)).bit_length() + 1
+    r = [_unpack(_restriction_at(_packed_groups(theta, d, chart, bits), a, chart, bits, d), bits, d + 1)
+         for theta, d in zip(thetas, degs)]
     for j, i in ((0, 1), (1, 0)):
         dj, di = degs[j], degs[i]
         e = di - dj
@@ -522,10 +503,8 @@ def lift_certificate(
             break
     else:
         return None
-    u, w = line_kernel_basis(line)
-    s = next(k for k in range(3) if u[k] and not w[k])
-    t = next(k for k in range(3) if w[k] and not u[k])
-    terms = [-qp / (u[s] ** (e - p) * w[t] ** p) for p, qp in enumerate(q)]
+    _, s, t = chart
+    terms = [-qp / a[chart[0]] ** e for qp in q]
     lam = lcm(*(v.denominator for v in terms))
     f: Poly = {}
     for p, v in enumerate(terms):

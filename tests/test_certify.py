@@ -795,6 +795,72 @@ def test_saito_point_lies_on_no_line():
         assert all(line.evaluate(point) for line in arr.lines)
 
 
+def random_field(rng, d, size=10**6):
+    """An integral field of degree d with random, often negative, coefficients on random monomials."""
+    mons = monomial_basis(d).monomials
+    return tuple({m: rng.randint(-size, size) or 1 for m in rng.sample(mons, rng.randint(0, len(mons)))}
+                 for _ in range(3))
+
+
+def test_value_at_the_saito_point_matches_powers_of_the_point():
+    # theta(P) and det(P, v1, v2) by shifts equal plain evaluation at
+    # P = (1, K, K^2), on random fields and on the mutant's kernel vectors
+    rng = random.Random(2026)
+    mutant = fixtures.disjoint_pencils(9, 4)
+    exps = candidate_exponents(mutant)
+    kernel = [vector_to_derivation(vec, d) for d in (exps.d1, exps.d2)
+              for vec in null_space_exact(derivation_matrix(mutant, d)).complement]
+    assert kernel
+    cases = [(certify._saito_point(mutant), kernel)]
+    cases += [((1, 1 << b, 1 << 2 * b), [random_field(rng, rng.randint(0, 7)) for _ in range(8)])
+              for b in (1, 2, 5, 13, 64)]
+    for point, fields in cases:
+        bits = point[1].bit_length() - 1
+        assert point == (1, 1 << bits, 1 << 2 * bits)
+        values = []
+        for theta in fields:
+            direct = tuple(sum(v * point[0] ** i * point[1] ** j * point[2] ** k
+                               for (i, j, k), v in comp.items()) for comp in theta)
+            assert certify._value_at(theta, bits) == direct
+            values.append(direct)
+        for v1, v2 in zip(values, values[1:]):
+            (p0, p1, p2), (f1, g1, h1), (f2, g2, h2) = point, v1, v2
+            det = p0 * (g1 * h2 - h1 * g2) - p1 * (f1 * h2 - h1 * f2) + p2 * (f1 * g2 - g1 * f2)
+            assert certify._det_at(bits, v1, v2) == det
+
+
+def test_restriction_digits_match_the_expanded_restriction_in_every_chart():
+    # r(k) = theta(alpha)(U + k*W) expanded term by term against the digits
+    # of r(K), on random lines whose zero coefficients pick every chart
+    rng = random.Random(20261019)
+    charts = set()
+    for _ in range(300):
+        a = tuple(rng.choice((0, rng.randint(-50, 50))) for _ in range(3))
+        if not any(a):
+            continue
+        d = rng.randint(0, 6)
+        theta = random_field(rng, d)
+        chart = e, s, t = certify._chart(a)
+        charts.add(e)
+        assert a[e] and s < t and {e, s, t} == {0, 1, 2}
+        u, w = [0, 0, 0], [0, 0, 0]
+        u[e], u[s], w[e], w[t] = -a[s], a[e], -a[t], a[e]
+        assert sum(x * y for x, y in zip(a, u)) == sum(x * y for x, y in zip(a, w)) == 0
+        expanded = [0] * (d + 1)
+        for comp, a_c in zip(theta, a):
+            for mon, v in comp.items():
+                term = [a_c * v]
+                for c, power in enumerate(mon):
+                    for _ in range(power):
+                        term = convolve(term, [u[c], w[c]])
+                for p, x in enumerate(term):
+                    expanded[p] += x
+        bits = certify._line_bound([a], theta, d).bit_length() + 1
+        groups = certify._packed_groups(theta, d, chart, bits)
+        assert certify._unpack(certify._restriction_at(groups, a, chart, bits, d), bits, d + 1) == expanded
+    assert charts == {0, 1, 2}
+
+
 def test_repeated_lines_are_no_arrangement():
     # on x, x, y the fields x d/dx and z d/dz are tangent, of degrees summing
     # to n - 1, and det(P)/Q(P) is a nonzero number; but det = -xyz is no
@@ -805,7 +871,9 @@ def test_repeated_lines_are_no_arrangement():
         Arrangement((x, x, y))
     assert (exc.value.i, exc.value.j) == (0, 1)
     x_dx, z_dz = ({(1, 0, 0): 1}, {}, {}), ({}, {}, {(0, 0, 1): 1})
-    assert certify._saito_scalar(SimpleNamespace(lines=(x, x, y)), x_dx, z_dz) == -9
+    repeated = SimpleNamespace(lines=(x, x, y))
+    _, k, _ = certify._saito_point(repeated)  # det(P) / Q(P) = -K^3 / K
+    assert certify._saito_scalar(repeated, x_dx, z_dz) == -k * k != 0
     assert certify.exact_determinant_from_parts(x_dx, z_dz) == {(1, 1, 1): -1}
     assert product_of_lines((x, x, y)) == {(2, 1, 0): 1}
 

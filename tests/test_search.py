@@ -3,7 +3,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,9 @@ from freelines.certify import (
     verify_arrangement,
     verify_free,
 )
+from freelines.derivations import line_kernel_basis
 from freelines.fixtures import near_pencil
+from freelines.monomials import poly_from_line, poly_mul
 from freelines.scores import RewardWeights
 from freelines.search import (
     ExtensionConfig,
@@ -516,18 +518,89 @@ def test_lift_exists_exactly_on_the_addition_theorem_count(seed, cert):
 
 def test_lift_packs_one_point_for_both_fields(monkeypatch, boolean):
     # on the (1, 1) triangle theta_1 does not divide for this line, so
-    # theta_2 is tried too, on the same packed point
+    # theta_2 is tried too, on restrictions read at the same K = 2^bits
     cert = seed_certificate(boolean)
     line = canonicalize_line(0, 1, -2)
-    packs, quotients = [], []
-    pack, quotient = certify._pack_point, certify._exact_quotient
-    monkeypatch.setattr(certify, "_pack_point", lambda *a: packs.append(a) or pack(*a))
+    unpacked, quotients = [], []
+    unpack, quotient = certify._unpack, certify._exact_quotient
+    monkeypatch.setattr(certify, "_unpack", lambda *a: unpacked.append(a) or unpack(*a))
     monkeypatch.setattr(certify, "_exact_quotient", lambda *a: quotients.append(quotient(*a)) or quotients[-1])
     extended = boolean.extended(line)
     lift = lift_certificate(cert, extended, line)
     assert [q is None for q in quotients] == [True, False]
-    assert len(packs) == 1
+    assert len(unpacked) == 2 and len({bits for _, bits, _ in unpacked}) == 1
     assert (lift.d1, lift.d2) == (1, 2) and check_certificate(extended, lift) == (True, None)
+
+
+def kernel_basis_lift(seed, extended, line):
+    """lift_certificate as built on derivations.line_kernel_basis, an independent reference.
+
+    The restrictions are expanded on the points u + k*w of the line, and
+    f_p = -lam * q_p / (u_s^(e-p) * w_t^p), where x_s = u_s and x_t = k*w_t.
+    """
+    thetas, scales = zip(*(certify._integral(t) for t in (seed.theta1, seed.theta2)))
+    degs = (seed.d1, seed.d2)
+    u, w = line_kernel_basis(line)
+    r = []
+    for theta, d in zip(thetas, degs):
+        total = [0] * (d + 1)
+        for comp, a in zip(theta, line.coeffs):
+            for mon, v in comp.items():
+                term = [a * v]
+                for c, power in enumerate(mon):
+                    for _ in range(power):
+                        term = [u[c] * x + w[c] * y for x, y in zip(term + [0], [0] + term)]
+                total = [x + y for x, y in zip(total, term + [0] * (d + 1 - len(term)))]
+        r.append(total)
+    for j, i in ((0, 1), (1, 0)):
+        e = degs[i] - degs[j]
+        q = certify._exact_quotient(r[i], r[j], e)
+        if q is not None:
+            break
+    else:
+        return None
+    s = next(k for k in range(3) if u[k] and not w[k])
+    t = next(k for k in range(3) if w[k] and not u[k])
+    terms = [-qp / (u[s] ** (e - p) * w[t] ** p) for p, qp in enumerate(q)]
+    lam = lcm(*(v.denominator for v in terms))
+    f = {}
+    for p, v in enumerate(terms):
+        if v:
+            mon = [0, 0, 0]
+            mon[s], mon[t] = e - p, p
+            f[tuple(mon)] = int(v * lam)
+    phi = tuple(poly_mul(poly_from_line(line.coeffs), comp) for comp in thetas[j])
+    psi = []
+    for comp_i, comp_j in zip(thetas[i], thetas[j]):
+        comp = {m: lam * v for m, v in comp_i.items()}
+        for m, v in poly_mul(f, comp_j).items():
+            comp[m] = comp.get(m, 0) + v
+        psi.append({m: v for m, v in comp.items() if v})
+    c = Fraction(seed.c) * lam * scales[0] * scales[1] * (1 if j == 0 else -1)
+    if e >= 1:
+        return certify.FreenessCertificate(degs[j] + 1, degs[i], phi, tuple(psi), c, arrangement_hash(extended))
+    return certify.FreenessCertificate(degs[i], degs[j] + 1, tuple(psi), phi, -c, arrangement_hash(extended))
+
+
+def test_lift_on_the_chart_matches_the_kernel_basis_lift_on_every_support_pattern():
+    # the chart's lift writes f in the same two coordinates as the reference
+    # built on line_kernel_basis, so the certificates agree exactly; the
+    # pencil through [1:0:0] with x + y = 0 lifts across x = 0
+    pencil = build_arrangement([canonicalize_line(*row) for row in ((0, 1, 0), (0, 0, 1), (0, 1, -1),
+                                                                    (0, 1, 1), (1, 1, 0))])
+    two_pencil = construct_certified(2, 4)
+    seeds = [(near_pencil(6), None), (fixtures.free_13(), None), (pencil, None),
+             (two_pencil.arrangement, two_pencil.certificate)]
+    lifted = set()
+    for seed, cert in seeds:
+        cert = cert or seed_certificate(seed)
+        for line in enumerate_extension_candidates(seed, ExtensionConfig(pool_bound=2)):
+            extended = seed.extended(line)
+            lift = lift_certificate(cert, extended, line)
+            assert lift == kernel_basis_lift(cert, extended, line), line
+            if lift is not None:
+                lifted.add(tuple(bool(v) for v in line.coeffs))
+    assert len(lifted) == 7
 
 
 def test_cascade_runs_no_kernel(monkeypatch, near_pencil5):
