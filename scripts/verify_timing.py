@@ -2,8 +2,8 @@
 """In-process timings of each stage of one verify-free operation.
 
 A verify-free operation writes and reads an arrangement, evaluates the loss
-(saito_functional: deletion chain and lifts, bases from the certificate,
-Saito tensor, ALS), hands the evaluation to verify_free, which re-checks its
+(saito_functional: deletion chain and lifts, the loss read off the
+certificate), hands the evaluation to verify_free, which re-checks its
 certificate as a witness, and round-trips the certificate file through
 check_certificate. For each input this prints the best of REPEATS times of
 every stage on its own, and of the whole operation (op). The chain and the
@@ -31,11 +31,10 @@ from freelines.certify import (
     verify_free,
     write_certificate,
 )
-from freelines.derivations import assemble_saito_tensor, null_space_from_fields
-from freelines.saito import ALSConfig, als_minimize, saito_functional
+from freelines.saito import saito_functional
 
 FIXTURES = ("free_13", "free_19", "free_20")
-STAGES = ("chain", "bases", "tensor", "als", "witness", "write", "read", "check", "op")
+STAGES = ("chain", "witness", "write", "read", "check", "op")
 
 
 def clear_caches():
@@ -74,9 +73,6 @@ def stage_times(arr, repeats, workdir):
     exps = candidate_exponents(arr)
     d1, d2 = exps.d1, exps.d2
     cert = chain_certificate(arr, d1, d2)
-    fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
-    v1, v2 = null_space_from_fields(d1, fields), null_space_from_fields(d2, fields)
-    tensor = assemble_saito_tensor(arr, v1.quotient, v2.quotient)
     ev = saito_functional(arr, d1, d2)
     if not isinstance(verify_free(arr, d1, d2, als=ev), Certified):
         raise RuntimeError(f"{arr.n} lines are not certified")
@@ -84,9 +80,6 @@ def stage_times(arr, repeats, workdir):
     write_certificate(cert_path, cert)
     return {
         "chain": best_of(repeats, lambda: chain_certificate(arr, d1, d2), cold=True),
-        "bases": best_of(repeats, lambda: [null_space_from_fields(d, fields) for d in (d1, d2)]),
-        "tensor": best_of(repeats, lambda: assemble_saito_tensor(arr, v1.quotient, v2.quotient)),
-        "als": best_of(repeats, lambda: als_minimize(tensor, ALSConfig())),
         "witness": best_of(repeats, lambda: verify_free(arr, d1, d2, als=ev)),
         "write": best_of(repeats, lambda: write_certificate(cert_path, cert)),
         "read": best_of(repeats, lambda: read_certificate(cert_path)),

@@ -173,12 +173,24 @@ def intersection_point(l1: Line, l2: Line) -> tuple[int, int, int]:
 
 @dataclass(frozen=True, slots=True)
 class IntersectionPoint:
-    coords: tuple[int, int, int]
-    incident_lines: tuple[int, ...]
+    """A point of the lattice: canonical coordinates, and bit k of mask set when line k passes through it."""
+
+    x: int
+    y: int
+    z: int
+    mask: int
+
+    @property
+    def coords(self) -> tuple[int, int, int]:
+        return (self.x, self.y, self.z)
+
+    @property
+    def incident_lines(self) -> tuple[int, ...]:
+        return tuple(k for k in range(self.mask.bit_length()) if self.mask >> k & 1)
 
     @property
     def multiplicity(self) -> int:
-        return len(self.incident_lines)
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -205,19 +217,17 @@ class LatticeSummary:
 def intersection_summary(arr: Arrangement) -> LatticeSummary:
     """Group all pairwise intersections by canonical point.
 
-    O(n^2) pair enumeration with hash-map grouping; exact throughout.
+    O(n^2) pair enumeration with hash-map grouping, each point's lines kept
+    as one bitmask; points in sorted coordinate order, exact throughout.
     """
-    groups: dict[tuple[int, int, int], set[int]] = {}
+    groups: dict[tuple[int, int, int], int] = {}
     lines = arr.lines
     n = len(lines)
     for i in range(n):
         for j in range(i + 1, n):
             pt = intersection_point(lines[i], lines[j])
-            groups.setdefault(pt, set()).update((i, j))
-    points = tuple(
-        IntersectionPoint(coords, tuple(sorted(idx)))
-        for coords, idx in sorted(groups.items())
-    )
+            groups[pt] = groups.get(pt, 0) | 1 << i | 1 << j
+    points = tuple(IntersectionPoint(*coords, mask) for coords, mask in sorted(groups.items()))
     t: dict[int, int] = {}
     for p in points:
         t[p.multiplicity] = t.get(p.multiplicity, 0) + 1

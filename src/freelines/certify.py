@@ -575,9 +575,8 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[int] | None:
         return None
     others: list[list[int]] = [[] for _ in arr.lines]  # per line: the other lines at each point on it
     for p in s.points:
-        mask = sum(1 << k for k in p.incident_lines)
         for k in p.incident_lines:
-            others[k].append(mask & ~(1 << k))
+            others[k].append(p.mask & ~(1 << k))
     mask, a, b = (1 << arr.n) - 1, d1, d2
     chain: list[int] = []
     while len(chain) < arr.n - 3:

@@ -37,7 +37,7 @@ from .certify import (
     verify_free,
     write_certificate,
 )
-from .saito import ALSConfig, saito_functional
+from .saito import saito_functional
 from .scores import RewardWeights
 from .search import (
     Catalog,
@@ -93,13 +93,6 @@ def _built(command: str, build, *args, **kwargs):
         _usage_error(command, str(exc))
 
 
-def _als_config(args) -> ALSConfig:
-    return _built(
-        args.command, ALSConfig,
-        iterations=args.als_iters, restarts=args.als_restarts, rng_seed=args.seed,
-    )
-
-
 def _exponents_for(arr: Arrangement, args) -> tuple[int, int] | None:
     text = getattr(args, "exponents", None)
     if text is None:
@@ -142,13 +135,12 @@ def cmd_saito(args) -> int:
             arrangement_hash(arr),
         )
         return DOMAIN_ERROR
-    ev = saito_functional(arr, exps[0], exps[1], config=_als_config(args))
+    ev = saito_functional(arr, exps[0], exps[1])
     payload = {
         "loss": ev.loss,
         "exponents": [str(ev.d1), str(ev.d2)],
         "k1": str(ev.k1),
         "k2": str(ev.k2),
-        "restart_losses": list(ev.result.restart_losses) if ev.result else [],
         "elapsed_ms": ev.elapsed_ms,
         "reason": ev.reason,
     }
@@ -377,7 +369,7 @@ def cmd_survey(args) -> int:
                 }
             )
             continue
-        ev = saito_functional(arr, exps[0], exps[1], config=_als_config(args))
+        ev = saito_functional(arr, exps[0], exps[1])
         rows.append(
             {
                 "file": path,
@@ -389,12 +381,6 @@ def cmd_survey(args) -> int:
         )
     _emit("survey", {"rows": rows})
     return 0
-
-
-def _add_als_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--als-iters", type=int, default=10)
-    p.add_argument("--als-restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -422,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saito", help="evaluate the freeness loss")
     p.add_argument("file")
     p.add_argument("--exponents", help="d1,d2 override")
-    _add_als_flags(p)
     p.set_defaults(func=cmd_saito)
 
     p = sub.add_parser("verify", help="exact freeness certification")
@@ -472,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="batch freeness-loss table over files")
     p.add_argument("files", nargs="+")
     p.add_argument("--exponents", help="d1,d2 override for every file")
-    _add_als_flags(p)
     p.set_defaults(func=cmd_survey)
 
     return parser

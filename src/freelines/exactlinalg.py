@@ -307,6 +307,9 @@ def _lift(residues: np.ndarray, primes: list[int], pivots: list[int], free: list
     """Primitive kernel vectors from RREF residues, or None while primes are too few.
 
     The last prime is held out of the CRT and screens each lifted entry.
+    An entry whose residues are 0 for every prime, the held-out one
+    included, lifts to 0 and passes that screen, so only the others are
+    lifted.
     """
     check = primes[-1]
     modulus = prod(primes[:-1])
@@ -317,9 +320,10 @@ def _lift(residues: np.ndarray, primes: list[int], pivots: list[int], free: list
     basis = []
     for j, f in enumerate(free):
         rows = int(np.searchsorted(pivots, f))  # pivots after f have zero entries here
-        values = residues[:-1, :rows, j].T.astype(object).dot(crt) if rows else []
-        nums: list[int] = []
-        for i, v in enumerate(values):
+        live = residues[:, :rows, j].any(axis=0).nonzero()[0]
+        values = residues[:-1, live, j].T.astype(object).dot(crt) if live.size else []
+        nums = [0] * rows
+        for i, v in zip(live.tolist(), values):
             t = v % modulus * den % modulus
             if t > half:
                 t -= modulus
@@ -332,7 +336,7 @@ def _lift(residues: np.ndarray, primes: list[int], pivots: list[int], free: list
                 den *= b
             if (t - den * int(residues[-1, i, j])) % check:
                 return None
-            nums.append(t)
+            nums[i] = t
         vec = [0] * ncols
         vec[f] = den
         for c, t in zip(pivots, nums):

@@ -1,19 +1,23 @@
-"""Angular freeness loss, minimized by alternating least squares with restarts.
+"""Angular freeness loss: its exact value, and its float minimization by ALS.
 
 The loss of an arrangement at exponents (d1, d2) is one minus the best squared
 cosine between an achievable Saito determinant T(alpha1, alpha2) and the
-defining polynomial's coefficient vector q. Fixing either parameter vector
-makes the problem a homogeneous least squares solve, so the two sides are
+defining polynomial's coefficient vector q.
+
+saito_functional reads the loss off verify_free alone. On exact spaces of
+tangent fields every nonzero Saito determinant is c*Q (Saito's criterion,
+K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980), so the loss is 0 or 1: 0 when
+verify_free certifies, and 1 when it refutes. Neither branch builds a float
+basis, a tensor or ALS. On a certificate, k1 and k2 follow from the
+exponents in closed form by the same criterion, and the evaluation carries
+that certificate: verify_free(..., als=evaluation) re-checks it as a
+witness rather than deriving it again.
+
+als_minimize is the float evaluator of the paper's angular minimization, on
+a tensor from assemble_saito_tensor. Fixing either parameter vector makes
+the problem a homogeneous least squares solve, so the two sides are
 alternated; each half-step is accepted only if it does not lower the squared
 cosine, which keeps the recorded history monotone within a restart.
-
-saito_functional takes its freeness decision from verify_free alone. On exact
-spaces of tangent fields every nonzero Saito determinant is c*Q (Saito's
-criterion), so the loss is 0 or 1, and it is 1 exactly when verify_free
-refutes: then no basis, tensor or ALS is built. On a certified input both
-null bases come from the certificate, by the same criterion, and the
-evaluation carries that certificate: verify_free(..., als=evaluation)
-re-checks it as a witness rather than deriving it again.
 """
 
 from __future__ import annotations
@@ -25,14 +29,8 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .certify import FreenessCertificate, NotFreeAtExponents, verify_free
-from .derivations import (
-    SaitoTensor,
-    assemble_saito_tensor,
-    contract_matrix,
-    derivation_matrix,
-    null_space_exact,
-    null_space_from_fields,
-)
+from .derivations import SaitoTensor, contract_matrix, derivation_matrix, null_space_exact
+from .monomials import basis_size
 
 # a contraction whose norm is at most this counts as zero
 ZERO_GUARD = 1e-12
@@ -134,60 +132,54 @@ def als_minimize(t: SaitoTensor, config: ALSConfig = ALSConfig()) -> ALSResult:
 
 @dataclass(frozen=True)
 class SaitoEvaluation:
-    """Full pipeline output: loss, ALS diagnostics, dimensions, timing and the certificate.
+    """Exact loss, dimensions, timing and the certificate the loss was read from.
 
-    certificate is the one verify_free returned, which the bases and so the
-    loss were read from; None on a refutation. Passed back as
-    verify_free(..., als=evaluation), it is re-checked there as a witness
-    instead of building the certificate a second time.
+    certificate is the one verify_free returned; None on a refutation.
+    Passed back as verify_free(..., als=evaluation), it is re-checked there
+    as a witness instead of building the certificate a second time.
     """
 
-    loss: float
+    loss: float  # 0.0 when verify_free certifies, 1.0 when it refutes
     d1: int
     d2: int
     k1: int  # exact nullity of D(A)_d1, Euler multiples included
     k2: int
-    result: ALSResult | None  # None when verify_free refutes
     elapsed_ms: float
-    tensor: SaitoTensor | None = field(repr=False)  # None when verify_free refutes
     certificate: FreenessCertificate | None = field(repr=False)  # None when verify_free refutes
     reason: str | None = None  # "not-free-at-exponents" when verify_free refutes
 
 
-def saito_functional(
-    arr: Arrangement,
-    d1: int,
-    d2: int,
-    config: ALSConfig = ALSConfig(),
-) -> SaitoEvaluation:
+def _free_dimension(d: int, e1: int, e2: int) -> int:
+    """dim D(A)_d of a free arrangement with exponents (e1, e2), by Saito's criterion.
+
+    D(A) is then the free module on E, theta1 and theta2 of degrees 1, e1
+    and e2, so D(A)_d = S_(d-1) E + S_(d-e1) theta1 + S_(d-e2) theta2, and
+    S_m has dimension C(m + 2, 2) for m >= 0 and 0 below.
+    """
+    return sum(basis_size(m) for m in (d - 1, d - e1, d - e2) if m >= 0)
+
+
+def saito_functional(arr: Arrangement, d1: int, d2: int) -> SaitoEvaluation:
     """Evaluate the angular freeness loss of an arrangement at (d1, d2).
 
     verify_free decides freeness at the exponents, in either order. On a
     refutation the loss is 1, and k1 and k2 are the nullities of the exact
     kernels its pair scan has just built (cached). On a certificate, chain,
-    witness or kernel scan alike, D(A)_d1 and D(A)_d2 come from it by Saito's
-    criterion (see null_space_from_fields); the tensor is built on their
-    orthonormal bases modulo Euler multiples, which the Saito determinant
-    sends to zero, and ALS minimizes the loss on it. The certificate is
-    returned with the loss.
+    witness or kernel scan alike, the loss is 0, k1 and k2 are the
+    dimensions of D(A)_d1 and D(A)_d2 by Saito's criterion
+    (_free_dimension), and the certificate is returned with the loss.
     """
     t0 = time.perf_counter()
     outcome = verify_free(arr, *sorted((d1, d2)))
     if isinstance(outcome, NotFreeAtExponents):
         k1, k2 = (null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
         return SaitoEvaluation(
-            loss=1.0, d1=d1, d2=d2, k1=k1, k2=k2, result=None,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=None, certificate=None,
-            reason="not-free-at-exponents",
+            loss=1.0, d1=d1, d2=d2, k1=k1, k2=k2, elapsed_ms=(time.perf_counter() - t0) * 1e3,
+            certificate=None, reason="not-free-at-exponents",
         )
     cert = outcome.certificate
-    fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
-    v1 = null_space_from_fields(d1, fields)
-    v2 = null_space_from_fields(d2, fields) if d2 != d1 else v1
-    w1 = v1.quotient
-    tensor = assemble_saito_tensor(arr, w1, v2.quotient if d2 != d1 else w1)
-    result = als_minimize(tensor, config)
+    k1, k2 = (_free_dimension(d, cert.d1, cert.d2) for d in (d1, d2))
     return SaitoEvaluation(
-        loss=result.loss, d1=d1, d2=d2, k1=v1.nullity, k2=v2.nullity,
-        result=result, elapsed_ms=(time.perf_counter() - t0) * 1e3, tensor=tensor, certificate=cert,
+        loss=0.0, d1=d1, d2=d2, k1=k1, k2=k2, elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        certificate=cert,
     )

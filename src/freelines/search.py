@@ -81,13 +81,13 @@ def delta_b2(arr: Arrangement, line: Line) -> int:
     if arr.contains(line):
         raise DuplicateLine(arr.lines.index(line), arr.n)
     s = intersection_summary(arr)
-    covered: set[int] = set()
+    covered = 0  # bit k set when line k meets the new line at an existing point
     on_points = 0
     for p in s.points:
         if line.evaluate(p.coords) == 0:
             on_points += 1
-            covered.update(p.incident_lines)
-    return on_points + (arr.n - len(covered))
+            covered |= p.mask
+    return on_points + (arr.n - covered.bit_count())
 
 
 @dataclass(frozen=True)
@@ -257,9 +257,10 @@ def supersolvable_two_pencil(d1: int, d2: int) -> Arrangement:
     """
     if not 1 <= d1 <= d2:
         raise ValueError("need 1 <= d1 <= d2")
-    lines = [canonicalize_line(1, 0, 0)]
-    lines += [canonicalize_line(1, -i, 0) for i in range(1, d1 + 1)]
-    lines += [canonicalize_line(1, 0, -j) for j in range(1, d2 + 1)]
+    # each form is already canonical: coprime, first coefficient 1
+    lines = [Line(1, 0, 0)]
+    lines += [Line(1, -i, 0) for i in range(1, d1 + 1)]
+    lines += [Line(1, 0, -j) for j in range(1, d2 + 1)]
     return build_arrangement(lines)
 
 

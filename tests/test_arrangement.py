@@ -23,6 +23,7 @@ from freelines.arrangement import (
     canonicalize_line,
     characteristic_polynomial,
     discriminant,
+    intersection_point,
     intersection_summary,
     no_exponent_reason,
     read_arrangement,
@@ -159,11 +160,11 @@ def test_tjurina_values(boolean, free13, free20):
 
 
 @st.composite
-def pool_arrangements(draw):
+def pool_arrangements(draw, max_size=7):
     from freelines.search import candidate_pool
 
     pool = candidate_pool(2).lines
-    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=7, unique=True))
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=max_size, unique=True))
     return build_arrangement([pool[i] for i in idx])
 
 
@@ -185,6 +186,21 @@ def test_lattice_invariants_random(arr):
     if exps is not None:
         assert exps.d1 + exps.d2 == n - 1
         assert exps.d1 * exps.d2 == s.b2 - n + 1
+
+
+@given(pool_arrangements(max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_points_match_a_set_grouping_of_the_pairwise_meets(arr):
+    # the oracle groups every pairwise meet into a set of line indices
+    groups: dict[tuple[int, int, int], set[int]] = {}
+    for i in range(arr.n):
+        for j in range(i + 1, arr.n):
+            groups.setdefault(intersection_point(arr.lines[i], arr.lines[j]), set()).update((i, j))
+    points = intersection_summary(arr).points
+    assert [p.coords for p in points] == sorted(groups)
+    for p in points:
+        assert p.incident_lines == tuple(sorted(groups[p.coords]))
+        assert p.multiplicity == len(groups[p.coords])
 
 
 def test_json_round_trip(tmp_path, free13):

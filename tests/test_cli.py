@@ -213,7 +213,7 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,config,named",
     [
-        (["saito", "free13", "--als-iters", "0"], None, None),
+        (["saito", "free13", "--exponents", "6,7"], None, None),
         (["search", "3", "1", "1", "--beam", "0"], None, None),
         (["extend", "near_pencil5", "1", "4", "--pool-bound", "0"], None, None),
         (["extend", "near_pencil5", "4", "1"], None, None),
@@ -283,8 +283,8 @@ def test_verify_reads_exponents_in_either_order(files, tmp_path, capsys):
 def test_saito_exponent_order_swaps_nullities(tmp_path, capsys):
     path = str(tmp_path / "free20.json")
     write_arrangement(path, fixtures.free_20())
-    _, forward = run(capsys, ["saito", path, "--exponents", "9,10", "--als-iters", "1", "--als-restarts", "1"])
-    code, backward = run(capsys, ["saito", path, "--exponents", "10,9", "--als-iters", "1", "--als-restarts", "1"])
+    _, forward = run(capsys, ["saito", path, "--exponents", "9,10"])
+    code, backward = run(capsys, ["saito", path, "--exponents", "10,9"])
     assert code == 0
     assert (backward["payload"]["k1"], backward["payload"]["k2"]) == (forward["payload"]["k2"], forward["payload"]["k1"])
     assert forward["payload"]["k1"] != forward["payload"]["k2"]
@@ -378,7 +378,6 @@ def test_saito_and_survey_answer_a_refuted_input(tmp_path, capsys):
     assert code == 0
     payload = data["payload"]
     assert payload["loss"] == 1.0
-    assert payload["restart_losses"] == []
     assert payload["reason"] == "not-free-at-exponents"
     assert (payload["k1"], payload["k2"]) == ("9", "9")
     code, data = run(capsys, ["survey", path])

@@ -129,7 +129,7 @@ def test_exponent_overrides_in_both_orders_are_answered():
                 valid = min(d1, d2) >= 1 and d1 + d2 == 4
                 for argv in (
                     ["verify", str(arr_path), "--exponents", pair, "--certificate-out", out],
-                    ["saito", str(arr_path), "--exponents", pair, "--als-iters", "1", "--als-restarts", "1"],
+                    ["saito", str(arr_path), "--exponents", pair],
                 ):
                     code, _, _ = assert_answered(argv)
                     assert (code != 2) == valid, (argv, code)

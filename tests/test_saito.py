@@ -123,19 +123,29 @@ def test_als_zero_tensor_gives_loss_one():
         assert result.restart_losses == (1.0, 1.0)
 
 
+def _certificate_tensor(arr, ev):
+    """The Saito tensor on the Euler quotients of the bases of D(A)_d1 and D(A)_d2 from ev's certificate."""
+    cert = ev.certificate
+    fields = ((cert.theta1, cert.d1), (cert.theta2, cert.d2))
+    v1 = null_space_from_fields(ev.d1, fields)
+    v2 = null_space_from_fields(ev.d2, fields) if ev.d2 != ev.d1 else v1
+    return assemble_saito_tensor(arr, v1.quotient, v2.quotient)
+
+
 @pytest.mark.parametrize("name", ["boolean", "free13", "free19", "free20"])
 def test_tensor_is_built_modulo_euler_multiples(name, request):
     arr = request.getfixturevalue(name)
     exps = candidate_exponents(arr)
-    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=1, restarts=1))
-    for d, nullity, v in ((ev.d1, ev.k1, ev.tensor.v1), (ev.d2, ev.k2, ev.tensor.v2)):
+    ev = saito_functional(arr, exps.d1, exps.d2)
+    tensor = _certificate_tensor(arr, ev)
+    for d, nullity, v in ((ev.d1, ev.k1, tensor.v1), (ev.d2, ev.k2, tensor.v2)):
         full = null_space_float(derivation_matrix(arr, d))
         assert full.nullity == nullity
         assert v.shape[1] == nullity - full.euler_dim == nullity - len(euler_multiples(d))
         euler = np.array(euler_multiples(d), dtype=np.float64)
         euler /= np.linalg.norm(euler, axis=1, keepdims=True)
         assert np.max(np.abs(euler @ v)) <= 1e-12
-    assert ev.tensor.tensor.shape == (ev.tensor.out_size, ev.tensor.k1, ev.tensor.k2)
+    assert tensor.tensor.shape == (tensor.out_size, tensor.k1, tensor.k2)
 
 
 def _generic6():
@@ -149,7 +159,7 @@ def test_empty_euler_quotient_gives_loss_one(d1, d2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ev = saito_functional(_generic6(), d1, d2)
-    assert ev.tensor is None
+    assert ev.certificate is None
     assert ev.k1 == len(euler_multiples(d1))
     assert ev.loss == 1.0
     assert ev.reason == "not-free-at-exponents"
@@ -191,8 +201,8 @@ def test_scale_invariance_through_canonicalization():
 
 
 def test_history_records_every_half_step(boolean):
-    ev = saito_functional(boolean, 1, 1, config=ALSConfig(iterations=4, restarts=1))
-    assert len(ev.result.history) == 8
+    tensor = _certificate_tensor(boolean, saito_functional(boolean, 1, 1))
+    assert len(als_minimize(tensor, ALSConfig(iterations=4, restarts=1)).history) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +228,9 @@ def test_chain_bases_annihilate_the_derivation_matrix(name, request):
     # so its orthonormalized float basis leaves residuals near 1e-7
     arr = request.getfixturevalue(name)
     exps = candidate_exponents(arr)
-    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=1, restarts=1))
-    for d, v in ((ev.d1, ev.tensor.v1), (ev.d2, ev.tensor.v2)):
+    ev = saito_functional(arr, exps.d1, exps.d2)
+    tensor = _certificate_tensor(arr, ev)
+    for d, v in ((ev.d1, tensor.v1), (ev.d2, tensor.v2)):
         assert np.max(np.abs(_row_normalized(arr, d) @ v)) <= 1e-12
 
 
@@ -248,21 +259,24 @@ def _kernel_path(arr, d1, d2, config):
 
 
 def test_certificate_bases_match_the_kernel_path():
-    # every basis case is free, so saito_functional builds its tensor on
-    # certificate bases; the reference is built on the exact kernels
+    # every basis case is free, so saito_functional returns a certificate,
+    # and its closed-form nullities, the tensor on its bases and ALS there
+    # are checked against the exact kernels
     config = ALSConfig(iterations=2, restarts=1)
     for name, arr in _basis_cases():
         exps = candidate_exponents(arr)
-        ev = saito_functional(arr, exps.d1, exps.d2, config=config)
+        ev = saito_functional(arr, exps.d1, exps.d2)
+        cert_tensor = _certificate_tensor(arr, ev)
         k1, k2, tensor, ref = _kernel_path(arr, exps.d1, exps.d2, config)
         assert (ev.k1, ev.k2) == (k1, k2), name
-        assert ev.tensor.tensor.shape == tensor.tensor.shape, name
+        assert cert_tensor.tensor.shape == tensor.tensor.shape, name
         assert abs(ev.loss - ref.loss) <= 1e-12, name
+        assert abs(als_minimize(cert_tensor, config).loss - ref.loss) <= 1e-12, name
         # the kernel path's own float basis of free_19 at degree 11 is only
         # about 1e-6 from the kernel (see the test above)
         tol = 1e-5 if name == "free19" else 1e-9
-        assert _max_angle(ev.tensor.v1, tensor.v1) <= tol, name
-        assert _max_angle(ev.tensor.v2, tensor.v2) <= tol, name
+        assert _max_angle(cert_tensor.v1, tensor.v1) <= tol, name
+        assert _max_angle(cert_tensor.v2, tensor.v2) <= tol, name
 
 
 def _stacked_fields_basis(d, fields):
@@ -373,6 +387,8 @@ def test_chain_bases_build_no_derivation_matrix(monkeypatch):
 
 
 def test_refutation_builds_no_basis_tensor_or_als(monkeypatch):
+    # neither verdict builds a float basis, a tensor or ALS: a refutation
+    # reads loss 1 and a certificate, chain or kernel scan alike, loss 0
     calls = []
     kernel_basis = exactlinalg.kernel_basis
     monkeypatch.setattr(exactlinalg, "kernel_basis", lambda *a: calls.append(a) or kernel_basis(*a))
@@ -385,22 +401,33 @@ def test_refutation_builds_no_basis_tensor_or_als(monkeypatch):
         return len(calls)
 
     def refuse(*args):
-        raise AssertionError("saito_functional built a float basis, tensor or ALS on a refutation")
+        raise AssertionError("saito_functional built a float basis, tensor or ALS")
 
     mutant, big_mutant = fixtures.disjoint_pencils(5, 2), fixtures.disjoint_pencils(9, 4)
-    exps = candidate_exponents(big_mutant)
-    for arr, d1, d2 in [(mutant, 3, 3), (big_mutant, exps.d2, exps.d1), (_generic6(), 4, 1)]:
-        alone = kernel_calls_cold(lambda: certify.verify_free(arr, *sorted((d1, d2))))
-        evs = []
-        with monkeypatch.context() as m:
-            for name in ("_orthonormal_basis", "null_space_float", "assemble_saito_tensor"):
-                m.setattr(derivations, name, refuse)
-            m.setattr(saito, "assemble_saito_tensor", refuse)
-            m.setattr(saito, "als_minimize", refuse)
-            assert kernel_calls_cold(lambda: evs.append(saito_functional(arr, d1, d2))) == alone
-        ev = evs[0]
-        assert (ev.loss, ev.reason, ev.result, ev.tensor) == (1.0, "not-free-at-exponents", None, None)
-        assert (ev.k1, ev.k2) == tuple(null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
+    exps, exps19 = candidate_exponents(big_mutant), candidate_exponents(fixtures.free_19())
+    refuted = [(mutant, 3, 3, 1.0), (big_mutant, exps.d2, exps.d1, 1.0), (_generic6(), 4, 1, 1.0)]
+    certified = [(fixtures.free_13(), 6, 6, 0.0), (fixtures.free_19(), exps19.d2, exps19.d1, 0.0),
+                 (supersolvable_two_pencil(3, 5), 3, 5, 0.0)]
+    for chain, cases in ((True, refuted + certified), (False, certified)):
+        for arr, d1, d2, loss in cases:
+            evs = []
+            with monkeypatch.context() as m:
+                if not chain:  # certificates from the kernel pair scan
+                    m.setattr(certify, "_deletion_chain", lambda *args: None)
+                alone = kernel_calls_cold(lambda: certify.verify_free(arr, *sorted((d1, d2))))
+                for name in ("_orthonormal_basis", "null_space_float", "null_space_from_fields",
+                             "assemble_saito_tensor"):
+                    m.setattr(derivations, name, refuse)
+                m.setattr(saito, "als_minimize", refuse)
+                assert kernel_calls_cold(lambda: evs.append(saito_functional(arr, d1, d2))) == alone
+            ev = evs[0]
+            assert ev.loss == loss
+            if loss:
+                assert (ev.reason, ev.certificate) == ("not-free-at-exponents", None)
+            else:
+                assert ev.reason is None
+                assert isinstance(ev.certificate, certify.FreenessCertificate)
+            assert (ev.k1, ev.k2) == tuple(null_space_exact(derivation_matrix(arr, d)).nullity for d in (d1, d2))
 
 
 @pytest.mark.parametrize("name", ["np6", "two_pencil_7x7", "free13", "free19", "free20"])
@@ -417,7 +444,9 @@ def test_chainless_free_inputs_take_certificate_bases(name, monkeypatch):
     monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
     for module in (derivations, saito):
         monkeypatch.setattr(module, "null_space_float", refuse, raising=False)
-    ev = saito_functional(arr, exps.d1, exps.d2, config=ALSConfig(iterations=2, restarts=1))
-    assert ev.loss <= 1e-12
-    for d, v in ((ev.d1, ev.tensor.v1), (ev.d2, ev.tensor.v2)):
+    ev = saito_functional(arr, exps.d1, exps.d2)
+    assert ev.loss == 0.0
+    tensor = _certificate_tensor(arr, ev)
+    assert als_minimize(tensor, ALSConfig(iterations=2, restarts=1)).loss <= 1e-12
+    for d, v in ((ev.d1, tensor.v1), (ev.d2, tensor.v2)):
         assert np.max(np.abs(_row_normalized(arr, d) @ v)) <= 1e-9
