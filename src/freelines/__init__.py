@@ -1,7 +1,8 @@
 """Free line arrangements in the projective plane.
 
-Exact lattice invariants and freeness certificates over the rationals, an
-angular freeness loss computed by alternating least squares, and score-guided
+Exact lattice invariants and freeness certificates over the rationals, the
+angular freeness loss (read off an exact verdict: 0 on a certificate, 1 on a
+refutation; its float ALS evaluator is kept alongside), and score-guided
 construction of new free arrangements.
 """
 

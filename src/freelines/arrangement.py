@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isfinite, isqrt
 
 
 class ZeroForm(ValueError):
@@ -64,7 +64,7 @@ class Line:
         return f"[{self.a}:{self.b}:{self.c}]"
 
 
-RationalLike = int | str | Fraction
+RationalLike = int | float | str | Fraction
 
 # Fraction multiplies by 10**exponent before anything can look at the result,
 # so "1e999999999" would build a billion-digit integer. Text with a decimal
@@ -85,14 +85,32 @@ def _bounded_decimal(text: str, what: str) -> str:
     return text
 
 
-def _as_fraction(v: RationalLike) -> Fraction:
-    """v as a Fraction; anything that is not a finite rational raises ValueError."""
-    if isinstance(v, bool):
-        raise ValueError(f"coefficient {v!r} is a boolean, not a number")
+# Coefficients are mostly plain integers, which int() parses without
+# Fraction's general-literal regex; everything else goes to Fraction.
+_PLAIN_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _as_fraction(v, what: str = "coefficient") -> int | Fraction:
+    """The rational a JSON value stands for: an int for an integer, else a Fraction.
+
+    Text reads as Fraction reads it, within the decimal-exponent bound, and a
+    finite float by its shortest decimal text, so 0.1 is 1/10. Anything else,
+    booleans and non-finite numbers included, raises ValueError naming what.
+    """
+    if isinstance(v, str):
+        if _PLAIN_INTEGER.match(v):
+            return int(v)
+        v = _bounded_decimal(v, what)
+    elif isinstance(v, bool):
+        raise ValueError(f"{what}: {v!r} is a boolean, not a number")
+    elif isinstance(v, int):
+        return v
+    elif isinstance(v, float) and isfinite(v):
+        v = repr(v)
     try:
-        return Fraction(_bounded_decimal(v.strip(), "coefficient") if isinstance(v, str) else v)
-    except (ZeroDivisionError, OverflowError, TypeError) as exc:
-        raise ValueError(f"coefficient {v!r} is not a rational number: {exc}") from exc
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValueError(f"{what}: {v!r} is not a rational number: {exc}") from exc
 
 
 def canonicalize_line(a: RationalLike, b: RationalLike, c: RationalLike) -> Line:
@@ -359,5 +377,9 @@ def write_arrangement(path, arr: Arrangement) -> None:
 
 
 def read_arrangement(path) -> Arrangement:
+    """The arrangement in the JSON file at path; a bad file raises ValueError naming path."""
     with open(path) as fh:
-        return arrangement_from_json(json.load(fh))
+        try:
+            return arrangement_from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -51,7 +51,6 @@ coefficients. All of it is exact integer and rational arithmetic.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -60,7 +59,7 @@ from .arrangement import (
     MAX_DECIMAL_DIGITS,
     Arrangement,
     Line,
-    _bounded_decimal,
+    _as_fraction,
     _cross,
     arrangement_hash,
     build_arrangement,
@@ -661,37 +660,27 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
-# Certificate coefficients are mostly plain integers, which int() parses
-# without Fraction's general-literal regex; everything else goes to Fraction.
-_PLAIN_INTEGER = re.compile(r"-?[0-9]+\Z")
-
-
-def _rational_from_json(val, what: str) -> int | Fraction:
-    """The rational of val's text: an int for plain integer text, else a Fraction."""
-    text = str(val)
-    if _PLAIN_INTEGER.match(text):
-        return int(text)
-    try:
-        return Fraction(_bounded_decimal(text, what))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"{what}: {val!r} has a zero denominator") from exc
-
-
 def _poly_from_json(data: dict, what: str) -> Poly:
     out: Poly = {}
     for key, val in _json_object(data, what).items():
         e = tuple(int(x) for x in key.split(","))
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
-        v = _rational_from_json(val, f"{what}[{key!r}]")
+        v = _as_fraction(val, f"{what}[{key!r}]")
         if v:
             out[e] = v if v.denominator != 1 else int(v)
     return out
 
 
+def _entry(data: dict, key: str, what: str):
+    if key not in data:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return data[key]
+
+
 def _theta_from_json(data: dict, key: str) -> ExactDerivation:
-    theta = _json_object(data[key], key)
-    return tuple(_poly_from_json(theta[name], f"{key}.{name}") for name in "fgh")
+    theta = _json_object(_entry(data, key, "certificate"), key)
+    return tuple(_poly_from_json(_entry(theta, name, key), f"{key}.{name}") for name in "fgh")
 
 
 def certificate_to_json(cert: FreenessCertificate) -> dict:
@@ -714,16 +703,16 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
 def certificate_from_json(data: dict) -> FreenessCertificate:
     """Certificate from its JSON form; a malformed shape raises ValueError."""
     _json_object(data, "certificate")
-    exponents = data["exponents"]
+    exponents = _entry(data, "exponents", "certificate")
     if not isinstance(exponents, list) or len(exponents) != 2:
         raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
     d1, d2 = (int(str(x)) for x in exponents)
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
-    c = Fraction(_rational_from_json(data["c"], "c"))
+    c = Fraction(_as_fraction(_entry(data, "c", "certificate"), "c"))
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
-        arrangement_hash=str(data["arrangement_hash"]),
+        arrangement_hash=str(_entry(data, "arrangement_hash", "certificate")),
     )
 
 
@@ -763,5 +752,9 @@ def write_certificate(path, cert: FreenessCertificate) -> None:
 
 
 def read_certificate(path) -> FreenessCertificate:
+    """The certificate in the JSON file at path; a bad file raises ValueError naming path."""
     with open(path) as fh:
-        return certificate_from_json(json.load(fh))
+        try:
+            return certificate_from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

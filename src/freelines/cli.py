@@ -1,16 +1,21 @@
 """Batch command-line interface with machine-readable JSON output.
 
 Exit codes: 0 success, 1 domain failure (not free, no candidate exponents,
-failed check), 2 usage or parse errors, reported as a {"command", "error"}
-JSON object on stderr. Exact quantities are emitted as integer or rational
-strings; only losses, scores and timings are floats.
+failed check), 2 usage errors, reported as a {"command", "error"} JSON object
+on stderr. main is the one place that turns an error into an exit code: an
+OSError or ValueError raised while a command runs (an unreadable or unwritable
+path, a malformed file, a bad value) is a usage error, and anything else is a
+fault of the program and propagates. Exact quantities are emitted as integer
+or rational strings; only losses, scores and timings are floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from typing import NoReturn
 
 from .arrangement import (
@@ -67,13 +72,6 @@ def _usage_error(command: str, message: str) -> NoReturn:
     raise SystemExit(_report_usage(command, message))
 
 
-def _load(path: str) -> Arrangement:
-    try:
-        return read_arrangement(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _usage_error("parse", f"{path}: {exc}")
-
-
 def _parse_exponents(command: str, text: str) -> tuple[int, int]:
     """A "d1,d2" pair of positive integers; anything else is a usage error."""
     try:
@@ -83,14 +81,6 @@ def _parse_exponents(command: str, text: str) -> tuple[int, int]:
     if d1 < 1 or d2 < 1:
         _usage_error(command, f"exponents must be positive, got {text!r}")
     return d1, d2
-
-
-def _built(command: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a ValueError or TypeError it raises is a usage error."""
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
-        _usage_error(command, str(exc))
 
 
 def _exponents_for(arr: Arrangement, args) -> tuple[int, int] | None:
@@ -105,7 +95,7 @@ def _exponents_for(arr: Arrangement, args) -> tuple[int, int] | None:
 
 
 def cmd_invariants(args) -> int:
-    arr = _load(args.file)
+    arr = read_arrangement(args.file)
     s = intersection_summary(arr)
     chi = characteristic_polynomial(arr)
     exps = candidate_exponents(arr)
@@ -126,7 +116,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_saito(args) -> int:
-    arr = _load(args.file)
+    arr = read_arrangement(args.file)
     exps = _exponents_for(arr, args)
     if exps is None:
         _emit(
@@ -149,7 +139,7 @@ def cmd_saito(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    arr = _load(args.file)
+    arr = read_arrangement(args.file)
     exps = _exponents_for(arr, args)
     if exps is None:
         _emit(
@@ -173,10 +163,7 @@ def cmd_verify(args) -> int:
         return DOMAIN_ERROR
     cert = outcome.certificate
     cert_path = args.certificate_out or (args.file + ".cert.json")
-    try:
-        write_certificate(cert_path, cert)
-    except ValueError as exc:
-        return _report_usage("verify", str(exc))
+    write_certificate(cert_path, cert)
     _emit(
         "verify",
         {
@@ -191,12 +178,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    arr = _load(args.file)
-    try:
-        cert = read_certificate(args.certificate)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _report_usage("check", str(exc))
-    ok, failing = check_certificate(arr, cert)
+    arr = read_arrangement(args.file)
+    ok, failing = check_certificate(arr, read_certificate(args.certificate))
     _emit(
         "check",
         {"verdict": "valid" if ok else "invalid", "first_failing_check": failing},
@@ -206,8 +189,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if not 1 <= args.d1 <= args.d2:
-        return _report_usage("construct", f"need 1 <= d1 <= d2, got {args.d1},{args.d2}")
     disc = construct_certified(args.d1, args.d2)
     payload = {
         "arrangement": arrangement_to_json(disc.arrangement),
@@ -215,8 +196,6 @@ def cmd_construct(args) -> int:
         "n": str(disc.arrangement.n),
     }
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         base = f"two_pencil_{args.d1}x{args.d2}"
         write_arrangement(os.path.join(args.out, base + ".json"), disc.arrangement)
@@ -226,50 +205,29 @@ def cmd_construct(args) -> int:
     return 0
 
 
-# --config keys each command reads; any other key is a usage error
-CONFIG_KEYS = {
-    "extend": ("pool_bound",),
-    "cascade": ("pool_bound",),
-    "search": ("weights", "pool_bound", "beam"),
-}
-
-
-def _file_config(args) -> dict:
-    """Optional JSON config object; its keys must be ones the command reads."""
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _usage_error("config", str(exc))
+def _weights_from(args) -> RewardWeights:
+    """The reward weights of the optional --config JSON object {"weights": {...}}."""
+    if not args.config:
+        return RewardWeights()
+    with open(args.config) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(CONFIG_KEYS[args.command]))
+    unknown = sorted(set(data) - {"weights"})
     if unknown:
         _usage_error("config", f"{args.command} does not read config key {unknown[0]!r}")
-    return data
-
-
-def _weights_from(cfg: dict) -> RewardWeights:
-    fields = cfg.get("weights", {})
-    if not isinstance(fields, dict):
-        _usage_error("config", f"weights: expected a JSON object, got {type(fields).__name__}")
-    return _built("config", RewardWeights, **fields)
-
-
-def _extension_config(args) -> ExtensionConfig:
-    cfg = _file_config(args)
-    return _built(
-        args.command, ExtensionConfig,
-        pool_bound=cfg.get("pool_bound", args.pool_bound),
-    )
+    weights = data.get("weights", {})
+    if not isinstance(weights, dict):
+        _usage_error("config", f"weights: expected a JSON object, got {type(weights).__name__}")
+    unknown = sorted(set(weights) - {f.name for f in fields(RewardWeights)})
+    if unknown:
+        _usage_error("config", f"weights: there is no weight {unknown[0]!r}")
+    return RewardWeights(**weights)
 
 
 def cmd_extend(args) -> int:
-    arr = _load(args.file)
-    config = _extension_config(args)
+    arr = read_arrangement(args.file)
+    config = ExtensionConfig(pool_bound=args.pool_bound)
     if not 1 <= args.d1 <= args.d2 or args.d1 + args.d2 != arr.n:
         _usage_error("extend", f"need 1 <= d1 <= d2 with d1 + d2 = n = {arr.n}, got {args.d1},{args.d2}")
     seed_outcome = verify_arrangement(arr)
@@ -298,21 +256,13 @@ def cmd_extend(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _file_config(args)
-    if args.d1 + args.d2 != args.n - 1:
-        _usage_error("search", f"exponents {args.d1},{args.d2} do not sum to n - 1 = {args.n - 1}")
-    if args.n < 3:
-        _usage_error("search", f"beam search needs at least 3 lines, got {args.n}")
-    beam = cfg.get("beam", args.beam)
-    if type(beam) is not int or beam < 1:
-        _usage_error("search", f"beam width must be a positive integer, got {beam!r}")
     entries = beam_search_build(
         args.n,
         args.d1,
         args.d2,
-        weights=_weights_from(cfg),
-        pool=_built("search", candidate_pool, cfg.get("pool_bound", args.pool_bound)),
-        beam_width=beam,
+        weights=_weights_from(args),
+        pool=candidate_pool(args.pool_bound),
+        beam_width=args.beam,
     )
     payload = {
         "beam": [
@@ -336,11 +286,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    seeds = [_load(path) for path in args.seeds]
+    seeds = [read_arrangement(path) for path in args.seeds]
     targets = None
     if args.targets:
         targets = [_parse_exponents(args.command, pair) for pair in args.targets.split(";")]
-    catalog = cascade(seeds, args.n_max, targets, _extension_config(args))
+    catalog = cascade(seeds, args.n_max, targets, ExtensionConfig(pool_bound=args.pool_bound))
     payload = {
         "levels": {
             f"{n},{d1},{d2}": str(len(ds))
@@ -357,7 +307,7 @@ def cmd_cascade(args) -> int:
 def cmd_survey(args) -> int:
     rows = []
     for path in args.files:
-        arr = _load(path)
+        arr = read_arrangement(path)
         exps = _exponents_for(arr, args)
         if exps is None:
             rows.append(
@@ -432,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d1", type=int)
     p.add_argument("d2", type=int)
     p.add_argument("--pool-bound", type=int, default=2)
-    p.add_argument("--config", help="JSON config with pool_bound")
     p.add_argument("--out")
     p.set_defaults(func=cmd_extend)
 
@@ -442,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d2", type=int)
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--pool-bound", type=int, default=1)
-    p.add_argument("--config", help="JSON config with weights, pool_bound and beam")
+    p.add_argument("--config", help="JSON config with the reward weights")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cascade", help="level-by-level bootstrap cascade")
@@ -450,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--targets", help="semicolon-separated d1,d2 pairs")
     p.add_argument("--pool-bound", type=int, default=2)
-    p.add_argument("--config", help="JSON config with pool_bound")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cascade)
 
@@ -469,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover
         return 0
+    except (OSError, ValueError) as exc:
+        return _report_usage(args.command, str(exc))
 
 
 if __name__ == "__main__":

@@ -12,13 +12,15 @@ Float code never decides a nullity. A null space comes from one of two exact
 sources: the exact kernel of the derivation matrix, or, for a free
 arrangement with a checked certificate (theta1, theta2, c != 0), Saito's
 criterion, which gives D(A)_d = S_{d-1} E (+) S_{d-d1} theta1 (+) S_{d-d2}
-theta2 with no matrix at all. The loss takes its bases from the certificate
-(null_space_from_fields); the exact kernel serves verify_free's pair scan,
-and its float basis (null_space_float) is the tests' independent oracle.
-Either way the float basis is orthonormalized with the Euler multiples
-first, so its trailing columns span the kernel modulo Euler multiples.
-det(E, E', theta) = 0 for every Euler multiple E', so the Saito tensor loses
-nothing when it is built on those columns alone.
+theta2 with no matrix at all (null_space_from_fields). The loss needs no
+basis: it is read off verify_free's verdict. The exact kernel serves
+verify_free's pair scan, and the float bases (null_space_float on the
+kernel, null_space_from_fields on a certificate) feed the float evaluator
+that the tests keep as an independent oracle. Either way the float basis is
+orthonormalized with the Euler multiples first, so its trailing columns span
+the kernel modulo Euler multiples. det(E, E', theta) = 0 for every Euler
+multiple E', so the Saito tensor loses nothing when it is built on those
+columns alone.
 
 The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
 of two null bases in one pass: with z = 1 each block becomes a bivariate

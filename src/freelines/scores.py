@@ -12,8 +12,10 @@ tensor or ALS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from math import isqrt
+from numbers import Real
 
 from .arrangement import (
     Arrangement,
@@ -133,6 +135,11 @@ class RewardWeights:
     w_free: float = 5.0
 
     def __post_init__(self):
+        # rewards are floats, so a weight must be a real number a float can hold
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if isinstance(w, bool) or not isinstance(w, Real) or not abs(w) <= sys.float_info.max:
+                raise ValueError(f"{f.name}: weight must be a finite real number, got {w!r}")
         largest = sorted(
             (self.w_comb, self.w_feas, self.w_b2, self.w_int, self.w_pen, self.w_mult)
         )[-1]

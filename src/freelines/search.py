@@ -42,7 +42,7 @@ from .certify import (
     verify_arrangement,
     verify_free,
 )
-from .monomials import Poly
+from .monomials import Poly, poly_from_line, poly_mul
 from .scores import RewardWeights, ScoreConfig, reward
 
 
@@ -224,26 +224,13 @@ def two_pencil_witness(d1: int, d2: int) -> tuple:
     """
     b1: Poly = {(0, 0, 0): 1}
     for i in range(1, d1 + 1):
-        b1 = _mul_linear(b1, 1, -i, 0)
+        b1 = poly_mul(b1, poly_from_line((1, -i, 0)))
     b2: Poly = {(0, 0, 0): 1}
     for j in range(1, d2 + 1):
-        b2 = _mul_linear(b2, 1, 0, -j)
+        b2 = poly_mul(b2, poly_from_line((1, 0, -j)))
     theta1 = ({}, b1, {})
     theta2 = ({}, {}, b2)
     return theta1, theta2
-
-
-def _mul_linear(p: Poly, a: int, b: int, c: int) -> Poly:
-    out: Poly = {}
-    for (e1, e2, e3), v in p.items():
-        for coeff, key in ((a, (e1 + 1, e2, e3)), (b, (e1, e2 + 1, e3)), (c, (e1, e2, e3 + 1))):
-            if coeff:
-                w = out.get(key, 0) + coeff * v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-    return out
 
 
 def supersolvable_two_pencil(d1: int, d2: int) -> Arrangement:
@@ -256,7 +243,7 @@ def supersolvable_two_pencil(d1: int, d2: int) -> Arrangement:
     pairwise distinct and avoid every other line.
     """
     if not 1 <= d1 <= d2:
-        raise ValueError("need 1 <= d1 <= d2")
+        raise ValueError(f"need 1 <= d1 <= d2, got {d1},{d2}")
     # each form is already canonical: coprime, first coefficient 1
     lines = [Line(1, 0, 0)]
     lines += [Line(1, -i, 0) for i in range(1, d1 + 1)]
@@ -313,11 +300,11 @@ def beam_search_build(
     existing callers. The final beam is sorted by algebraic score.
     """
     if beam_width < 1:
-        raise ValueError("beam width must be at least 1")
+        raise ValueError(f"beam width must be at least 1, got {beam_width}")
     if n < 3:
-        raise ValueError("beam search needs at least 3 lines")
+        raise ValueError(f"beam search needs at least 3 lines, got {n}")
     if d1 + d2 != n - 1:
-        raise ValueError("target exponents must sum to n - 1")
+        raise ValueError(f"exponents {d1},{d2} do not sum to n - 1 = {n - 1}")
     pool = pool or candidate_pool(1)
     score_cfg = ScoreConfig(target_exponents=(d1, d2))
     # beam states: (lines, cumulative reward, last sigma_alg, last outcome)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines import certify, derivations, exactlinalg, fixtures
+from freelines import arrangement, certify, derivations, exactlinalg, fixtures
 from freelines.arrangement import (
     Arrangement,
     DuplicateLine,
     Line,
+    arrangement_from_json,
     build_arrangement,
     candidate_exponents,
     canonicalize_line,
@@ -437,11 +439,38 @@ INTEGER_LIKE = st.one_of(
 def test_coefficient_reader_agrees_with_fraction(text):
     # plain integers take int(); every text reads to Fraction(text)'s value
     # or raises the same exception type
-    got, got_exc = _parse(lambda t: certify._rational_from_json(t, "c"), text)
+    got, got_exc = _parse(lambda t: arrangement._as_fraction(t, "c"), text)
     want, want_exc = _parse(Fraction, text)
     assert got_exc is want_exc
     assert got == want
     assert type(got) in (int, Fraction, type(None))
+
+
+def _read_as_coefficient(scalar):
+    # [s : 0 : 1] is canonical as [p : 0 : q] for s = p/q > 0
+    line = arrangement_from_json({"lines": [[scalar, 0, 1], [0, 1, 0], [1, 0, 0]]}).lines[0]
+    return Fraction(line.a, line.c)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("0.1", Fraction(1, 10)), ("1e-5", Fraction(1, 100000)), ("3", Fraction(3)),
+        ('"3/4"', Fraction(3, 4)), ('"1e5"', Fraction(100000)),
+        ("1e400", None), ("true", None), ("null", None), ("{}", None), ("[]", None), ('"1/0"', None),
+    ],
+)
+def test_arrangement_and_certificate_readers_agree(boolean, text, want):
+    # one JSON scalar as a line coefficient and as a certificate's c
+    scalar = json.loads(text)
+    data = {**certificate_to_json(verify_free(boolean, 1, 1).certificate), "c": scalar}
+    got = []
+    for read in (_read_as_coefficient, lambda s: certificate_from_json(data).c):
+        try:
+            got.append(read(scalar))
+        except ValueError:
+            got.append(None)
+    assert got == [want, want]
 
 
 def test_certificate_reader_keeps_its_result_types(near_pencil5):

@@ -43,6 +43,8 @@ def bad_files(tmp_path):
             {**good_cert, "theta1": {**good_cert["theta1"], "f": {"1,0,0": "1e-999999999"}}}
         ),
         "cert_c_huge_exponent": json.dumps({**good_cert, "c": "2E+1_000_000"}),
+        "cert_no_c": json.dumps({k: v for k, v in good_cert.items() if k != "c"}),
+        "cert_no_theta2": json.dumps({k: v for k, v in good_cert.items() if k != "theta2"}),
         # each coefficient reads, but the certificate's products have 6000 digits
         "huge_certificate": '{"lines": [["1e3000", 1, 0], [0, "1e3000", 1], [0, 0, 1]]}',
     }
@@ -58,6 +60,19 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def usage_error(capsys, argv) -> dict:
+    """The JSON error of a usage error, after checking exit 2 and an empty stdout."""
+    # argument errors exit through SystemExit; main returns 2 for the others
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
 
 
 def test_invariants_fixture(files, capsys):
@@ -81,18 +96,15 @@ def test_invariants_boolean(files, capsys):
 def test_invariants_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants", str(bad)])
-    assert exc.value.code == 2
+    err = usage_error(capsys, ["invariants", str(bad)])
+    assert err["command"] == "invariants"
+    assert str(bad) in err["error"]
 
 
 def test_invariants_boolean_coefficient_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bool.json"
     bad.write_text(json.dumps({"lines": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}))
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants", str(bad)])
-    assert exc.value.code == 2
-    assert "error" in json.loads(capsys.readouterr().err)
+    assert "boolean" in usage_error(capsys, ["invariants", str(bad)])["error"]
 
 
 @pytest.mark.parametrize(
@@ -217,11 +229,11 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["search", "3", "1", "1", "--beam", "0"], None, None),
         (["extend", "near_pencil5", "1", "4", "--pool-bound", "0"], None, None),
         (["extend", "near_pencil5", "4", "1"], None, None),
-        (["extend", "near_pencil5", "1", "4"], {"pool_bound": 2.5}, "2.5"),
+        (["search", "3", "1", "1"], {"weights": {"w_alg": float("nan")}}, "w_alg"),
         (["search", "3", "1", "2"], None, None),
         (["search", "3", "1", "1"], {"weights": {"bogus": 1}}, "bogus"),
-        (["extend", "near_pencil5", "1", "4"], {"prefilter_threshold": 0.02}, "prefilter_threshold"),
-        (["cascade", "near_pencil5", "--n-max", "6"], {"threads": 2}, "threads"),
+        (["search", "3", "1", "1"], {"weights": {"w_pen": True}}, "w_pen"),
+        (["search", "3", "1", "1"], {"beam": 2}, "beam"),
         (["search", "2", "0", "1"], None, None),
         (["extend", "near_pencil5", "1", "4", "--delta-b2", "1"], None, "--delta-b2"),
         (["search", "3", "1", "1", "--seed", "0"], None, "--seed"),
@@ -239,6 +251,12 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
         (["check", "boolean", "cert_huge_exponent"], None, "theta1.f"),
         (["check", "boolean", "cert_c_huge_exponent"], None, "c: '2E+1_000_000' expands"),
         (["verify", "huge_certificate"], None, "more than 4000 digits"),
+        (["search", "4", "1", "2"], {"weights": {"w_free": float("inf")}}, "w_free"),
+        (["search", "4", "1", "2"], {"weights": {"w_free": [1]}}, "w_free"),
+        (["check", "boolean", "cert_no_c"], None, "missing key 'c'"),
+        (["check", "boolean", "cert_no_theta2"], None, "missing key 'theta2'"),
+        (["extend", "near_pencil5", "1", "4", "--config", "cfg.json"], None, "--config"),
+        (["cascade", "near_pencil5", "--n-max", "6", "--config", "cfg.json"], None, "--config"),
     ],
 )
 def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, config, named):
@@ -248,15 +266,7 @@ def test_bad_values_are_usage_errors(files, bad_files, tmp_path, capsys, argv, c
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
-    # most commands exit through SystemExit; check returns its usage code
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = json.loads(captured.err)
+    err = usage_error(capsys, argv)
     assert err["error"]
     if named is not None:
         assert named in err["error"]
@@ -407,16 +417,24 @@ def test_round_trip_cli_files(tmp_path, files):
     assert read_arrangement(again) == arr
 
 
-def test_config_file_overrides(files, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pool_bound": 2}))
-    code, data = run(
-        capsys,
-        ["extend", files["near_pencil5"], "1", "4", "--pool-bound", "1", "--config", str(cfg)],
-    )
-    assert code == 0
-    # pool bound 1 alone has no unused apex lines; the config bound of 2 does
-    assert len(data["payload"]["discoveries"]) >= 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "1", "1", "--out", "{blocked}"],
+        ["verify", "boolean", "--certificate-out", "{blocked}"],
+        ["extend", "near_pencil5", "1", "4", "--out", "{blocked}"],
+        ["cascade", "near_pencil5", "--n-max", "6", "--targets", "1,4", "--out", "{blocked}"],
+    ],
+    ids=["construct", "verify", "extend", "cascade"],
+)
+def test_unwritable_output_path_is_usage_error(files, tmp_path, capsys, argv):
+    # a path below a regular file cannot be created, whoever runs the test
+    (tmp_path / "plain").write_text("")
+    blocked = str(tmp_path / "plain" / "out")
+    argv = [blocked if a == "{blocked}" else files.get(a, a) for a in argv]
+    err = usage_error(capsys, argv)
+    assert err["command"] == argv[0]
+    assert blocked in err["error"]
 
 
 def test_delta_b2_flag_is_unknown(files, capsys):

@@ -29,12 +29,13 @@ def test_traced_names_resolve():
 
 @pytest.mark.parametrize(
     "script,args",
-    [("score_reference.py", ["2", "100"]), ("cascade_demo.py", ["7"]), ("find_refutation.py", []),
+    [("score_reference.py", ["2", "100"]), ("coverage_sweep.py", ["6"]), ("find_refutation.py", []),
      ("kernel_timing.py", ["1", "pencils_9_4", "free_13"]), ("tangent_timing.py", ["1", "free_13"]),
      ("verify_timing.py", ["1", "free_13"])],
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
+    # coverage_sweep.py certifies one two-pencil per exponent cell;
     # find_refutation.py runs verify_free's kernel pair scan on non-free inputs;
     # kernel_timing.py times the exact kernel path; tangent_timing.py times
     # is_tangent_field and check_certificate on chain certificates;
