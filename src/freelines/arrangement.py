@@ -376,10 +376,20 @@ def write_arrangement(path, arr: Arrangement) -> None:
         fh.write("\n")
 
 
-def read_arrangement(path) -> Arrangement:
-    """The arrangement in the JSON file at path; a bad file raises ValueError naming path."""
+def read_json(path, parse):
+    """parse applied to the JSON value in the file at path; a bad file raises ValueError naming path.
+
+    A bad file is one that does not decode or that parse refuses with
+    ValueError. A nesting too deep for the decoder is one too: json.load
+    raises RecursionError on it, which is not a ValueError.
+    """
     with open(path) as fh:
         try:
-            return arrangement_from_json(json.load(fh))
-        except ValueError as exc:
+            return parse(json.load(fh))
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_arrangement(path) -> Arrangement:
+    """The arrangement in the JSON file at path; a bad file raises ValueError naming path."""
+    return read_json(path, arrangement_from_json)

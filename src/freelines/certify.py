@@ -66,6 +66,7 @@ from .arrangement import (
     candidate_exponents,
     intersection_summary,
     no_exponent_reason,
+    read_json,
 )
 from .derivations import (
     DegreeMismatch,
@@ -329,7 +330,7 @@ def _triangle_certificate(arr: Arrangement) -> FreenessCertificate:
 
 
 def _bit_size(vec) -> int:
-    return sum(abs(v).bit_length() for v in vec)
+    return sum(v.bit_length() for v in vec)
 
 
 def _witness_certificate(
@@ -753,8 +754,4 @@ def write_certificate(path, cert: FreenessCertificate) -> None:
 
 def read_certificate(path) -> FreenessCertificate:
     """The certificate in the JSON file at path; a bad file raises ValueError naming path."""
-    with open(path) as fh:
-        try:
-            return certificate_from_json(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, certificate_from_json)

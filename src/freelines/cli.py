@@ -28,6 +28,7 @@ from .arrangement import (
     intersection_summary,
     no_exponent_reason,
     read_arrangement,
+    read_json,
     tjurina,
     write_arrangement,
 )
@@ -209,20 +210,22 @@ def _weights_from(args) -> RewardWeights:
     """The reward weights of the optional --config JSON object {"weights": {...}}."""
     if not args.config:
         return RewardWeights()
-    with open(args.config) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {"weights"})
-    if unknown:
-        _usage_error("config", f"{args.command} does not read config key {unknown[0]!r}")
-    weights = data.get("weights", {})
-    if not isinstance(weights, dict):
-        _usage_error("config", f"weights: expected a JSON object, got {type(weights).__name__}")
-    unknown = sorted(set(weights) - {f.name for f in fields(RewardWeights)})
-    if unknown:
-        _usage_error("config", f"weights: there is no weight {unknown[0]!r}")
-    return RewardWeights(**weights)
+
+    def parse(data) -> RewardWeights:
+        if not isinstance(data, dict):
+            _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {"weights"})
+        if unknown:
+            _usage_error("config", f"{args.command} does not read config key {unknown[0]!r}")
+        weights = data.get("weights", {})
+        if not isinstance(weights, dict):
+            _usage_error("config", f"weights: expected a JSON object, got {type(weights).__name__}")
+        unknown = sorted(set(weights) - {f.name for f in fields(RewardWeights)})
+        if unknown:
+            _usage_error("config", f"weights: there is no weight {unknown[0]!r}")
+        return RewardWeights(**weights)
+
+    return read_json(args.config, parse)
 
 
 def cmd_extend(args) -> int:

@@ -31,6 +31,7 @@ of 2-D FFT spectra at each frequency.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,11 +73,16 @@ def line_kernel_basis(line: Line) -> tuple[tuple[int, int, int], tuple[int, int,
 
 @dataclass(frozen=True)
 class DerivationMatrix:
-    """Integer constraint matrix whose kernel is D(A)_d; shape n(d+1) x 3*N_d."""
+    """Integer constraint matrix whose kernel is D(A)_d; shape n(d+1) x 3*N_d.
+
+    Its identity is (arrangement, degree), which determine the rows: equality
+    and hashing, and so every cached lookup keyed by the matrix, never touch
+    the rows.
+    """
 
     arrangement: Arrangement
     degree: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,16 +94,6 @@ def _binary_form_powers(u: int, w: int, d: int) -> list[list[int]]:
     return [[math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)] for e in range(d + 1)]
 
 
-def _conv(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 @lru_cache(maxsize=16)
 def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     """Constraint matrix for degree-d tangent fields; entries are integers.
@@ -105,11 +101,16 @@ def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     Line alpha = a x + b y + c z, parametrized as s*u + t*w by its
     line_kernel_basis, gives d + 1 rows: row p holds the s^p coefficients of
     alpha(f, g, h) restricted to the line, so column (block, m) carries the
-    block's coefficient of alpha times that of m(s*u + t*w). The powers
-    (s*u_i + t*w_i)^e, e <= d, are tabulated once per line, and each
-    monomial's restriction is the product of three table entries. On a line
-    through a coordinate point (a coefficient zero) each coordinate of
-    s*u + t*w is one term, so each monomial restricts to one term and each
+    block's coefficient of alpha times that of m(s*u + t*w).
+
+    The restriction has a closed form. At most one coordinate of s*u + t*w
+    has both an s term and a t term (x, when a != 0); every other one is a
+    single term, c*s or c*t, or zero. So x^e1 y^e2 z^e3 restricts to a
+    monomial, the product of the single-term powers, times one binomial
+    power, read off the line's _binary_form_powers table of the two-term
+    coordinate. Each entry is such a product, written straight into the
+    line's rows, and zero terms are skipped. On a line through a coordinate
+    point (a coefficient zero) every coordinate is a single term, and each
     column has at most one nonzero entry in the line's rows.
     """
     if d < 1:
@@ -118,20 +119,29 @@ def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
     nd = len(mons)
     rows: list[tuple[int, ...]] = []
     for line in arr.lines:
-        a, b, c = line.coeffs
         u, w = line_kernel_basis(line)
-        px, py, pz = (_binary_form_powers(u[i], w[i], d) for i in range(3))
-        # per monomial: coefficients of m(s*u + t*w) indexed by the power of s
-        lam = [_conv(_conv(px[e1], py[e2]), pz[e3]) for e1, e2, e3 in mons]
-        for p in range(d + 1):
-            row = [0] * (3 * nd)
-            for mi in range(nd):
-                lp = lam[mi][p]
-                if lp:
-                    row[mi] = a * lp
-                    row[nd + mi] = b * lp
-                    row[2 * nd + mi] = c * lp
-            rows.append(tuple(row))
+        # the coordinate with both an s and a t term, if any, is the only one expanded
+        two = next((i for i in range(3) if u[i] and w[i]), 0)
+        one, other = (i for i in range(3) if i != two)
+        binomial = _binary_form_powers(u[two], w[two], d)
+        # a single-term coordinate to the power e: (power of s, coefficient)
+        first, second = (
+            [(e, u[i] ** e) if u[i] else (0, w[i] ** e) for e in range(d + 1)] for i in (one, other)
+        )
+        blocks = [(block * nd, a) for block, a in enumerate(line.coeffs) if a]
+        line_rows = [[0] * (3 * nd) for _ in range(d + 1)]
+        for mi, m in enumerate(mons):
+            k1, c1 = first[m[one]]
+            k2, c2 = second[m[other]]
+            scale = c1 * c2
+            if not scale:
+                continue
+            for p, v in enumerate(binomial[m[two]], k1 + k2):
+                if v:
+                    row, lam = line_rows[p], scale * v
+                    for offset, a in blocks:
+                        row[offset + mi] = a * lam
+        rows.extend(tuple(row) for row in line_rows)
     return DerivationMatrix(arr, d, tuple(rows))
 
 
@@ -201,7 +211,7 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
     nd = len(mons)
     keep_f = [i for i, m in enumerate(mons) if m[0] == 0]
     col_ids = keep_f + [nd + i for i in range(nd)] + [2 * nd + i for i in range(nd)]
-    sub = [[row[j] for j in col_ids] for row in matrix.rows]
+    sub = list(map(operator.itemgetter(*col_ids), matrix.rows))
     sub_kernel = exactlinalg.kernel_basis(sub, len(col_ids))
     vectors = [tuple(v) for v in euler_multiples(d)]
     for kv in sub_kernel:

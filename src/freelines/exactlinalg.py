@@ -2,6 +2,12 @@
 
 kernel_basis is multimodular and Las Vegas: never wrong, only retried.
 
+- Row order: the nonzero rows are sorted by leading column, ties broken by
+  the row itself, before anything else. The RREF, and so the basis, does not
+  depend on the order of the rows, but the work does: two orders of the same
+  rows (two line orders of one arrangement, say) are eliminated as one
+  array, and the sorted order puts sparse rows with early leading columns
+  first, which cuts fill-in on the sparse derivation matrices.
 - Per prime: the matrix is reduced modulo a batch of primes below 2^26 and
   brought to row echelon form for all of them at once, in one int64 array of
   shape (primes, rows, cols), with lazy reduction (only the pivot row and the
@@ -18,7 +24,8 @@ kernel_basis is multimodular and Las Vegas: never wrong, only retried.
   primes left in a batch share one pivot profile. The residues of the lucky
   primes are combined by CRT and lifted to rationals by reconstruction with
   a common denominator, one held-out prime screening the lift. Primes are
-  added until the lifted vectors satisfy A x = 0 exactly over the integers.
+  added until the lifted vectors satisfy A x = 0 exactly over the integers,
+  a check that multiplies only the nonzero entries of each row.
 
 A vector that passes is the RREF kernel vector of its free column: its support
 is that column and the pivot columns before it, so it is unique. It is
@@ -35,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 from math import gcd, isqrt, log2, prod
+from operator import lshift, mul
 
 import numpy as np
 
@@ -355,14 +364,17 @@ def _annihilates(rows: list, abits: int, vectors: list[tuple[int, ...]], ncols: 
     abits bounds the bit length of the entries of A.
     Column j carries sum_k v_k[j] 2^(slot*k); a row's dot product with the
     packed columns is then sum_k (A v_k)_row 2^(slot*k), and slot bits hold
-    each term, so the sum is 0 only when every term is.
+    each term, so the sum is 0 only when every term is. Every row is checked
+    against every vector, but only a row's nonzero entries are multiplied.
     """
     if not vectors:
         return True
-    vbits = max(abs(x).bit_length() for v in vectors for x in v)
+    vbits = max(map(int.bit_length, chain.from_iterable(vectors)))
     slot = abits + vbits + ncols.bit_length() + 2
-    packed = [sum(v[j] << (slot * k) for k, v in enumerate(vectors)) for j in range(ncols)]
-    return all(sum(a * y for a, y in zip(r, packed) if a) == 0 for r in rows)
+    shifts = [slot * k for k in range(len(vectors))]
+    packed = [sum(map(lshift, column, shifts)) for column in zip(*vectors)]
+    # compress passes on the nonzero entries of a row and the packed columns they meet
+    return all(sum(map(mul, compress(r, r), compress(packed, r))) == 0 for r in rows)
 
 
 def _prime_limit(rows: list, ncols: int) -> int:
@@ -379,11 +391,20 @@ def _prime_limit(rows: list, ncols: int) -> int:
     return 3 * int(bits / log2(PRIME_LIMIT / 2) + 2) + 16
 
 
+def _canonical(row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a nonzero row: its leading column, then the row itself."""
+    return next(j for j, x in enumerate(row) if x), row
+
+
 def kernel_basis(matrix: list[list[int]], ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the rational kernel, one RREF vector per free column."""
+    """Primitive integer basis of the rational kernel, one RREF vector per free column.
+
+    The nonzero rows are eliminated in canonical order (_canonical), so the
+    work, like the basis, is the same for every order of the rows.
+    """
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    rows = [r for r in matrix if any(r)]
+    rows = sorted((tuple(r) for r in matrix if any(r)), key=_canonical)
     if not rows:
         return [tuple(int(c == f) for c in range(ncols)) for f in range(ncols)]
     residues = _Residues(rows, ncols)

@@ -437,6 +437,25 @@ def test_unwritable_output_path_is_usage_error(files, tmp_path, capsys, argv):
     assert blocked in err["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "{deep}"],
+        ["check", "boolean", "{deep}"],
+        ["search", "3", "1", "1", "--config", "{deep}"],
+    ],
+    ids=["invariants", "check", "search-config"],
+)
+def test_deeply_nested_json_is_usage_error(files, tmp_path, capsys, argv):
+    # json.load raises RecursionError on this nesting, which is no ValueError
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"lines": ' + "[" * 100000 + "]" * 100000 + "}")
+    argv = [str(deep) if a == "{deep}" else files.get(a, a) for a in argv]
+    err = usage_error(capsys, argv)
+    assert err["command"] == argv[0]
+    assert str(deep) in err["error"] and "recursion" in err["error"]
+
+
 def test_delta_b2_flag_is_unknown(files, capsys):
     # the addition theorem fixes |A''| for each target, so no override exists
     with pytest.raises(SystemExit) as exc:

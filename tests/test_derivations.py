@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines.arrangement import Line, build_arrangement, canonicalize_line
-from freelines.certify import exact_determinant
+from freelines import fixtures
+from freelines.arrangement import Line, build_arrangement, candidate_exponents, canonicalize_line
+from freelines.certify import NotFreeAtExponents, exact_determinant, verify_free
 from freelines.derivations import (
     DegreeMismatch,
     assemble_saito_tensor,
@@ -103,6 +104,43 @@ def test_derivation_matrix_matches_expanded_restrictions(lines_a, lines_b, d, rn
                 coeff * restricted[mi][p] for coeff in line.coeffs for mi in range(nd)
             ))
     assert derivation_matrix(arr, d).rows == tuple(expected)
+
+
+# det 1, and a * UNIMODULAR has no zero entry for any line a of a
+# disjoint-pencil mutant: (1, 0, 0), (1, -i, 0) and (0, 1, -j) with i, j >= 1
+UNIMODULAR = ((1, 1, 1), (2, -1, 3), (0, 2, -1))
+
+
+def unimodular_image(arr):
+    """The arrangement whose line rows are a * UNIMODULAR for the rows a of arr."""
+    return build_arrangement([
+        canonicalize_line(*(sum(a[i] * UNIMODULAR[i][j] for i in range(3)) for j in range(3)))
+        for a in (line.coeffs for line in arr.lines)
+    ])
+
+
+@pytest.mark.parametrize("km", [(9, 4), (10, 5)], ids=["pencils_9_4", "pencils_10_5"])
+def test_mutant_images_off_the_coordinate_axes(km):
+    # every coefficient nonzero: each line's x coordinate has an s and a t
+    # term, the closed form's one binomial case, and the matrices are dense
+    arr = fixtures.disjoint_pencils(*km)
+    image = unimodular_image(arr)
+    assert all(all(line.coeffs) for line in image.lines)
+    exps = candidate_exponents(arr)
+    assert candidate_exponents(image) == exps
+    outcome = verify_free(arr, exps.d1, exps.d2)
+    moved = verify_free(image, exps.d1, exps.d2)
+    assert isinstance(outcome, NotFreeAtExponents) and moved == outcome
+    for d in (exps.d1, exps.d2):
+        assert null_space_exact(derivation_matrix(image, d)).nullity == \
+            null_space_exact(derivation_matrix(arr, d)).nullity
+        mons = monomial_basis(d).monomials
+        expected = []
+        for line in image.lines:
+            restricted = [restricted_monomial(m, *line_kernel_basis(line)) for m in mons]
+            for p in range(d + 1):
+                expected.append(tuple(coeff * r[p] for coeff in line.coeffs for r in restricted))
+        assert derivation_matrix(image, d).rows == tuple(expected)
 
 
 def test_boolean_degree1_kernel_members(boolean):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freelines import exactlinalg, fixtures
-from freelines.arrangement import candidate_exponents
+from freelines.arrangement import build_arrangement, candidate_exponents
 from freelines.derivations import derivation_matrix, null_space_exact
 from freelines.exactlinalg import echelon_form, in_kernel, kernel_basis, matvec, rank
 
@@ -289,6 +290,57 @@ def test_kernel_of_sparse_tall_matrices(steps, case):
         basis = kernel_basis(m, ncols)
     assert basis == rref_kernel_oracle(m, ncols)
     assert len(basis) == ncols - rref_rank_oracle(m, ncols)
+
+
+@given(sparse_tall(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_does_not_depend_on_row_order(case, rng):
+    m, ncols = case
+    shuffled = list(m)
+    rng.shuffle(shuffled)
+    assert kernel_basis(shuffled, ncols) == kernel_basis(m, ncols)
+
+
+@lru_cache(maxsize=None)
+def _mutant_rows_and_kernel(km, d):
+    rows = derivation_matrix(fixtures.disjoint_pencils(*km), d).rows
+    return rows, kernel_basis(rows, len(rows[0]))
+
+
+@pytest.mark.parametrize("km,d", [(km, d) for km, d, _, _ in PINNED_MUTANTS],
+                         ids=[f"pencils_{k}_{m}-{d}" for (k, m), d, _, _ in PINNED_MUTANTS])
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=4, deadline=None)
+def test_mutant_kernel_does_not_depend_on_row_order(km, d, rng):
+    rows, kernel = _mutant_rows_and_kernel(km, d)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert kernel_basis(shuffled, len(rows[0])) == kernel
+
+
+def test_line_orders_give_equal_residues(monkeypatch):
+    # the rows are eliminated in a canonical order, so two line orders of
+    # one arrangement hand _echelon_mod the same array
+    seen = []
+    echelon_mod = exactlinalg._echelon_mod
+
+    def recording(a, primes):
+        seen.append(a.copy())
+        return echelon_mod(a, primes)
+
+    monkeypatch.setattr(exactlinalg, "_echelon_mod", recording)
+    arr = fixtures.disjoint_pencils(13, 6)
+    lines = list(arr.lines)
+    random.Random(0).shuffle(lines)
+    matrices = [derivation_matrix(a, 11) for a in (arr, build_arrangement(lines))]
+    assert matrices[0].rows != matrices[1].rows
+    null_space_exact.cache_clear()
+    firsts = []
+    for matrix in matrices:
+        seen.clear()
+        null_space_exact(matrix)
+        firsts.append(seen[0])
+    assert np.array_equal(firsts[0], firsts[1])
 
 
 def echelon_mod_oracle(m, ncols, p):
