@@ -213,11 +213,13 @@ class IntersectionPoint:
 
 @dataclass(frozen=True)
 class LatticeSummary:
-    """Multiplicity data of the intersection lattice.
+    """Multiplicity data of the intersection lattice and every answer read off it.
 
     t maps each multiplicity m >= 2 to the number of m-fold points, b2 is
     sum (m_p - 1), and pair_count_check records the double-counting identity
-    sum C(m,2) t_m = C(n,2).
+    sum C(m,2) t_m = C(n,2). exponents are the integer roots (d1, d2) of
+    t^2 - (n-1)t + (b2 - n + 1), whose discriminant is discriminant, or None
+    with no_exponent_reason saying why. line_points gives |A^H| and m(X).
     """
 
     n: int
@@ -225,15 +227,30 @@ class LatticeSummary:
     t: dict[int, int]
     b2: int
     pair_count_check: bool
+    discriminant: int
+    exponents: CandidateExponents | None
+    no_exponent_reason: str | None
 
     @property
     def max_multiplicity(self) -> int:
-        return max((p.multiplicity for p in self.points), default=0)
+        return max(self.t, default=0)
+
+    def line_points(self) -> list[list[int]]:
+        """Per line k, the masks of the points on it, in point order.
+
+        The list's length is |A^H| for H = line k, and a mask's bit count
+        less one is m(X), the number of other lines through that point X.
+        """
+        on: list[list[int]] = [[] for _ in range(self.n)]
+        for p in self.points:
+            for k in p.incident_lines:
+                on[k].append(p.mask)
+        return on
 
 
 @lru_cache(maxsize=4096)
 def intersection_summary(arr: Arrangement) -> LatticeSummary:
-    """Group all pairwise intersections by canonical point.
+    """Group all pairwise intersections by canonical point, then decide the exponents once.
 
     O(n^2) pair enumeration with hash-map grouping, each point's lines kept
     as one bitmask; points in sorted coordinate order, exact throughout.
@@ -251,7 +268,18 @@ def intersection_summary(arr: Arrangement) -> LatticeSummary:
         t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
     b2 = sum(p.multiplicity - 1 for p in points)
     check = sum(comb(m, 2) * cnt for m, cnt in t.items()) == comb(n, 2)
-    return LatticeSummary(n=n, points=points, t=dict(sorted(t.items())), b2=b2, pair_count_check=check)
+    delta = (n - 1) ** 2 - 4 * (b2 - n + 1)
+    r = isqrt(max(delta, 0))
+    exps, reason = None, None
+    if delta < 0:
+        reason = "delta-negative"
+    elif r * r != delta:
+        reason = "delta-not-square"
+    elif (n - 1 - r) // 2 < 1:
+        reason = "nonpositive-root"  # pencils
+    else:
+        exps = CandidateExponents((n - 1 - r) // 2, (n - 1 + r) // 2, delta)
+    return LatticeSummary(n, points, dict(sorted(t.items())), b2, check, delta, exps, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -273,40 +301,17 @@ class CandidateExponents:
 
 
 def discriminant(arr: Arrangement) -> int:
-    s = intersection_summary(arr)
-    n = arr.n
-    return (n - 1) ** 2 - 4 * (s.b2 - n + 1)
+    return intersection_summary(arr).discriminant
 
 
 def candidate_exponents(arr: Arrangement) -> CandidateExponents | None:
-    """Integer roots (d1, d2) of t^2 - (n-1)t + (b2 - n + 1), if they exist.
-
-    None when the discriminant is negative, not a perfect square, or the
-    smaller root is not positive (pencils); see no_exponent_reason.
-    """
-    exps, _ = _exponents_with_reason(arr)
-    return exps
+    """Integer roots (d1, d2) of t^2 - (n-1)t + (b2 - n + 1), if they exist; see no_exponent_reason."""
+    return intersection_summary(arr).exponents
 
 
 def no_exponent_reason(arr: Arrangement) -> str | None:
     """Why candidate exponents do not exist, or None when they do."""
-    _, reason = _exponents_with_reason(arr)
-    return reason
-
-
-def _exponents_with_reason(arr: Arrangement) -> tuple[CandidateExponents | None, str | None]:
-    delta = discriminant(arr)
-    if delta < 0:
-        return None, "delta-negative"
-    r = isqrt(delta)
-    if r * r != delta:
-        return None, "delta-not-square"
-    n = arr.n
-    d1 = (n - 1 - r) // 2
-    d2 = (n - 1 + r) // 2
-    if d1 < 1:
-        return None, "nonpositive-root"
-    return CandidateExponents(d1, d2, delta), None
+    return intersection_summary(arr).no_exponent_reason
 
 
 @dataclass(frozen=True)
@@ -341,7 +346,7 @@ def tjurina(arr: Arrangement) -> int:
     tau = n * (n - 1) - s.b2
     if tau != sum((p.multiplicity - 1) ** 2 for p in s.points):
         raise RuntimeError(f"Tjurina number {tau} disagrees with sum (m_p - 1)^2")
-    exps = candidate_exponents(arr)
+    exps = s.exponents
     if exps is not None and tau != (n - 1) ** 2 - exps.d1 * exps.d2:
         raise RuntimeError(f"Tjurina number {tau} disagrees with (n - 1)^2 - d1*d2")
     return tau

@@ -63,9 +63,7 @@ from .arrangement import (
     _cross,
     arrangement_hash,
     build_arrangement,
-    candidate_exponents,
     intersection_summary,
-    no_exponent_reason,
     read_json,
 )
 from .derivations import (
@@ -418,10 +416,10 @@ def verify_free(
 
 def verify_arrangement(arr: Arrangement) -> VerificationOutcome:
     """verify_free at the arrangement's own candidate exponents."""
-    exps = candidate_exponents(arr)
-    if exps is None:
-        return NoCandidateExponents(no_exponent_reason(arr))
-    return verify_free(arr, exps.d1, exps.d2)
+    s = intersection_summary(arr)
+    if s.exponents is None:
+        return NoCandidateExponents(s.no_exponent_reason)
+    return verify_free(arr, s.exponents.d1, s.exponents.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -563,27 +561,28 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[int] | None:
     a + 1 points may go, leaving (a, b - 1), and one meeting them in b + 1
     points leaves (a - 1, b); the smaller exponent stays at least 1. The
     exponents are tracked only to decide which lines qualify: the lift
-    back up reads them off its divisions. The descent is greedy: it
-    deletes the first such line in line order and never undoes a step,
-    since by Terao's deletion theorem every step keeps a free set free.
-    None when some set on the way has no such line.
+    back up reads them off its divisions. |A^H| is counted on the points
+    of each line that LatticeSummary.line_points gives. The descent is
+    greedy: it deletes the first such line in line order and never undoes
+    a step, since by Terao's deletion theorem every step keeps a free set
+    free. It need not keep it inductively free, so the descent may stop on
+    an inductively free input; None then, as whenever some set on the way
+    has no such line, and verify_free's pair scan decides instead.
     """
     s = intersection_summary(arr)
     # Deleting H lowers b2 by |A^H|, so every set on the way keeps
     # b2 = n - 1 + a*b; three lines at (1, 1) then have b2 = 3, a triangle.
     if s.b2 != arr.n - 1 + d1 * d2:
         return None
-    others: list[list[int]] = [[] for _ in arr.lines]  # per line: the other lines at each point on it
-    for p in s.points:
-        for k in p.incident_lines:
-            others[k].append(p.mask & ~(1 << k))
+    on = s.line_points()
     mask, a, b = (1 << arr.n) - 1, d1, d2
     chain: list[int] = []
     while len(chain) < arr.n - 3:
         for k in range(arr.n):
             if not mask >> k & 1:
                 continue
-            m = sum(1 for o in others[k] if o & mask)  # |A^H| within the set
+            rest = mask & ~(1 << k)
+            m = sum(1 for p in on[k] if p & rest)  # |A^H| within the set
             if m == a + 1:
                 lo, hi = sorted((a, b - 1))
             elif m == b + 1:

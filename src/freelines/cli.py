@@ -24,7 +24,6 @@ from .arrangement import (
     arrangement_to_json,
     candidate_exponents,
     characteristic_polynomial,
-    discriminant,
     intersection_summary,
     no_exponent_reason,
     read_arrangement,
@@ -34,7 +33,6 @@ from .arrangement import (
 )
 from .certify import (
     Certified,
-    NoCandidateExponents,
     NotFreeAtExponents,
     certificate_to_json,
     check_certificate,
@@ -53,6 +51,7 @@ from .search import (
     candidate_pool,
     cascade,
     construct_certified,
+    discovery_to_json,
     save_catalog,
 )
 
@@ -99,15 +98,15 @@ def cmd_invariants(args) -> int:
     arr = read_arrangement(args.file)
     s = intersection_summary(arr)
     chi = characteristic_polynomial(arr)
-    exps = candidate_exponents(arr)
+    exps = s.exponents
     payload = {
         "n": str(arr.n),
         "t": {str(m): str(cnt) for m, cnt in s.t.items()},
         "b2": str(s.b2),
         "pair_count_check": s.pair_count_check,
-        "delta": str(discriminant(arr)),
+        "delta": str(s.discriminant),
         "exponents": [str(exps.d1), str(exps.d2)] if exps else None,
-        "no_exponent_reason": no_exponent_reason(arr),
+        "no_exponent_reason": s.no_exponent_reason,
         "tjurina": str(tjurina(arr)),
         "chi_cubic": [str(c) for c in chi.cubic],
         "chi_quadratic": [str(c) for c in chi.quadratic],
@@ -240,14 +239,7 @@ def cmd_extend(args) -> int:
     discoveries = bootstrap_extend(arr, seed_outcome.certificate, args.d1, args.d2, config)
     payload = {
         "seed_exponents": [str(seed_outcome.certificate.d1), str(seed_outcome.certificate.d2)],
-        "discoveries": [
-            {
-                "arrangement": arrangement_to_json(d.arrangement),
-                "certificate": certificate_to_json(d.certificate),
-                "provenance": d.provenance,
-            }
-            for d in discoveries
-        ],
+        "discoveries": [discovery_to_json(d) for d in discoveries],
     }
     if args.out:
         catalog = Catalog()

@@ -1,8 +1,11 @@
 """Combinatorial and algebraic shaping scores and the per-step reward.
 
 The closed forms for the interpolating scores are reference stand-ins: the
-three-regime combinatorial score, sigma_b2, sigma_int and sigma_pen are each
-defined here (and cross-checked by scripts/score_reference.py).
+three-regime combinatorial score, the b2 term, the interior share of rich
+(m >= 3) points and the pencil penalty are each defined here (and
+cross-checked by scripts/score_reference.py). Every lattice answer they use,
+the discriminant, the candidate exponents, b2 and the multiplicity counts t,
+is read off the arrangement's one LatticeSummary.
 With candidate exponents the algebraic score is the exact freeness verdict:
 on exact spaces of tangent fields every nonzero Saito determinant is c*Q, so
 the angular loss is 0 or 1, and saito_functional reads it off verify_free.
@@ -17,12 +20,7 @@ from dataclasses import dataclass, fields
 from math import isqrt
 from numbers import Real
 
-from .arrangement import (
-    Arrangement,
-    candidate_exponents,
-    discriminant,
-    intersection_summary,
-)
+from .arrangement import Arrangement, LatticeSummary, intersection_summary
 from .certify import Certified, VerificationOutcome, verify_free
 
 
@@ -88,7 +86,7 @@ def sigma_comb(arr: Arrangement) -> float:
     """
     s = intersection_summary(arr)
     n = arr.n
-    delta = discriminant(arr)
+    delta = s.discriminant
     if s.b2 < n - 1:
         return -1.0
     if delta >= 0 and isqrt(delta) ** 2 == delta:
@@ -107,7 +105,8 @@ def sigma_alg(
     nonnegative perfect square, or, when target exponents are set, the b2
     distance to the target normalized by the target itself.
     """
-    exps = candidate_exponents(arr)
+    s = intersection_summary(arr)
+    exps = s.exponents
     if exps is not None:
         if outcome is None:
             outcome = verify_free(arr, exps.d1, exps.d2)
@@ -115,11 +114,10 @@ def sigma_alg(
     n = arr.n
     target = config.b2_target(n)
     if target is not None and target > 0:
-        b2 = intersection_summary(arr).b2
-        if b2 != target:
-            return -_clamp(abs(b2 - target) / target, 0.0, 1.0)
+        if s.b2 != target:
+            return -_clamp(abs(s.b2 - target) / target, 0.0, 1.0)
         # b2 on target but exponents still missing (pencil): fall through
-    dist = _admissible_square_distance(discriminant(arr), n)
+    dist = _admissible_square_distance(s.discriminant, n)
     return max(-1.0, -dist / _delta_max(n))
 
 
@@ -160,29 +158,16 @@ class RewardBreakdown:
     total: float
 
 
-def _sigma_b2(arr: Arrangement, config: ScoreConfig) -> float:
-    target = config.b2_target(arr.n)
+def _sigma_b2(s: LatticeSummary, config: ScoreConfig) -> float:
+    target = config.b2_target(s.n)
     if target is None or target <= 0:
         return 0.0
-    b2 = intersection_summary(arr).b2
-    return _clamp(1.0 - abs(b2 - target) / target)
+    return _clamp(1.0 - abs(s.b2 - target) / target)
 
 
-def _sigma_int(arr: Arrangement) -> float:
-    s = intersection_summary(arr)
-    if not s.points:
-        return 0.0
-    rich = sum(1 for p in s.points if p.multiplicity >= 3)
-    return rich / len(s.points)
-
-
-def _sigma_pen(arr: Arrangement) -> float:
-    s = intersection_summary(arr)
-    return 1.0 if arr.n >= 4 and s.max_multiplicity >= arr.n - 1 else 0.0
-
-
-def _count_rich(summary) -> int:
-    return sum(1 for p in summary.points if p.multiplicity >= 3)
+def _count_rich(s: LatticeSummary) -> int:
+    """Points of multiplicity at least 3."""
+    return sum(cnt for m, cnt in s.t.items() if m >= 3)
 
 
 def reward(
@@ -205,14 +190,15 @@ def reward(
     if n >= 3:
         comb = sigma_comb(arr)
         alg = sigma_alg(arr, config, outcome)
-        feas = 1.0 if candidate_exponents(arr) is not None else 0.0
+        feas = 1.0 if summary.exponents is not None else 0.0
     else:
         comb, alg, feas = 0.0, 0.0, 0.0
-    b2_term = _sigma_b2(arr, config) if n >= 2 else 0.0
-    interior = _sigma_int(arr)
-    pen = _sigma_pen(arr)
+    b2_term = _sigma_b2(summary, config) if n >= 2 else 0.0
+    rich = _count_rich(summary)
+    interior = rich / len(summary.points) if summary.points else 0.0
+    pen = 1.0 if n >= 4 and summary.max_multiplicity >= n - 1 else 0.0
     prev_rich = _count_rich(prev_summary) if prev_summary is not None else 0
-    mult_gain = float(_count_rich(summary) - prev_rich)
+    mult_gain = float(rich - prev_rich)
     bonus = weights.w_free if terminal and alg == 1.0 else 0.0
     total = (
         weights.w_comb * comb

@@ -29,12 +29,15 @@ from .arrangement import (
     build_arrangement,
     canonicalize_line,
     intersection_summary,
+    read_json,
 )
 from .certify import (
     Certified,
     FreenessCertificate,
     InternalInconsistency,
     VerificationOutcome,
+    _entry,
+    _json_object,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -129,6 +132,15 @@ class Discovery:
     arrangement: Arrangement
     certificate: FreenessCertificate
     provenance: dict
+
+
+def discovery_to_json(disc: Discovery) -> dict:
+    """The JSON form of a discovery, as catalog files and `freelines extend` write it."""
+    return {
+        "arrangement": arrangement_to_json(disc.arrangement),
+        "certificate": certificate_to_json(disc.certificate),
+        "provenance": disc.provenance,
+    }
 
 
 def _lift_routes(a: int, b: int) -> list[tuple[tuple[int, int], int]]:
@@ -416,15 +428,7 @@ def save_catalog(catalog: Catalog, out_dir: str) -> str:
             name = f"n{n}_d{d1}x{d2}_{h[:12]}.json"
             path = os.path.join(out_dir, name)
             with open(path, "w") as fh:
-                json.dump(
-                    {
-                        "arrangement": arrangement_to_json(disc.arrangement),
-                        "certificate": certificate_to_json(disc.certificate),
-                        "provenance": disc.provenance,
-                    },
-                    fh,
-                    indent=2,
-                )
+                json.dump(discovery_to_json(disc), fh, indent=2)
                 fh.write("\n")
             index.setdefault(f"{n},{d1},{d2}", []).append(name)
     index_path = os.path.join(out_dir, "index.json")
@@ -434,20 +438,26 @@ def save_catalog(catalog: Catalog, out_dir: str) -> str:
     return index_path
 
 
+def _index_from_json(data) -> list[str]:
+    """The entry file names of a catalog index, cell by cell."""
+    cells = _json_object(data, "index").values()
+    if not all(isinstance(names, list) and all(isinstance(x, str) for x in names) for names in cells):
+        raise ValueError("index: each cell must list entry file names")
+    return [name for names in cells for name in names]
+
+
+def _discovery_from_json(data) -> Discovery:
+    _json_object(data, "catalog entry")
+    return Discovery(
+        arrangement=arrangement_from_json(_entry(data, "arrangement", "catalog entry")),
+        certificate=certificate_from_json(_entry(data, "certificate", "catalog entry")),
+        provenance=data.get("provenance", {}),
+    )
+
+
 def load_catalog(out_dir: str) -> Catalog:
+    """The catalog save_catalog wrote to out_dir; a bad index or entry raises ValueError naming its file."""
     catalog = Catalog()
-    index_path = os.path.join(out_dir, "index.json")
-    with open(index_path) as fh:
-        index = json.load(fh)
-    for key, names in index.items():
-        for name in names:
-            with open(os.path.join(out_dir, name)) as fh:
-                data = json.load(fh)
-            catalog.add(
-                Discovery(
-                    arrangement=arrangement_from_json(data["arrangement"]),
-                    certificate=certificate_from_json(data["certificate"]),
-                    provenance=data.get("provenance", {}),
-                )
-            )
+    for name in read_json(os.path.join(out_dir, "index.json"), _index_from_json):
+        catalog.add(read_json(os.path.join(out_dir, name), _discovery_from_json))
     return catalog

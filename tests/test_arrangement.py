@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +186,28 @@ def test_lattice_invariants_random(arr):
     if exps is not None:
         assert exps.d1 + exps.d2 == n - 1
         assert exps.d1 * exps.d2 == s.b2 - n + 1
+    # per-line incidences: the points a line vanishes at, and one point per
+    # distinct meet with the other lines
+    on = s.line_points()
+    for k, line in enumerate(arr.lines):
+        assert on[k] == [p.mask for p in s.points if line.evaluate(p.coords) == 0]
+        assert len(on[k]) == len({intersection_point(line, other) for other in arr.lines if other != line})
+    assert sum(map(len, on)) == sum(p.multiplicity for p in s.points)
+    # the stored answers against the closed form: integer roots 1 <= d1 <= d2
+    # of t^2 - (n-1)t + (b2 - n + 1), found by trying every d1
+    delta = (n - 1) ** 2 - 4 * (s.b2 - n + 1)
+    assert s.discriminant == discriminant(arr) == delta
+    roots = [(d1, n - 1 - d1) for d1 in range(1, n) if d1 <= n - 1 - d1 and d1 * (n - 1 - d1) == s.b2 - n + 1]
+    assert s.exponents == exps == (CandidateExponents(*roots[0], delta) if roots else None)
+    if roots:
+        assert s.no_exponent_reason is None
+    elif delta < 0:
+        assert s.no_exponent_reason == "delta-negative"
+    elif isqrt(delta) ** 2 != delta:
+        assert s.no_exponent_reason == "delta-not-square"
+    else:
+        assert s.no_exponent_reason == "nonpositive-root"
+    assert no_exponent_reason(arr) == s.no_exponent_reason
 
 
 @given(pool_arrangements(max_size=12))

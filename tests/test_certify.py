@@ -17,6 +17,7 @@ from freelines.arrangement import (
     build_arrangement,
     candidate_exponents,
     canonicalize_line,
+    intersection_summary,
 )
 from freelines.certify import (
     Certified,
@@ -647,6 +648,55 @@ def test_chain_steps_match_the_lattice():
         assert len(kept) == 3 and before == (1, 1)
         tri = build_arrangement([arr.lines[i] for i in kept])
         assert check_certificate(tri, certify._triangle_certificate(tri)) == (True, None)
+
+
+@st.composite
+def unimodular(draw):
+    """An integral g of determinant 1, drawn as a product of elementary matrices I + c*E_ij."""
+    g = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in g:  # g <- g * (I + c*E_ij): column j gains c times column i
+            row[j] += c * row[i]
+    return g
+
+
+def image_under(arr, g):
+    """g*A: the arrangement whose line rows are a*g for the rows a of arr."""
+    return build_arrangement([
+        canonicalize_line(*(sum(a[i] * g[i][j] for i in range(3)) for j in range(3)))
+        for a in (line.coeffs for line in arr.lines)
+    ])
+
+
+IMAGE_INPUTS = [
+    fixtures.boolean_arrangement(), fixtures.near_pencil(5), fixtures.generic_four(),
+    fixtures.free_13(), fixtures.free_19(), fixtures.free_20(),
+] + [fixtures.disjoint_pencils(k, m) for k, m in [(5, 2), (9, 4), (10, 5), (11, 5), (13, 6), (13, 7)]]
+
+
+@st.composite
+def pool_sets(draw):
+    lines = candidate_pool(1).lines
+    idx = draw(st.lists(st.integers(0, len(lines) - 1), min_size=5, max_size=10, unique=True))
+    return build_arrangement([lines[i] for i in idx])
+
+
+def lattice_answers(arr):
+    """What a change of coordinates must keep: t, b2, the exponents and the multiset of |A^H|."""
+    s = intersection_summary(arr)
+    return s.t, s.b2, s.exponents, s.no_exponent_reason, sorted(map(len, s.line_points()))
+
+
+@given(st.one_of(st.sampled_from(IMAGE_INPUTS), pool_sets()), unimodular())
+@settings(max_examples=50, deadline=None)
+def test_lattice_and_verdict_survive_a_unimodular_change_of_coordinates(arr, g):
+    # GL3(Q) acts on the lattice and on D(A), so every lattice answer and the
+    # verdict of the chain path (and its kernel fallback) are invariants of g
+    image = image_under(arr, g)
+    assert lattice_answers(image) == lattice_answers(arr)
+    assert type(verify_arrangement(image)) is type(verify_arrangement(arr))
 
 
 def test_chain_certifies_without_derivation_matrices(monkeypatch):

@@ -346,6 +346,19 @@ def test_catalog_save_load(tmp_path, near_pencil5):
             assert check_certificate(d.arrangement, d.certificate) == (True, None)
 
 
+def test_load_catalog_names_the_bad_file(tmp_path):
+    # a nesting too deep for the decoder and an entry without its keys are
+    # ValueErrors naming the file, not a RecursionError or a KeyError
+    index = tmp_path / "index.json"
+    index.write_text("[" * 100000)
+    with pytest.raises(ValueError, match="index.json"):
+        load_catalog(str(tmp_path))
+    index.write_text(json.dumps({"5,1,3": ["entry.json"]}))
+    (tmp_path / "entry.json").write_text("{}")
+    with pytest.raises(ValueError, match="entry.json.*'arrangement'"):
+        load_catalog(str(tmp_path))
+
+
 def test_bootstrap_returns_exactly_the_certified_candidates():
     # from the (1, 4) near-pencil, the adjacent target (2, 4) certifies every
     # delta-b2 candidate and the non-adjacent (3, 3) refutes every one

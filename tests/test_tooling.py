@@ -27,6 +27,20 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def test_traced_caches_keep_their_interface():
+    # the tracer reads cache hit ratios from cache_info() deltas and clears
+    # the caches between runs; a cache that lost either would only show up
+    # as a failed traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    broken = [
+        name for name, cached in tracer.CACHES.items()
+        if not (callable(getattr(cached, "cache_info", None)) and callable(getattr(cached, "cache_clear", None)))
+    ]
+    assert tracer.CACHES and broken == []
+
+
 @pytest.mark.parametrize(
     "script,args",
     [("score_reference.py", ["2", "100"]), ("coverage_sweep.py", ["6"]), ("find_refutation.py", []),
