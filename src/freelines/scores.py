@@ -50,31 +50,18 @@ def _clamp(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return max(lo, min(hi, v))
 
 
-def _square_distance(delta: int) -> int:
-    """Distance from delta to the nearest nonnegative perfect square."""
-    if delta < 0:
-        return -delta
-    r = isqrt(delta)
-    return min(delta - r * r, (r + 1) ** 2 - delta)
+def _square_distance(delta: int, s_max: int) -> int:
+    """Distance from delta to the nearest square s^2 with 0 <= s <= s_max.
 
-
-def _admissible_square_distance(delta: int, n: int) -> int:
-    """Distance to the nearest square (d2-d1)^2 with positive integer roots.
-
-    Roots of the reduced quadratic are ((n-1) -+ s)/2, so d1 >= 1 needs
-    0 <= s <= n-3; clamping to that range keeps pencils (s = n-1) strictly
-    in the negative tier.
+    Candidate exponents need delta = (d2-d1)^2 with roots ((n-1) -+ s)/2 of
+    the reduced quadratic, so d1 >= 1 needs s <= n-3; sigma_alg bounds s
+    there, which keeps pencils (s = n-1) strictly in the negative tier.
+    sigma_comb passes n, which never binds: its delta is at most (n-1)^2.
     """
-    s_max = max(n - 3, 0)
     if delta < 0:
         return -delta
     r = isqrt(delta)
-    best = None
-    for s in (min(r, s_max), min(r + 1, s_max)):
-        dist = abs(delta - s * s)
-        if best is None or dist < best:
-            best = dist
-    return best
+    return min(abs(delta - s * s) for s in (min(r, s_max), min(r + 1, s_max)))
 
 
 def sigma_comb(arr: Arrangement) -> float:
@@ -89,9 +76,7 @@ def sigma_comb(arr: Arrangement) -> float:
     delta = s.discriminant
     if s.b2 < n - 1:
         return -1.0
-    if delta >= 0 and isqrt(delta) ** 2 == delta:
-        return 1.0
-    dist = _square_distance(delta)
+    dist = _square_distance(delta, n)
     return _clamp(1.0 - 2.0 * dist / _delta_max(n))
 
 
@@ -117,7 +102,7 @@ def sigma_alg(
         if s.b2 != target:
             return -_clamp(abs(s.b2 - target) / target, 0.0, 1.0)
         # b2 on target but exponents still missing (pencil): fall through
-    dist = _admissible_square_distance(s.discriminant, n)
+    dist = _square_distance(s.discriminant, max(n - 3, 0))
     return max(-1.0, -dist / _delta_max(n))
 
 

@@ -12,7 +12,6 @@ random.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Container
 from dataclasses import dataclass, field
@@ -29,15 +28,16 @@ from .arrangement import (
     build_arrangement,
     canonicalize_line,
     intersection_summary,
+    json_entry,
+    json_object,
     read_json,
+    write_json,
 )
 from .certify import (
     Certified,
     FreenessCertificate,
     InternalInconsistency,
     VerificationOutcome,
-    _entry,
-    _json_object,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -419,38 +419,39 @@ def cascade(
 
 
 def save_catalog(catalog: Catalog, out_dir: str) -> str:
-    """One JSON file per certified arrangement plus an index; returns index path."""
-    os.makedirs(out_dir, exist_ok=True)
+    """One JSON file per certified arrangement plus an index; returns index path.
+
+    out_dir is made only once every file's content is built, so a catalog
+    that cannot be written leaves nothing behind.
+    """
+    files: dict[str, dict] = {}
     index: dict[str, list[str]] = {}
     for (n, d1, d2), discs in sorted(catalog.entries.items()):
         for disc in discs:
             h = disc.certificate.arrangement_hash
             name = f"n{n}_d{d1}x{d2}_{h[:12]}.json"
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                json.dump(discovery_to_json(disc), fh, indent=2)
-                fh.write("\n")
+            files[os.path.join(out_dir, name)] = discovery_to_json(disc)
             index.setdefault(f"{n},{d1},{d2}", []).append(name)
     index_path = os.path.join(out_dir, "index.json")
-    with open(index_path, "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files[index_path] = dict(sorted(index.items()))
+    os.makedirs(out_dir, exist_ok=True)
+    write_json(files)
     return index_path
 
 
 def _index_from_json(data) -> list[str]:
     """The entry file names of a catalog index, cell by cell."""
-    cells = _json_object(data, "index").values()
+    cells = json_object(data, "index").values()
     if not all(isinstance(names, list) and all(isinstance(x, str) for x in names) for names in cells):
         raise ValueError("index: each cell must list entry file names")
     return [name for names in cells for name in names]
 
 
 def _discovery_from_json(data) -> Discovery:
-    _json_object(data, "catalog entry")
+    json_object(data, "catalog entry")
     return Discovery(
-        arrangement=arrangement_from_json(_entry(data, "arrangement", "catalog entry")),
-        certificate=certificate_from_json(_entry(data, "certificate", "catalog entry")),
+        arrangement=arrangement_from_json(json_entry(data, "arrangement", "catalog entry")),
+        certificate=certificate_from_json(json_entry(data, "certificate", "catalog entry")),
         provenance=data.get("provenance", {}),
     )
 

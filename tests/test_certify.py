@@ -47,17 +47,6 @@ from freelines.search import (
 )
 
 
-def disjoint_pencils(k=5, m=2):
-    """k lines through [0:0:1] plus m through [1:0:0], sharing no line.
-
-    With the defaults, a b2-preserving mutation of the 7-line two-pencil:
-    same n, same b2 = 15, same candidate exponents (3, 3), but no shared
-    line between the pencils, and not free.
-    """
-    rows = [(1, 0, 0)] + [(1, -i, 0) for i in range(1, k)] + [(0, 1, -j) for j in range(1, m + 1)]
-    return build_arrangement([canonicalize_line(*r) for r in rows])
-
-
 def test_exact_determinant_boolean(boolean):
     x_dx = ({(1, 0, 0): 1}, {}, {})
     y_dy = ({}, {(0, 1, 0): 1}, {})
@@ -342,7 +331,7 @@ def test_tangency_reads_the_edge_digits_of_the_packing(e, restriction, scalar):
 
 
 def test_refutation_disjoint_pencils():
-    arr = disjoint_pencils()
+    arr = fixtures.disjoint_pencils(5, 2)
     out = verify_free(arr, 3, 3)
     assert isinstance(out, NotFreeAtExponents)
     assert out.pairs_scanned >= 1
@@ -554,7 +543,7 @@ def test_verify_rechecks_a_foreign_or_tampered_evaluation(free13, monkeypatch):
 
 
 def test_verify_ignores_the_evaluation_of_a_refutation():
-    mutant = disjoint_pencils(5, 2)
+    mutant = fixtures.disjoint_pencils(5, 2)
     ev = saito_functional(mutant, 3, 3)
     assert ev.certificate is None
     assert verify_free(mutant, 3, 3, als=ev) == verify_free(mutant, 3, 3)
@@ -598,7 +587,7 @@ def chain_cases():
         ("free19", fixtures.free_19()),
         ("free20", fixtures.free_20()),
     ]
-    named += [(f"pencils_{k}_{m}", disjoint_pencils(k, m)) for k, m in
+    named += [(f"pencils_{k}_{m}", fixtures.disjoint_pencils(k, m)) for k, m in
               [(9, 4), (10, 5), (11, 5), (13, 6), (13, 7), (5, 2), (7, 3)]]
     named += [(f"pool1_{i}", arr) for i, arr in enumerate(random_pool_arrangements(64))]
     return named
@@ -844,7 +833,7 @@ def test_saito_scalar_matches_the_expanded_ratio():
 
 @pytest.mark.parametrize("k,m", [(9, 4), (10, 5)])
 def test_saito_scalar_vanishes_with_the_expansion_on_mutants(k, m):
-    arr = disjoint_pencils(k, m)
+    arr = fixtures.disjoint_pencils(k, m)
     exps = candidate_exponents(arr)
     fields = [[vector_to_derivation(vec, d) for vec in null_space_exact(derivation_matrix(arr, d)).complement]
               for d in (exps.d1, exps.d2)]
@@ -962,7 +951,7 @@ def test_verify_and_check_expand_no_determinant(monkeypatch):
     def refuse(*args):
         raise AssertionError("a determinant was expanded")
 
-    mutant = disjoint_pencils(9, 4)
+    mutant = fixtures.disjoint_pencils(9, 4)
     exps = candidate_exponents(mutant)
     comp = [null_space_exact(derivation_matrix(mutant, d)).complement[0] for d in (exps.d1, exps.d2)]
     fake = certify.FreenessCertificate(exps.d1, exps.d2, vector_to_derivation(comp[0], exps.d1),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelines import fixtures
 from freelines.arrangement import (
     build_arrangement,
     candidate_exponents,
@@ -115,25 +116,19 @@ def test_reward_pencil_penalty(near_pencil5):
     assert r.pencil_penalty == 1.0
 
 
-def disjoint_pencils():
-    """The 7-line disjoint-pencil mutant of tests/test_certify.py: not free at (3, 3)."""
-    rows = [(1, 0, 0), (1, -1, 0), (1, -2, 0), (1, -3, 0), (1, -4, 0), (0, 1, -1), (0, 1, -2)]
-    return build_arrangement([canonicalize_line(*r) for r in rows])
-
-
 def test_terminal_bonus_is_exact_freeness(boolean, free19):
     w = RewardWeights()
     # free19 has n = 19: the bonus is exact at every n
     for arr in (boolean, free19):
         assert reward(arr, None, weights=w, terminal=True).terminal_bonus == w.w_free
         assert reward(arr, None, weights=w, terminal=False).terminal_bonus == 0.0
-    mutant = disjoint_pencils()
+    mutant = fixtures.disjoint_pencils(5, 2)
     assert candidate_exponents(mutant) is not None
     assert reward(mutant, None, weights=w, terminal=True).terminal_bonus == 0.0
 
 
 def test_sigma_alg_is_the_saito_functional(boolean, near_pencil5, free13):
-    mutant = disjoint_pencils()
+    mutant = fixtures.disjoint_pencils(5, 2)
     for arr in (boolean, near_pencil5, free13, mutant):
         exps = candidate_exponents(arr)
         loss = saito_functional(arr, exps.d1, exps.d2).loss

@@ -18,6 +18,7 @@ from freelines.arrangement import (
     candidate_exponents,
     canonicalize_line,
     intersection_summary,
+    write_arrangement,
 )
 from freelines.certify import (
     Certified,
@@ -33,6 +34,7 @@ from freelines.fixtures import near_pencil
 from freelines.monomials import poly_from_line, poly_mul
 from freelines.scores import RewardWeights
 from freelines.search import (
+    Catalog,
     ExtensionConfig,
     _lift_routes,
     beam_search_build,
@@ -357,6 +359,24 @@ def test_load_catalog_names_the_bad_file(tmp_path):
     (tmp_path / "entry.json").write_text("{}")
     with pytest.raises(ValueError, match="entry.json.*'arrangement'"):
         load_catalog(str(tmp_path))
+
+
+def test_unwritable_files_leave_nothing_behind(tmp_path):
+    # each writer renders every text before it opens a file: a line past
+    # Python's 4300-digit int-to-str limit and a certificate scalar past the
+    # readers' 4000 digits both raise, and leave no empty file or directory
+    wide = build_arrangement([canonicalize_line(10**4400 + 1, 1, 0), *fixtures.free_13().lines[:3]])
+    arr_path = tmp_path / "wide.json"
+    with pytest.raises(ValueError):
+        write_arrangement(str(arr_path), wide)
+    assert not arr_path.exists()
+    disc = construct_certified(1, 2)
+    catalog = Catalog()
+    catalog.add(dataclasses.replace(disc, certificate=dataclasses.replace(disc.certificate, c=10**4001)))
+    out = tmp_path / "catalog"
+    with pytest.raises(ValueError, match="c: a coefficient has more than 4000 digits"):
+        save_catalog(catalog, str(out))
+    assert not out.exists()
 
 
 def test_bootstrap_returns_exactly_the_certified_candidates():

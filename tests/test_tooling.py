@@ -44,23 +44,35 @@ def test_traced_caches_keep_their_interface():
 @pytest.mark.parametrize(
     "script,args",
     [("score_reference.py", ["2", "100"]), ("coverage_sweep.py", ["6"]), ("find_refutation.py", []),
-     ("kernel_timing.py", ["1", "pencils_9_4", "free_13"]), ("tangent_timing.py", ["1", "free_13"]),
-     ("verify_timing.py", ["1", "free_13"])],
+     ("stage_timing.py", ["kernel", "1", "pencils_9_4", "free_13"]), ("stage_timing.py", ["tangent", "1", "free_13"]),
+     ("stage_timing.py", ["verify", "1", "free_13"])],
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
     # coverage_sweep.py certifies one two-pencil per exponent cell;
     # find_refutation.py runs verify_free's kernel pair scan on non-free inputs;
-    # kernel_timing.py times the exact kernel path; tangent_timing.py times
-    # is_tangent_field and check_certificate on chain certificates;
-    # verify_timing.py times each stage of a verify-free operation
+    # stage_timing.py times the exact kernel path (kernel), is_tangent_field
+    # and check_certificate on chain certificates (tangent), and each step of
+    # a verify-free operation (verify)
+    done = _run_script(script, args)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("args", [["bogus"], ["verify", "1", "two_pencil"], ["kernel", "1", "two_pencil"]])
+def test_stage_timing_refuses_what_the_stage_lacks(args):
+    # an unknown stage, or an input that the chosen stage does not time, is a
+    # usage error caught before any header is printed
+    done = _run_script("stage_timing.py", args)
+    assert done.returncode == 2 and done.stdout == "", done.stdout + done.stderr
+
+
+def _run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_benchmark_selftest_passes():
