@@ -5,8 +5,11 @@ Two strategies, both preserving b2 so candidate exponents survive:
 
 1. Mutate the 7-line two-pencil into two disjoint pencils (drop the shared
    line's role): same n, same b2 = 15, still candidate exponents (3, 3), but
-   the exact basis-pair scan is all-zero. This family generalizes to any
-   (k+3, 1) split with k = m+3, checked below for several sizes.
+   the exact basis-pair scan is all-zero. disjoint_pencils(k, m) has
+   n = k + m and b2 = k*m + k + m - 2, so candidate exponents need
+   d1 + d2 = n - 1 and d1 * d2 = k*m - 1: the discriminant
+   (k+m-1)^2 - 4(k*m - 1) = (k-m)^2 - 2(k+m) + 5 must be a square. It is
+   (m-2)^2 for every k = 2m + 1; the script checks (5, 2), (7, 3) and (9, 4).
 
 2. Swap one line of the 13-line reference fixture for a pool or join
    candidate with the same incidence count. Exhausted without a hit at pool
@@ -32,7 +35,7 @@ from freelines.search import delta_b2
 
 def check_mutants() -> int:
     hits = 0
-    # k+m lines; candidate exponents need (k+m-1)^2 - 4(k-1 + m-1 + k*m) square
+    # k+m lines; candidate exponents need (k+m-1)^2 - 4(k*m - 1) square: 0, 1 and 4 here
     for k, m in [(5, 2), (7, 3), (9, 4)]:
         arr = disjoint_pencils(k, m)
         s = intersection_summary(arr)

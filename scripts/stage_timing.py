@@ -13,8 +13,8 @@ STAGE is one of:
   certificates of free_13, free_19 and free_20, and two_pencil: the
   certified two-pencils of all 156 exponent cells with n <= 26, together.
 - verify: best of REPEATS (default 7) times of each step of a verify-free
-  operation and of the whole operation (op), on free_13, free_19 and
-  free_20. The chain and op are cold, as a new input is; the other steps
+  operation and of the whole operation (op), on free_13, free_16, free_19
+  and free_20. The chain and op are cold, as a new input is; the other steps
   reuse the chain's certificate.
 A cold call starts with the lattice, derivation-matrix and kernel caches cleared.
 
@@ -41,6 +41,7 @@ from freelines.search import construct_certified
 MUTANTS = ((9, 4), (10, 5), (11, 5), (13, 6), (13, 7))
 PENCILS = [f"pencils_{k}_{m}" for k, m in MUTANTS]
 FIXTURES = ("free_13", "free_19", "free_20")
+VERIFY_FIXTURES = ("free_13", "free_16", "free_19", "free_20")
 TWO_PENCIL_N_MAX = 26
 VERIFY_STEPS = ("chain", "witness", "write", "read", "check", "op")
 
@@ -54,7 +55,7 @@ def two_pencils():
 # name -> builder of the input: an arrangement, or for two_pencil a list of discoveries
 INPUTS = {
     **{name: partial(fixtures.disjoint_pencils, k, m) for name, (k, m) in zip(PENCILS, MUTANTS)},
-    **{name: getattr(fixtures, name) for name in FIXTURES},
+    **{name: getattr(fixtures, name) for name in VERIFY_FIXTURES},
     "two_pencil": two_pencils,
 }
 
@@ -174,7 +175,7 @@ def verify_stage(names, repeats):
 STAGES = {
     "kernel": (kernel_stage, [*PENCILS, *FIXTURES], 5),
     "tangent": (tangent_stage, [*FIXTURES, "two_pencil"], 7),
-    "verify": (verify_stage, list(FIXTURES), 7),
+    "verify": (verify_stage, list(VERIFY_FIXTURES), 7),
 }
 
 

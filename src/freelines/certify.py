@@ -16,13 +16,14 @@ line set minus a line H is free with exponents (a, b - 1) (or (a - 1, b))
 and H meets the rest in |A^H| = a + 1 (or b + 1) points, the set is free
 with exponents (a, b) by Terao's addition theorem; his deletion theorem
 gives the converse. A chain of such deletions down to a triangle therefore
-proves freeness (inductive freeness). The chain is found by a greedy
-descent that deletes the first qualifying line at each step and never
-backtracks; a descent that gets stuck sends the input to the kernels. The
-certificate is the triangle's closed-form one, lifted back up the chain one
-line at a time, and every chain certificate, a bare triangle's included,
-passes one check_certificate, so no verdict rests on the descent.
-Refutations always come from the kernels.
+proves freeness (inductive freeness). The chain is found by a depth-first
+descent that tries the lines in line order and undoes a step at a dead end.
+In rank 3 it finds a chain exactly when the input is inductively free, so
+the lattice alone decides whether an input takes the chain or the kernels,
+whatever its line order. The certificate is the triangle's closed-form
+one, lifted back up the chain one line at a time, and every chain
+certificate, a bare triangle's included, passes one check_certificate, so
+no verdict rests on the descent. Refutations always come from the kernels.
 
 Every exact field evaluation is a Kronecker substitution: integers are
 packed at a power of two K = 2^b and read off by shifts. On the line
@@ -360,10 +361,10 @@ def verify_free(
     this arrangement at these degrees and _saito_scalar is nonzero, and the
     certificate then gets this arrangement's hash, so a wrong or tampered
     witness can only cost its check. When there is none, or it fails, a
-    greedy descent on the lattice looks for a deletion chain down to a
-    triangle, with no budget, and a chain found is lifted into a
-    certificate that passes check_certificate (see chain_certificate). When
-    the descent gets stuck, the exact kernels at both degrees are computed,
+    descent on the lattice looks for a deletion chain down to a triangle,
+    with no budget, and a chain found is lifted into a certificate that
+    passes check_certificate (see chain_certificate). When there is no
+    chain, the exact kernels at both degrees are computed,
     quotiented by the Euler multiples, and basis pairs are scanned in order
     of increasing coefficient size. Each basis vector is integral and is
     evaluated once at the point P of _saito_point, by shifts (_value_at),
@@ -564,53 +565,54 @@ def _deletion_chain(arr: Arrangement, d1: int, d2: int) -> list[int] | None:
     points leaves (a - 1, b); the smaller exponent stays at least 1. The
     exponents are tracked only to decide which lines qualify: the lift
     back up reads them off its divisions. |A^H| is counted on the points
-    of each line that LatticeSummary.line_points gives. The descent is
-    greedy: it deletes the first such line in line order and never undoes
-    a step, since by Terao's deletion theorem every step keeps a free set
-    free. It need not keep it inductively free, so the descent may stop on
-    an inductively free input; None then, as whenever some set on the way
-    has no such line, and verify_free's pair scan decides instead.
+    of each line that LatticeSummary.line_points gives. The search is
+    depth-first in line order and undoes a step only at a dead end, so
+    where deleting the first qualifying line each time reaches a triangle
+    it returns that chain. In rank 3 every restriction is free, so the
+    |A^H| count is the whole condition of the addition theorem, and None
+    means exactly that the input is not inductively free (Orlik-Terao, ch. 4).
     """
     s = intersection_summary(arr)
     # Deleting H lowers b2 by |A^H|, so every set on the way keeps
-    # b2 = n - 1 + a*b; three lines at (1, 1) then have b2 = 3, a triangle.
+    # b2 = |set| - 1 + a*b with a + b = |set| - 1, so a set fixes (a, b) and
+    # one that failed once fails on every path; three lines at (1, 1) have
+    # b2 = 3, a triangle.
     if s.b2 != arr.n - 1 + d1 * d2:
         return None
     on = s.line_points()
-    mask, a, b = (1 << arr.n) - 1, d1, d2
-    chain: list[int] = []
-    while len(chain) < arr.n - 3:
-        for k in range(arr.n):
-            if not mask >> k & 1:
-                continue
-            rest = mask & ~(1 << k)
-            m = sum(1 for p in on[k] if p & rest)  # |A^H| within the set
-            if m == a + 1:
-                lo, hi = sorted((a, b - 1))
-            elif m == b + 1:
-                lo, hi = sorted((a - 1, b))
-            else:
-                continue
-            if lo >= 1:
-                break
-        else:
+    failed: set[int] = set()  # bitmasks of line sets with no chain
+
+    def descend(mask: int, a: int, b: int) -> list[int] | None:
+        if mask.bit_count() == 3:
+            return []
+        if mask in failed:
             return None
-        chain.append(k)
-        mask &= ~(1 << k)
-        a, b = lo, hi
-    return chain
+        for k in range(arr.n):
+            rest = mask & ~(1 << k)
+            if rest == mask:
+                continue
+            m = sum(1 for p in on[k] if p & rest)  # |A^H| within the set
+            if m not in (a + 1, b + 1):
+                continue
+            lo, hi = sorted((a, b - 1) if m == a + 1 else (a - 1, b))
+            if lo >= 1 and (chain := descend(rest, lo, hi)) is not None:
+                return [k, *chain]
+        failed.add(mask)
+        return None
+
+    return descend((1 << arr.n) - 1, d1, d2)
 
 
 def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate | None:
-    """A certificate at exponents 1 <= d1 <= d2 from a deletion chain, or None when the descent finds none.
+    """A certificate at exponents 1 <= d1 <= d2 from a deletion chain, or None when there is none.
 
     The triangle at the bottom of the chain gets its closed-form
     certificate; each deleted line is then added back, last deleted first,
     by lift_certificate, whose division the addition theorem guarantees to
     succeed and which reads each step's exponents off that division. The
     final certificate, a bare triangle's included, passes one
-    check_certificate; a failure raises InternalInconsistency. Exponents
-    outside 1 <= d1 <= d2 give None.
+    check_certificate; a failure raises InternalInconsistency. None means the
+    input is not inductively free (_deletion_chain) or 1 <= d1 <= d2 fails.
     """
     if not 1 <= d1 <= d2:
         return None

@@ -16,11 +16,11 @@ theta2 with no matrix at all (null_space_from_fields). The loss needs no
 basis: it is read off verify_free's verdict. The exact kernel serves
 verify_free's pair scan, and the float bases (null_space_float on the
 kernel, null_space_from_fields on a certificate) feed the float evaluator
-that the tests keep as an independent oracle. Either way the float basis is
-orthonormalized with the Euler multiples first, so its trailing columns span
-the kernel modulo Euler multiples. det(E, E', theta) = 0 for every Euler
-multiple E', so the Saito tensor loses nothing when it is built on those
-columns alone.
+that the tests keep as an independent oracle. Either way one routine
+(_orthonormal_basis) orthonormalizes exact spanning vectors, Euler multiples
+first, so the trailing columns span the kernel modulo Euler multiples.
+det(E, E', theta) = 0 for every Euler multiple E', so the Saito tensor loses
+nothing when it is built on those columns alone.
 
 The Saito tensor expands det(E, theta_1, theta_2) over every pair of columns
 of two null bases in one pass: with z = 1 each block becomes a bivariate
@@ -276,38 +276,20 @@ def null_space_from_fields(d: int, fields) -> NullBasisFloat:
     basis(d - d1), then m * theta2 for m over basis(d - d2). No derivation
     matrix and no kernel is built; the basis is only as sound as the check
     of the certificate.
-
-    The columns are the floats _orthonormal_basis would convert, built
-    without it: m * theta has theta's coefficients, so its scale max|v| is
-    theta's own, and each coefficient is divided by it once per field, not
-    once per column. The graded-lex index of x^i y^j z^k is
-    (j + k)(j + k + 1)/2 + k, so every shifted coefficient is placed at once.
     """
     nd = basis_size(d)
-    euler_dim = basis_size(d - 1)
-    shifted = [(theta, degree) for theta, degree in fields if degree <= d]
-    rows = np.zeros((euler_dim + sum(basis_size(d - deg) for _, deg in shifted), 3 * nd))
-    euler = np.arange(euler_dim)
-    for block, idx in enumerate(variable_shift_indices(d - 1)):
-        rows[euler, block * nd + np.array(idx)] = 1.0
-    start = euler_dim
-    for theta, degree in shifted:
-        scale = max(abs(v) for comp in theta for v in comp.values())
-        offsets, exps, vals = [], [], []
-        for block, comp in enumerate(theta):
-            for e, v in comp.items():
-                offsets.append(block * nd)
-                exps.append(e)
-                vals.append(float(v / scale))
-        mons = np.array(monomial_basis(d - degree).monomials)
-        exps = np.array(exps).reshape(-1, 3)
-        j = mons[:, 1:2] + exps[:, 1]
-        k = mons[:, 2:3] + exps[:, 2]
-        cols = np.array(offsets) + (j + k) * (j + k + 1) // 2 + k
-        rows[start + np.arange(len(mons))[:, None], cols] = vals
-        start += len(mons)
-    q, _ = np.linalg.qr(rows.T)
-    return NullBasisFloat(d, q, euler_dim)
+    index = monomial_basis(d).index
+    vectors = euler_multiples(d)
+    for theta, degree in fields:
+        if degree > d:
+            continue
+        for m in monomial_basis(d - degree).monomials:
+            vec = [0] * (3 * nd)
+            for block, comp in enumerate(theta):
+                for e, v in comp.items():
+                    vec[block * nd + index((e[0] + m[0], e[1] + m[1], e[2] + m[2]))] = v
+            vectors.append(vec)
+    return _orthonormal_basis(d, vectors, basis_size(d - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Reference arrangements used across the test suite and the docs.
 
 free_13/free_19/free_20 are verified free arrangements with known
-multiplicity profiles and exponents (6,6), (7,11) and (9,10); the smaller
-constructions (coordinate triangle, near-pencils) have classical hand-checkable
-behavior. disjoint_pencils builds the non-free mutants that the refutation
-tests and benchmark use.
+multiplicity profiles and exponents (6,6), (7,11) and (9,10). free_16 is an
+inductively free (16; 7, 8) arrangement, hash prefix e8968cae13d1, on which a
+deletion descent that never undoes a step stalls in its listed line order.
+The smaller constructions (coordinate triangle, near-pencils) have classical
+hand-checkable behavior. disjoint_pencils builds the non-free mutants that
+the refutation tests and benchmark use.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def free_13() -> Arrangement:
         (1, F(22, 3), F(13, 3)),
         (1, F(349, 81), 1),
         (1, F(181, 39), 1),
+    ])
+
+
+def free_16() -> Arrangement:
+    """16 lines, profile t=(22,9,6,2,1), b2=71, exponents (7,8); inductively free."""
+    return _from_table([
+        (0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, -3, -2), (1, -2, 0),
+        (1, -1, -2), (1, -1, -1), (1, -1, 0), (1, -1, 2), (1, 0, -2), (1, 0, 0), (1, 0, 1), (1, 1, 0),
     ])
 
 

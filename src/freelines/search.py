@@ -5,9 +5,9 @@ iterated in canonical order and ties break on canonical keys. Extension is
 exact and runs no kernel at all: Terao's addition theorem and Abe's deletion
 theorem decide which candidates are free, and each child's certificate is
 lifted from its seed's by one exact division on the new line and re-checked.
-A cascade computes kernels only to certify a seed with no deletion chain.
-The beam search is scored by exact freeness verdicts, so nothing here is
-random.
+A cascade computes kernels only to certify a seed that is not inductively
+free (one with no deletion chain, in any line order). The beam search is
+scored by exact freeness verdicts, so nothing here is random.
 """
 
 from __future__ import annotations
@@ -177,7 +177,9 @@ def bootstrap_extend(
     fixes the exponents of any certificate of the extension. Each lift is
     re-checked exactly; a lift that fails raises InternalInconsistency.
     Extensions whose arrangement hash is in known are skipped before the
-    lift. Returns the certified extensions in candidate order.
+    lift. Returns the certified extensions in candidate order. A certificate
+    of another arrangement, or one whose exponents do not sum to n - 1 or
+    break 1 <= d1 <= d2 (which check_certificate rejects), raises ValueError.
     """
     n = seed.n
     if d1p + d2p != n:
@@ -187,6 +189,8 @@ def bootstrap_extend(
         raise ValueError("the seed certificate is for another arrangement")
     if certificate.d1 + certificate.d2 != n - 1:
         raise ValueError(f"seed certificate exponents do not sum to n - 1 = {n - 1}")
+    if not 1 <= certificate.d1 <= certificate.d2:
+        raise ValueError("seed certificate exponents must satisfy 1 <= d1 <= d2")
     a, b = certificate.d1, certificate.d2
     points = next((p for exps, p in _lift_routes(a, b) if exps == (d1p, d2p)), None)
     if points is None:

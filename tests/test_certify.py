@@ -694,11 +694,41 @@ def test_chain_certifies_without_derivation_matrices(monkeypatch):
 
     monkeypatch.setattr(certify, "derivation_matrix", refuse)
     for arr in [fixtures.near_pencil(6), supersolvable_two_pencil(7, 7), fixtures.free_13(),
-                fixtures.free_19(), fixtures.free_20()]:
+                fixtures.free_16(), fixtures.free_19(), fixtures.free_20()]:
         exps = candidate_exponents(arr)
         outcome = verify_free(arr, exps.d1, exps.d2)
         assert isinstance(outcome, Certified)
         assert check_certificate(arr, outcome.certificate) == (True, None)
+
+
+KERNEL_IMAGE_G = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]  # determinant 1
+
+
+def test_kernel_path_alone_decides_unimodular_images(monkeypatch):
+    # with no deletion chain, the kernel pair scan must certify the image of
+    # each free input, with a certificate that passes the file check, and
+    # must keep refuting the images of refuted pool sets
+    free = [fixtures.near_pencil(6), supersolvable_two_pencil(7, 7), fixtures.free_13(), fixtures.free_16()]
+    rng, pool, refuted = random.Random(26), candidate_pool(2).lines, []
+    while len(refuted) < 3:  # 7-10-line sets of the R = 2 pool that the kernels refute
+        arr = build_arrangement(rng.sample(pool, rng.randint(7, 10)))
+        if isinstance(verify_arrangement(arr), NotFreeAtExponents):
+            refuted.append(arr)
+    scans = _count_calls(monkeypatch, certify, "null_space_exact")
+    monkeypatch.setattr(certify, "_deletion_chain", lambda *args: None)
+    for arr in free + refuted:
+        image = image_under(arr, KERNEL_IMAGE_G)
+        exps = candidate_exponents(image)
+        assert exps == candidate_exponents(arr)
+        before = len(scans)
+        outcome = verify_free(image, exps.d1, exps.d2)
+        assert len(scans) > before
+        if arr in free:
+            assert isinstance(outcome, Certified)
+            assert outcome.certificate.arrangement_hash == certify.arrangement_hash(image)
+            assert check_certificate(image, outcome.certificate) == (True, None)
+        else:
+            assert isinstance(outcome, NotFreeAtExponents)
 
 
 def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):
@@ -749,12 +779,13 @@ def test_closed_form_triangle_certifies_random_triangles(monkeypatch):
 
 @pytest.mark.parametrize(
     "name,build",
-    [("free13", fixtures.free_13), ("free19", fixtures.free_19), ("free20", fixtures.free_20),
-     ("two_pencil_7x7", lambda: supersolvable_two_pencil(7, 7))],
+    [("free13", fixtures.free_13), ("free16", fixtures.free_16), ("free19", fixtures.free_19),
+     ("free20", fixtures.free_20), ("two_pencil_7x7", lambda: supersolvable_two_pencil(7, 7))],
 )
 def test_greedy_descent_reaches_a_triangle_in_any_line_order(name, build):
-    # the descent never backtracks, so an order on which it stalled would
-    # silently send these inputs to the kernels
+    # these inputs are inductively free, so the descent must find a chain in
+    # every line order; one it missed would silently send them to the kernels
+    # (free16 needs a step undone in its listed order and in some shuffles)
     arr = build()
     exps = candidate_exponents(arr)
     rng = random.Random(name)

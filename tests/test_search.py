@@ -652,9 +652,19 @@ def test_cascade_runs_no_kernel(monkeypatch, near_pencil5):
 def test_seed_certificate_must_match(near_pencil5, boolean):
     with pytest.raises(ValueError):
         bootstrap_extend(near_pencil5, seed_certificate(near_pencil(6)), 1, 4)
-    wrong_sum = dataclasses.replace(seed_certificate(near_pencil5), d2=4)
+    cert = seed_certificate(near_pencil5)
+    wrong_sum = dataclasses.replace(cert, d2=4)
     with pytest.raises(ValueError):
         bootstrap_extend(near_pencil5, wrong_sum, 1, 4)
+    # exponents out of order, or a zero one, fail check_certificate and so
+    # cannot seed an extension toward either adjacent target
+    swapped = dataclasses.replace(cert, d1=cert.d2, d2=cert.d1, theta1=cert.theta2, theta2=cert.theta1)
+    zero = dataclasses.replace(cert, d1=0, d2=4)
+    for bad in (swapped, zero):
+        assert check_certificate(near_pencil5, bad) == (False, "exponent-order")
+        for target in ((3, 2), (2, 3), (1, 4)):
+            with pytest.raises(ValueError):
+                bootstrap_extend(near_pencil5, bad, *target)
 
 
 def patch_everywhere(monkeypatch, name, original, replacement):

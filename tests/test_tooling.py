@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,16 @@ def _run_script(script, args):
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_readme_library_tour_runs():
+    # the README's python block is the code a reader copies; it must run as
+    # written and reach what its comments claim
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    tour = {}
+    exec(compile(blocks[0], "README.md", "exec"), tour)
+    assert tour["ev"].loss == 0.0 and tour["ok"] and tour["found"]
 
 
 def test_benchmark_selftest_passes():
