@@ -16,6 +16,12 @@ STAGE is one of:
   operation and of the whole operation (op), on free_13, free_16, free_19
   and free_20. The chain and op are cold, as a new input is; the other steps
   reuse the chain's certificate.
+- construct: best of REPEATS (default 7) times of each step of a
+  construct-sweep operation and of the whole operation (op), each summed
+  over the 156 exponent cells with n <= 26 (input two_pencil): the two-pencil
+  arrangement, its witness, verify_free on that witness, and the certificate
+  write, read and check_certificate. op is cold; the other steps reuse the
+  arrangement, witness and certificate built before timing.
 A cold call starts with the lattice, derivation-matrix and kernel caches cleared.
 
 Usage: python scripts/stage_timing.py STAGE [REPEATS [NAME ...]]
@@ -36,20 +42,21 @@ from freelines.certify import Certified, _saito_scalar, chain_certificate, check
 from freelines.certify import read_certificate, verify_free, write_certificate
 from freelines.derivations import derivation_matrix, null_space_exact
 from freelines.saito import saito_functional
-from freelines.search import construct_certified
+from freelines.search import construct_certified, supersolvable_two_pencil, two_pencil_witness
 
 MUTANTS = ((9, 4), (10, 5), (11, 5), (13, 6), (13, 7))
 PENCILS = [f"pencils_{k}_{m}" for k, m in MUTANTS]
 FIXTURES = ("free_13", "free_19", "free_20")
 VERIFY_FIXTURES = ("free_13", "free_16", "free_19", "free_20")
 TWO_PENCIL_N_MAX = 26
+TWO_PENCIL_CELLS = [(d1, n - 1 - d1) for n in range(3, TWO_PENCIL_N_MAX + 1) for d1 in range(1, (n - 1) // 2 + 1)]
 VERIFY_STEPS = ("chain", "witness", "write", "read", "check", "op")
+CONSTRUCT_STEPS = ("arrangement", "witness", "verify", "write", "read", "check", "op")
 
 
 def two_pencils():
     """The certified two-pencil of every exponent cell (d1, d2) with n = d1 + d2 + 1 <= TWO_PENCIL_N_MAX."""
-    cells = [(d1, n - 1 - d1) for n in range(3, TWO_PENCIL_N_MAX + 1) for d1 in range(1, (n - 1) // 2 + 1)]
-    return [construct_certified(d1, d2) for d1, d2 in cells]
+    return [construct_certified(d1, d2) for d1, d2 in TWO_PENCIL_CELLS]
 
 
 # name -> builder of the input: an arrangement, or for two_pencil a list of discoveries
@@ -171,11 +178,48 @@ def verify_stage(names, repeats):
             print(f"{name:<8} {f'{d1},{d2}':>6} " + " ".join(f"{1e3 * t:>10.2f}" for t in best))
 
 
+def construct_operation(d1, d2, cert_path):
+    """The construct-sweep operation on one cell, as one call."""
+    disc = construct_certified(d1, d2)
+    write_certificate(cert_path, disc.certificate)
+    ok, failing = check_certificate(disc.arrangement, read_certificate(cert_path))
+    if not ok:
+        raise RuntimeError(f"the two-pencil certificate at ({d1}, {d2}) fails its re-check: {failing}")
+
+
+def construct_stage(names, repeats):
+    print(f"{'input':<12} {'cells':>6} " + " ".join(f"{s + '_ms':>14}" for s in CONSTRUCT_STEPS))
+    cells = TWO_PENCIL_CELLS
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {cell: os.path.join(workdir, "%d_%d.cert.json" % cell) for cell in cells}
+        arrs = {cell: supersolvable_two_pencil(*cell) for cell in cells}
+        witnesses = {cell: two_pencil_witness(*cell) for cell in cells}
+        certs = {}
+        for cell in cells:
+            outcome = verify_free(arrs[cell], *cell, witness=witnesses[cell])
+            if not isinstance(outcome, Certified):
+                raise RuntimeError(f"the two-pencil witness at {cell} does not certify")
+            certs[cell] = outcome.certificate
+            write_certificate(paths[cell], certs[cell])
+        steps = {  # step -> (call on one cell, whether it is timed cold), in CONSTRUCT_STEPS order
+            "arrangement": (lambda cell: supersolvable_two_pencil(*cell), False),
+            "witness": (lambda cell: two_pencil_witness(*cell), False),
+            "verify": (lambda cell: verify_free(arrs[cell], *cell, witness=witnesses[cell]), False),
+            "write": (lambda cell: write_certificate(paths[cell], certs[cell]), False),
+            "read": (lambda cell: read_certificate(paths[cell]), False),
+            "check": (lambda cell: check_certificate(arrs[cell], certs[cell]), False),
+            "op": (lambda cell: construct_operation(*cell, paths[cell]), True),
+        }
+        best = [min(timed(repeats, lambda _: [call(cell) for cell in cells], cold)[0]) for call, cold in steps.values()]
+    print(f"{names[0]:<12} {len(cells):>6} " + " ".join(f"{1e3 * t:>14.2f}" for t in best))
+
+
 # stage -> (its function, its inputs in print order, its default REPEATS)
 STAGES = {
     "kernel": (kernel_stage, [*PENCILS, *FIXTURES], 5),
     "tangent": (tangent_stage, [*FIXTURES, "two_pencil"], 7),
     "verify": (verify_stage, list(VERIFY_FIXTURES), 7),
+    "construct": (construct_stage, ["two_pencil"], 7),
 }
 
 

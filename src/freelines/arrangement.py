@@ -167,7 +167,7 @@ def arrangement_hash(arr: Arrangement) -> str:
     Sorting makes the hash independent of listing order; the defining
     polynomial, the lattice and freeness are all order-independent.
     """
-    payload = ";".join(f"{l.a},{l.b},{l.c}" for l in sorted(arr.lines))
+    payload = ";".join(f"{a},{b},{c}" for a, b, c in sorted((l.a, l.b, l.c) for l in arr.lines))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -38,11 +38,13 @@ and r's coefficients are the signed base-K digits of r(K). At k = K a
 component F of degree d takes the value sum_i x_e^i * a_e^(d-i) * G_i,
 where G_i packs F's coefficients of x_e^i x_s^j x_t^k at K^k and depends
 on the line only through its chart (_packed_groups, _restriction_at).
-is_tangent_field builds the groups once per chart and spends O(d)
-big-integer steps on each line; a lift reads both fields' restrictions to
-its one line at one K. A lift across an added line is then one exact
-division of the two fields' restrictions, as the addition theorem
-prescribes; no kernel is solved for it. The division tries theta1, then
+is_tangent_field skips every line whose nonzero coefficients a_c all
+meet zero components theta_c, since theta(alpha) = sum_c a_c * theta_c is
+then identically zero; on the other lines it builds the groups once per
+chart and spends O(d) big-integer steps on each line. A lift reads both
+fields' restrictions to its one line at one K. A lift across an added
+line is then one exact division of the two fields' restrictions, as the
+addition theorem prescribes; no kernel is solved for it. The division tries theta1, then
 theta2, and the first that divides fixes the lifted exponents, which are
 unique for a free arrangement. The Saito point P = (1, K, K^2) also has
 K = 2^b, so an integral field's value there is a sum of shifted
@@ -163,13 +165,17 @@ def is_tangent_field(arr: Arrangement, theta: ExactDerivation, d: int) -> bool:
     _restriction_at computes r(K) from groups that depend on the chart
     only (_packed_groups), so they are built once per chart, at most three
     times a call, and each line costs 3(d + 1) small-by-packed products and
-    a d-step Horner evaluation. Equivalent to membership in the kernel of
-    the derivation matrix, derived independently.
+    a d-step Horner evaluation. A line whose nonzero coefficients all sit
+    on zero components of theta is skipped before any of this: there
+    theta(alpha) = sum_c a_c * theta_c is the zero polynomial, so theta is
+    tangent to it. The field B1 d/dy of a two-pencil is thus read on its d1
+    lines with a_y != 0 only. Equivalent to membership in the kernel of the
+    derivation matrix, derived independently.
     """
     if not _derivation_degree_ok(theta, d):
         return False
     theta, _ = _integral(theta)
-    lines = [line.coeffs for line in arr.lines]
+    lines = [a for a in (line.coeffs for line in arr.lines) if any(c and comp for c, comp in zip(a, theta))]
     bits = _line_bound(lines, theta, d).bit_length() + 1
     groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for a in lines:
@@ -645,6 +651,8 @@ _DIGIT_BOUND = 10**MAX_DECIMAL_DIGITS
 
 def _rational_to_json(v, what: str) -> str:
     """str of the rational v; ValueError when its numerator or denominator has too many digits."""
+    if type(v) is int and -_DIGIT_BOUND < v < _DIGIT_BOUND:
+        return str(v)
     v = Fraction(v)
     if max(abs(v.numerator), v.denominator) >= _DIGIT_BOUND:
         raise ValueError(f"{what}: a coefficient has more than {MAX_DECIMAL_DIGITS} digits")
@@ -653,7 +661,7 @@ def _rational_to_json(v, what: str) -> str:
 
 def _poly_to_json(p: Poly, what: str) -> dict[str, str]:
     return {
-        ",".join(str(x) for x in e): _rational_to_json(v, what)
+        "%d,%d,%d" % e: _rational_to_json(v, what)
         for e, v in sorted(p.items(), reverse=True)
     }
 

@@ -45,7 +45,7 @@ from .certify import (
     verify_arrangement,
     verify_free,
 )
-from .monomials import Poly, poly_from_line, poly_mul
+from .monomials import Poly
 from .scores import RewardWeights, ScoreConfig, reward
 
 
@@ -231,19 +231,28 @@ def bootstrap_extend(
 # ---------------------------------------------------------------------------
 
 
+def _elementary_symmetric(d: int) -> list[int]:
+    """[e_0, ..., e_d], the elementary symmetric numbers of 1, ..., d.
+
+    Adding m to the set takes e_k to e_k + m * e_(k-1).
+    """
+    e = [1]
+    for m in range(1, d + 1):
+        e = [a + m * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
 def two_pencil_witness(d1: int, d2: int) -> tuple:
     """Explicit tangent-field basis for the standard two-pencil arrangement.
 
     With B1 = prod (x - i*y) and B2 = prod (x - j*z), the fields B1 d/dy and
     B2 d/dz are tangent to every line and their determinant against the Euler
-    field is exactly x*B1*B2 = Q.
+    field is exactly x*B1*B2 = Q. Each product is written out as
+    prod_{i=1..d} (x - i*v) = sum_k (-1)^k e_k(1..d) x^(d-k) v^k, with the
+    elementary symmetric numbers e_k(1..d) of _elementary_symmetric.
     """
-    b1: Poly = {(0, 0, 0): 1}
-    for i in range(1, d1 + 1):
-        b1 = poly_mul(b1, poly_from_line((1, -i, 0)))
-    b2: Poly = {(0, 0, 0): 1}
-    for j in range(1, d2 + 1):
-        b2 = poly_mul(b2, poly_from_line((1, 0, -j)))
+    b1: Poly = {(d1 - k, k, 0): (-1) ** k * e for k, e in enumerate(_elementary_symmetric(d1))}
+    b2: Poly = {(d2 - k, 0, k): (-1) ** k * e for k, e in enumerate(_elementary_symmetric(d2))}
     theta1 = ({}, b1, {})
     theta2 = ({}, {}, b2)
     return theta1, theta2

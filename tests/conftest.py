@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from freelines import fixtures
+# One BLAS thread, as the benchmark runs: on a small host a multi-threaded
+# BLAS can stall the first mid-sized QR of a process. Set before freelines
+# (and so numpy) is imported, since BLAS reads these when it loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
+
+from freelines import fixtures  # noqa: E402
 
 
 @pytest.fixture(scope="session")

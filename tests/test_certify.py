@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -244,6 +245,51 @@ def test_is_tangent_field_matches_the_derivation_matrix(free13, free19, free20):
                     assert verdict == tangency_oracle(sub, field, d)
                     verdicts.append(verdict)
     assert len(verdicts) == 324 and 0 < sum(verdicts) < len(verdicts)
+    # fields with one or two zero components, whose lines on zero components
+    # only are skipped, on coordinate-aligned inputs and on their images
+    sparse = []
+    for disc in (construct_certified(2, 5), construct_certified(4, 4), construct_certified(3, 7)):
+        cert = disc.certificate
+        fields = [(cert.theta1, cert.d1), (cert.theta2, cert.d2)]
+        if cert.d1 == cert.d2:  # (0, B1, B2): one zero component
+            fields.append((tuple({**a, **b} for a, b in zip(cert.theta1, cert.theta2)), cert.d1))
+        sparse.append((disc.arrangement, fields))
+    mutant = fixtures.disjoint_pencils(5, 2)
+    d = candidate_exponents(mutant).d1
+    kernel = [vector_to_derivation(vec, d) for vec in null_space_exact(derivation_matrix(mutant, d)).vectors]
+    sparse.append((mutant, [(theta, d) for theta in kernel if not all(theta)]))
+    cert = verify_arrangement(fixtures.boolean_arrangement()).certificate
+    sparse.append((fixtures.boolean_arrangement(), [(cert.theta1, 1), (cert.theta2, 1)]))
+    sparse += [(image_under(arr, g), [(transported(theta, g), d) for theta, d in fields])
+               for arr, fields in list(sparse) for g in SPARSE_IMAGE_G]
+    verdicts, zero_counts = [], set()
+    for arr, fields in sparse:
+        for theta, d in fields:
+            assert is_tangent_field(arr, theta, d)
+            for sub in (arr, build_arrangement(rng.sample(arr.lines, rng.randint(3, arr.n)))):
+                for field in one_component_changes(theta, d, rng):
+                    zero_counts.add(sum(not comp for comp in field))
+                    verdict = is_tangent_field(sub, field, d)
+                    assert verdict == tangency_oracle(sub, field, d)
+                    verdicts.append(verdict)
+    assert {1, 2} <= zero_counts
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def one_component_changes(theta, d, rng):
+    """theta changed on one component only: a term added at three sizes, the component rescaled, or dropped."""
+    for c in range(3):
+        terms = [rng.choice([-1, 1]) * rng.randint(1, 9), Fraction(rng.randint(1, 99), rng.randint(2, 99)),
+                 rng.choice([-1, 1]) * 10**30 + rng.randint(-999, 999)]
+        changed = []
+        for t in terms:
+            comp = dict(theta[c])
+            k = rng.choice(monomial_basis(d).monomials)
+            comp[k] = comp.get(k, 0) + t
+            changed.append(comp)
+        changed += [{e: -3 * v for e, v in theta[c].items()}, {}]
+        for comp in changed:
+            yield tuple({e: v for e, v in (comp if i == c else theta[i]).items() if v} for i in range(3))
 
 
 def permute_coordinates(arr, fields, perm):
@@ -471,6 +517,68 @@ def test_certificate_reader_keeps_its_result_types(near_pencil5):
     assert all(type(v) is int for theta in (back.theta1, back.theta2) for comp in theta for v in comp.values())
 
 
+# sha256 of the write_certificate bytes of construct_certified(d1, n - 1 - d1)
+# for n = 3..26 and d1 = 1..(n - 1) // 2, then of the chain certificates of
+# free_13, free_16, free_19 and free_20 at their candidate exponents
+CERTIFICATE_FILES_SHA256 = "ab5fd94d5373187cc568b558e9dcb632ee58f0a7174c7b2056f8e73b105adbe6"
+
+
+def test_certificate_files_are_pinned(tmp_path):
+    certs = [construct_certified(d1, n - 1 - d1).certificate for n in range(3, 27) for d1 in range(1, (n - 1) // 2 + 1)]
+    for arr in (fixtures.free_13(), fixtures.free_16(), fixtures.free_19(), fixtures.free_20()):
+        exps = candidate_exponents(arr)
+        certs.append(certify.chain_certificate(arr, exps.d1, exps.d2))
+    path, digest = tmp_path / "c.json", hashlib.sha256()
+    for cert in certs:
+        write_certificate(path, cert)
+        digest.update(path.read_bytes())
+    assert len(certs) == 160
+    assert digest.hexdigest() == CERTIFICATE_FILES_SHA256
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        ("1/3", Fraction(1, 3)), ("2.5e1", 25), (" 7", 7), ("1_0", 10), ("007", 7), ("-0", None),
+        (7, 7), (2.5, Fraction(5, 2)),
+        (True, "theta1.f['1,0,0']: True is a boolean, not a number"),
+        ("7" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["third", "exponent", "space", "underscore", "zeros", "minus-zero", "number", "float", "true", "5000-digits"],
+)
+def test_certificate_reader_reads_each_coefficient_form(tmp_path, near_pencil5, value, want):
+    # a value, or a ValueError naming the file, for each form a coefficient
+    # may take, all read by arrangement._as_fraction
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["theta1"]["f"] = {"1,0,0": value}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            read_certificate(path)
+        assert str(info.value).startswith(f"{path}: {want}")
+    else:
+        got = read_certificate(path).theta1[0].get((1, 0, 0))
+        assert got == want and type(got) is type(want)
+
+
+def test_certificate_writer_refuses_an_overlong_integer(tmp_path, near_pencil5):
+    # an int coefficient is written by str() only inside the digit bound; at
+    # 10**4000 the writer raises naming the component and leaves no file
+    cert = verify_free(near_pencil5, 1, 3).certificate
+    f, g, h = cert.theta1
+    path = tmp_path / "c.json"
+    for v in (10**4000, -(10**4000)):
+        bad = dataclasses.replace(cert, theta1=({**f, (1, 0, 0): v}, g, h))
+        with pytest.raises(ValueError, match=r"^theta1\.f: a coefficient has more than 4000 digits$"):
+            write_certificate(path, bad)
+        assert not path.exists()
+    for v in (0, -1, True, Fraction(6, 2), 10**4000 - 1, 1 - 10**4000):
+        assert certify._rational_to_json(v, "c") == str(Fraction(v))
+    write_certificate(path, dataclasses.replace(cert, theta1=({**f, (1, 0, 0): 10**4000 - 1}, g, h)))
+    assert read_certificate(path).theta1[0][(1, 0, 0)] == 10**4000 - 1
+
+
 def test_verify_free_validates_exponents(boolean):
     with pytest.raises(DegreeMismatch):
         verify_free(boolean, 1, 2)
@@ -659,6 +767,47 @@ def image_under(arr, g):
     ])
 
 
+def transported(theta, g):
+    """g^-1 * theta(g x): the field of g*A that theta, a field of A, becomes; g must be unimodular.
+
+    On a line a*g of g*A it gives sum_j (a g)_j (g^-1 theta(g x))_j =
+    (a * theta)(g x) = theta(alpha)(g x), a multiple of alpha(g x), which is
+    that line's form.
+    """
+    forms = [poly_from_line(tuple(row)) for row in g]
+    powers = [[{(0, 0, 0): 1}] for _ in forms]
+    at_gx = []
+    for comp in theta:  # comp(g x): x_i becomes sum_j g[i][j] x_j
+        out = {}
+        for mon, v in comp.items():
+            term = {(0, 0, 0): v}
+            for i, k in enumerate(mon):
+                while len(powers[i]) <= k:
+                    powers[i].append(poly_mul(powers[i][-1], forms[i]))
+                term = poly_mul(term, powers[i][k])
+            for e, w in term.items():
+                out[e] = out.get(e, 0) + w
+        at_gx.append(out)
+    cof = [[g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
+            - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3] for j in range(3)] for i in range(3)]
+    det = sum(g[0][j] * cof[j][0] for j in range(3))
+    assert det in (1, -1)
+    inverse = [[det * cof[i][j] for j in range(3)] for i in range(3)]
+    out = []
+    for row in inverse:
+        comp = {}
+        for coef, part in zip(row, at_gx):
+            for e, w in part.items():
+                comp[e] = comp.get(e, 0) + coef * w
+        out.append({e: w for e, w in comp.items() if w})
+    return tuple(out)
+
+
+# whose inverses keep zeros in some columns, so a field with zero components
+# keeps one or two of them on a moved arrangement
+SPARSE_IMAGE_G = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]
+
+
 IMAGE_INPUTS = [
     fixtures.boolean_arrangement(), fixtures.near_pencil(5), fixtures.generic_four(),
     fixtures.free_13(), fixtures.free_19(), fixtures.free_20(),
@@ -729,6 +878,29 @@ def test_kernel_path_alone_decides_unimodular_images(monkeypatch):
             assert check_certificate(image, outcome.certificate) == (True, None)
         else:
             assert isinstance(outcome, NotFreeAtExponents)
+
+
+def test_transported_certificates_certify_the_image_without_a_chain(monkeypatch):
+    # D(A) moves to D(g*A) by theta -> g^-1 theta(g x): the two-pencil
+    # certificates of every cell with n <= 26 and free_16's chain certificate,
+    # moved off the coordinate axes, are witnesses that certify on their own
+    inputs = [(disc.arrangement, disc.certificate) for disc in
+              (construct_certified(d1, n - 1 - d1) for n in range(3, 27) for d1 in range(1, (n - 1) // 2 + 1))]
+    free16 = fixtures.free_16()
+    exps = candidate_exponents(free16)
+    inputs.append((free16, certify.chain_certificate(free16, exps.d1, exps.d2)))
+
+    def refuse(*args):
+        raise AssertionError("a transported witness fell through to the chain")
+
+    monkeypatch.setattr(certify, "chain_certificate", refuse)
+    for arr, cert in inputs:
+        image = image_under(arr, KERNEL_IMAGE_G)
+        witness = (transported(cert.theta1, KERNEL_IMAGE_G), transported(cert.theta2, KERNEL_IMAGE_G))
+        outcome = verify_free(image, cert.d1, cert.d2, witness=witness)
+        assert isinstance(outcome, Certified)
+        assert (outcome.certificate.theta1, outcome.certificate.theta2) == witness
+        assert check_certificate(image, outcome.certificate) == (True, None)
 
 
 def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):

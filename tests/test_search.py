@@ -205,6 +205,21 @@ def test_two_pencil_witness_is_exact():
         assert out.certificate.c == 1
 
 
+def test_two_pencil_witness_is_the_product_of_its_lines():
+    # the closed form sum_k (-1)^k e_k(1..d) x^(d-k) v^k against the product
+    # of the pencil's lines, one poly_mul at a time
+    for n in range(3, 27):
+        for d1 in range(1, (n - 1) // 2 + 1):
+            d2 = n - 1 - d1
+            b1 = {(0, 0, 0): 1}
+            for i in range(1, d1 + 1):
+                b1 = poly_mul(b1, poly_from_line((1, -i, 0)))
+            b2 = {(0, 0, 0): 1}
+            for j in range(1, d2 + 1):
+                b2 = poly_mul(b2, poly_from_line((1, 0, -j)))
+            assert two_pencil_witness(d1, d2) == (({}, b1, {}), ({}, {}, b2))
+
+
 @pytest.mark.parametrize("d1,d2", [(1, 1), (1, 4), (2, 2), (3, 4)])
 def test_two_pencil_b2_law(d1, d2):
     arr = supersolvable_two_pencil(d1, d2)

@@ -46,7 +46,7 @@ def test_traced_caches_keep_their_interface():
     "script,args",
     [("score_reference.py", ["2", "100"]), ("coverage_sweep.py", ["6"]), ("find_refutation.py", []),
      ("stage_timing.py", ["kernel", "1", "pencils_9_4", "free_13"]), ("stage_timing.py", ["tangent", "1", "free_13"]),
-     ("stage_timing.py", ["verify", "1", "free_13"])],
+     ("stage_timing.py", ["verify", "1", "free_13"]), ("stage_timing.py", ["construct", "1"])],
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
@@ -54,17 +54,44 @@ def test_scripts_run(script, args):
     # find_refutation.py runs verify_free's kernel pair scan on non-free inputs;
     # stage_timing.py times the exact kernel path (kernel), is_tangent_field
     # and check_certificate on chain certificates (tangent), and each step of
-    # a verify-free operation (verify)
+    # a verify-free operation (verify) and of a construct-sweep one (construct)
     done = _run_script(script, args)
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("args", [["bogus"], ["verify", "1", "two_pencil"], ["kernel", "1", "two_pencil"]])
+@pytest.mark.parametrize(
+    "args", [["bogus"], ["verify", "1", "two_pencil"], ["kernel", "1", "two_pencil"], ["construct", "1", "free_13"]]
+)
 def test_stage_timing_refuses_what_the_stage_lacks(args):
     # an unknown stage, or an input that the chosen stage does not time, is a
     # usage error caught before any header is printed
     done = _run_script("stage_timing.py", args)
     assert done.returncode == 2 and done.stdout == "", done.stdout + done.stderr
+
+
+def test_coverage_sweep_refuses_a_non_integer_n_max():
+    done = _run_script("coverage_sweep.py", ["six"])
+    assert done.returncode == 2 and done.stdout == "", done.stdout + done.stderr
+    assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+
+
+def test_coverage_sweep_writes_each_cell_whole_or_not_at_all(tmp_path, monkeypatch):
+    # the arrangement and certificate of a cell are rendered before either
+    # file is opened, so a certificate that cannot be written leaves neither
+    spec = importlib.util.spec_from_file_location("coverage_sweep", ROOT / "scripts" / "coverage_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(4, str(tmp_path / "ok")) == 0
+    assert sorted(p.name for p in (tmp_path / "ok").iterdir()) == [
+        "two_pencil_1x1.cert.json", "two_pencil_1x1.json", "two_pencil_1x2.cert.json", "two_pencil_1x2.json"]
+
+    def refuse(cert):
+        raise ValueError("theta1.f: a coefficient has more than 4000 digits")
+
+    monkeypatch.setattr(sweep, "certificate_to_json", refuse)
+    with pytest.raises(ValueError, match="4000 digits"):
+        sweep.main(4, str(tmp_path / "bad"))
+    assert list((tmp_path / "bad").iterdir()) == []
 
 
 def _run_script(script, args):
