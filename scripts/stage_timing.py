@@ -3,11 +3,12 @@
 
 STAGE is one of:
 - kernel: best and worst of REPEATS (default 5) cold times of
-  derivation_matrix and of null_space_exact on that matrix at each
-  candidate degree, with the matrix shape, its nonzero share and the
-  nullity. Each repeat takes the input in a line order seeded by its name
-  and the repeat's number, as the benchmark takes each pass. Inputs: the
-  five disjoint-pencil mutants of verify-refute and the pinned fixtures.
+  null_space_exact at each candidate degree, with the system it solves:
+  k, the lines through the pencil's point, the shape (n - k)(d + 1) x
+  (N_d + N_{d-k+1}) and the nullity of D(A)_d. The full derivation matrix
+  is never built. Each repeat takes the input in a line order seeded by its
+  name and the repeat's number, as the benchmark takes each pass. Inputs:
+  the five disjoint-pencil mutants of verify-refute and the pinned fixtures.
 - tangent: best of REPEATS (default 7) times of the two is_tangent_field
   calls, of _saito_scalar and of check_certificate. Inputs: the chain
   certificates of free_13, free_19 and free_20, and two_pencil: the
@@ -40,7 +41,7 @@ from freelines import arrangement, derivations, fixtures
 from freelines.arrangement import build_arrangement, candidate_exponents, read_arrangement, write_arrangement
 from freelines.certify import Certified, _saito_scalar, chain_certificate, check_certificate, is_tangent_field
 from freelines.certify import read_certificate, verify_free, write_certificate
-from freelines.derivations import derivation_matrix, null_space_exact
+from freelines.derivations import derivation_matrix, null_space_exact, pencil_system
 from freelines.saito import saito_functional
 from freelines.search import construct_certified, supersolvable_two_pencil, two_pencil_witness
 
@@ -86,9 +87,8 @@ def timed(repeats, fn, cold=False):
 
 
 def kernel_stage(names, repeats):
-    print(f"{'input':<14} {'d':>3} {'shape':>10} {'nonzero':>8} {'nullity':>8} "
-          f"{'matrix_ms':>10} {'worst':>7} {'kernel_ms':>10} {'worst':>7}")
-    total_matrix = total_kernel = 0.0
+    print(f"{'input':<14} {'d':>3} {'k':>3} {'shape':>10} {'nullity':>8} {'kernel_ms':>10} {'worst':>7}")
+    total = 0.0
     for name in names:
         arr = INPUTS[name]()
         orders = []
@@ -98,17 +98,12 @@ def kernel_stage(names, repeats):
             orders.append(build_arrangement(lines))
         exps = candidate_exponents(arr)
         for d in sorted({exps.d1, exps.d2}):
-            t_matrix, matrices = timed(repeats, lambda k: derivation_matrix(orders[k], d), cold=True)
-            t_kernel, bases = timed(repeats, lambda k: null_space_exact(matrices[k]), cold=True)
-            dm, basis = matrices[-1], bases[-1]
-            nrows, ncols = dm.shape
-            nonzero = sum(1 for row in dm.rows for x in row if x) / (nrows * ncols)
-            total_matrix += min(t_matrix)
-            total_kernel += min(t_kernel)
-            print(f"{name:<14} {d:>3} {nrows:>4}x{ncols:<5} {nonzero:>8.1%} {basis.nullity:>8} "
-                  f"{1e3 * min(t_matrix):>10.1f} {1e3 * max(t_matrix):>7.1f} "
-                  f"{1e3 * min(t_kernel):>10.1f} {1e3 * max(t_kernel):>7.1f}")
-    print(f"{'total (best)':<48} {1e3 * total_matrix:>10.1f} {'':>7} {1e3 * total_kernel:>10.1f}")
+            times, bases = timed(repeats, lambda k: null_space_exact(derivation_matrix(orders[k], d)), cold=True)
+            system = pencil_system(arr, d)
+            total += min(times)
+            print(f"{name:<14} {d:>3} {system.k:>3} {len(system.rows):>4}x{system.ncols:<5} {bases[-1].nullity:>8} "
+                  f"{1e3 * min(times):>10.1f} {1e3 * max(times):>7.1f}")
+    print(f"{'total (best)':<41} {1e3 * total:>10.1f}")
 
 
 CHECKS = {  # tangent column -> test of one (arrangement, certificate) pair

@@ -8,12 +8,14 @@ this module is integer or rational arithmetic; there is no floating point.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, isfinite, isqrt
 
 
@@ -40,9 +42,13 @@ def _normalize_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Line:
-    """Canonical integer form of a projective line a*x + b*y + c*z = 0."""
+    """Canonical integer form of a projective line a*x + b*y + c*z = 0.
+
+    Slotted, like IntersectionPoint: the lattice cache holds thousands of
+    arrangements, and with them their lines.
+    """
 
     a: int
     b: int
@@ -93,12 +99,16 @@ _PLAIN_INTEGER = re.compile(r"-?[0-9]+\Z")
 def _as_fraction(v, what: str = "coefficient") -> int | Fraction:
     """The rational a JSON value stands for: an int for an integer, else a Fraction.
 
-    Text reads as Fraction reads it, within the decimal-exponent bound, and a
-    finite float by its shortest decimal text, so 0.1 is 1/10. Anything else,
+    Text reads as Fraction reads it, within the decimal-exponent bound, an
+    integer text only up to MAX_DECIMAL_DIGITS digits, and a finite float by
+    its shortest decimal text, so 0.1 is 1/10. Anything else,
     booleans and non-finite numbers included, raises ValueError naming what.
     """
     if isinstance(v, str):
         if _PLAIN_INTEGER.match(v):
+            digits = len(v) - v.startswith("-")
+            if digits > MAX_DECIMAL_DIGITS:
+                raise ValueError(f"{what}: an integer of {digits} digits is longer than {MAX_DECIMAL_DIGITS} digits")
             return int(v)
         v = _bounded_decimal(v, what)
     elif isinstance(v, bool):
@@ -211,19 +221,29 @@ class IntersectionPoint:
         return self.mask.bit_count()
 
 
+def mask_point(lines: tuple[Line, ...], mask: int) -> tuple[int, int, int]:
+    """Canonical coordinates of the point whose lines are the bits of mask, from its two lowest lines."""
+    i = (mask & -mask).bit_length() - 1
+    rest = mask & (mask - 1)
+    return intersection_point(lines[i], lines[(rest & -rest).bit_length() - 1])
+
+
 @dataclass(frozen=True)
 class LatticeSummary:
     """Multiplicity data of the intersection lattice and every answer read off it.
 
-    t maps each multiplicity m >= 2 to the number of m-fold points, b2 is
-    sum (m_p - 1), and pair_count_check records the double-counting identity
+    masks holds one bitmask per point, in sorted coordinate order, with bit
+    k set when line k of lines passes through it; points rebuilds the
+    IntersectionPoint of each mask on first use. t maps each multiplicity
+    m >= 2 to the number of m-fold points, b2 is sum (m_p - 1), and
+    pair_count_check records the double-counting identity
     sum C(m,2) t_m = C(n,2). exponents are the integer roots (d1, d2) of
     t^2 - (n-1)t + (b2 - n + 1), whose discriminant is discriminant, or None
     with no_exponent_reason saying why. line_points gives |A^H| and m(X).
     """
 
-    n: int
-    points: tuple[IntersectionPoint, ...]
+    lines: tuple[Line, ...]
+    masks: tuple[int, ...]
     t: dict[int, int]
     b2: int
     pair_count_check: bool
@@ -232,8 +252,16 @@ class LatticeSummary:
     no_exponent_reason: str | None
 
     @property
+    def n(self) -> int:
+        return len(self.lines)
+
+    @property
     def max_multiplicity(self) -> int:
         return max(self.t, default=0)
+
+    @cached_property
+    def points(self) -> tuple[IntersectionPoint, ...]:
+        return tuple(IntersectionPoint(*mask_point(self.lines, mask), mask) for mask in self.masks)
 
     def line_points(self) -> list[list[int]]:
         """Per line k, the masks of the points on it, in point order.
@@ -242,9 +270,12 @@ class LatticeSummary:
         less one is m(X), the number of other lines through that point X.
         """
         on: list[list[int]] = [[] for _ in range(self.n)]
-        for p in self.points:
-            for k in p.incident_lines:
-                on[k].append(p.mask)
+        for mask in self.masks:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                on[low.bit_length() - 1].append(mask)
+                rest ^= low
         return on
 
 
@@ -262,11 +293,12 @@ def intersection_summary(arr: Arrangement) -> LatticeSummary:
         for j in range(i + 1, n):
             pt = intersection_point(lines[i], lines[j])
             groups[pt] = groups.get(pt, 0) | 1 << i | 1 << j
-    points = tuple(IntersectionPoint(*coords, mask) for coords, mask in sorted(groups.items()))
+    masks = tuple(mask for _, mask in sorted(groups.items()))
     t: dict[int, int] = {}
-    for p in points:
-        t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
-    b2 = sum(p.multiplicity - 1 for p in points)
+    for mask in masks:
+        m = mask.bit_count()
+        t[m] = t.get(m, 0) + 1
+    b2 = sum(mask.bit_count() - 1 for mask in masks)
     check = sum(comb(m, 2) * cnt for m, cnt in t.items()) == comb(n, 2)
     delta = (n - 1) ** 2 - 4 * (b2 - n + 1)
     r = isqrt(max(delta, 0))
@@ -279,7 +311,7 @@ def intersection_summary(arr: Arrangement) -> LatticeSummary:
         reason = "nonpositive-root"  # pencils
     else:
         exps = CandidateExponents((n - 1 - r) // 2, (n - 1 + r) // 2, delta)
-    return LatticeSummary(n, points, dict(sorted(t.items())), b2, check, delta, exps, reason)
+    return LatticeSummary(lines, masks, dict(sorted(t.items())), b2, check, delta, exps, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +376,7 @@ def tjurina(arr: Arrangement) -> int:
     s = intersection_summary(arr)
     n = arr.n
     tau = n * (n - 1) - s.b2
-    if tau != sum((p.multiplicity - 1) ** 2 for p in s.points):
+    if tau != sum((mask.bit_count() - 1) ** 2 for mask in s.masks):
         raise RuntimeError(f"Tjurina number {tau} disagrees with sum (m_p - 1)^2")
     exps = s.exponents
     if exps is not None and tau != (n - 1) ** 2 - exps.d1 * exps.d2:
@@ -384,12 +416,21 @@ def write_json(files: dict) -> None:
     """Write each {path: data} entry as indented JSON, rendering every text before any file is opened.
 
     So a value that cannot be rendered leaves no file behind, not an empty
-    or a partial one.
+    or a partial one. An OSError on any file unlinks every file this call
+    has opened, then propagates.
     """
     texts = {path: json.dumps(data, indent=2) + "\n" for path, data in files.items()}
-    for path, text in texts.items():
-        with open(path, "w") as fh:
-            fh.write(text)
+    opened = []
+    try:
+        for path, text in texts.items():
+            with open(path, "w") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def json_object(data, what: str) -> dict:

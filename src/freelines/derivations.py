@@ -6,17 +6,21 @@ basis. theta is tangent to every line of an arrangement exactly when its
 coefficient vector lies in the kernel of the integer derivation matrix built
 here: for each line, restricting theta(alpha) to a parameterization of the line
 must give the identically-zero binary form, one linear constraint per
-coefficient.
+coefficient. The matrix's rows are built only when read, by the tests, which
+keep them as the oracle of every kernel.
 
 Float code never decides a nullity. A null space comes from one of two exact
-sources: the exact kernel of the derivation matrix, or, for a free
-arrangement with a checked certificate (theta1, theta2, c != 0), Saito's
-criterion, which gives D(A)_d = S_{d-1} E (+) S_{d-d1} theta1 (+) S_{d-d2}
-theta2 with no matrix at all (null_space_from_fields). The loss needs no
-basis: it is read off verify_free's verdict. The exact kernel serves
-verify_free's pair scan, and the float bases (null_space_float on the
-kernel, null_space_from_fields on a certificate) feed the float evaluator
-that the tests keep as an independent oracle. Either way one routine
+sources, both by Saito's criterion. null_space_exact solves D(A)_d inside
+the free pencil of lines through a point of top multiplicity, whose basis
+is explicit, so only the lines off that point are eliminated, on about a
+third of the matrix's columns. For a free arrangement with a checked
+certificate (theta1, theta2, c != 0), the criterion gives D(A)_d =
+S_{d-1} E (+) S_{d-d1} theta1 (+) S_{d-d2} theta2 with no elimination at
+all (null_space_from_fields). The loss needs no basis: it is read off
+verify_free's verdict. The exact kernel serves verify_free's pair scan,
+and the float bases (null_space_float on the kernel,
+null_space_from_fields on a certificate) feed the float evaluator that the
+tests keep as an independent oracle. Either way one routine
 (_orthonormal_basis) orthonormalizes exact spanning vectors, Euler multiples
 first, so the trailing columns span the kernel modulo Euler multiples.
 det(E, E', theta) = 0 for every Euler multiple E', so the Saito tensor loses
@@ -31,15 +35,16 @@ of 2-D FFT spectra at each frequency.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import exactlinalg
-from .arrangement import Arrangement, Line, _normalize_triple
+from .arrangement import Arrangement, Line, _normalize_triple, intersection_summary, mask_point
 from .monomials import (
+    Poly,
     basis_size,
     monomial_basis,
     poly_to_vector,
@@ -77,16 +82,41 @@ class DerivationMatrix:
 
     Its identity is (arrangement, degree), which determine the rows: equality
     and hashing, and so every cached lookup keyed by the matrix, never touch
-    the rows.
+    the rows. null_space_exact needs only that identity, so the rows are
+    built on first access, as an oracle for the tests.
     """
 
     arrangement: Arrangement
     degree: int
-    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), 3 * basis_size(self.degree))
+        return (self.arrangement.n * (self.degree + 1), 3 * basis_size(self.degree))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """d + 1 rows a line, in line order.
+
+        With the line alpha = a x + b y + c z parametrized as s*u + t*w by
+        its line_kernel_basis, row p holds the s^p coefficients of
+        alpha(f, g, h) restricted to the line, so column (block, m) carries
+        the block's coefficient of alpha times that of m(s*u + t*w)
+        (_restrictions).
+        """
+        d = self.degree
+        nd = basis_size(d)
+        rows: list[tuple[int, ...]] = []
+        for line in self.arrangement.lines:
+            blocks = [(block * nd, a) for block, a in enumerate(line.coeffs) if a]
+            line_rows = [[0] * (3 * nd) for _ in range(d + 1)]
+            for mi, (low, coeffs) in enumerate(_restrictions(line, d)):
+                for p, v in enumerate(coeffs, low):
+                    if v:
+                        row = line_rows[p]
+                        for offset, a in blocks:
+                            row[offset + mi] = a * v
+            rows.extend(tuple(row) for row in line_rows)
+        return tuple(rows)
 
 
 def _binary_form_powers(u: int, w: int, d: int) -> list[list[int]]:
@@ -94,55 +124,40 @@ def _binary_form_powers(u: int, w: int, d: int) -> list[list[int]]:
     return [[math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)] for e in range(d + 1)]
 
 
-@lru_cache(maxsize=16)
-def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
-    """Constraint matrix for degree-d tangent fields; entries are integers.
+def _restrictions(line: Line, e: int) -> list[tuple[int, list[int]]]:
+    """m(s*u + t*w) for each monomial m of basis(e), in basis order, with (u, w) the line_kernel_basis.
 
-    Line alpha = a x + b y + c z, parametrized as s*u + t*w by its
-    line_kernel_basis, gives d + 1 rows: row p holds the s^p coefficients of
-    alpha(f, g, h) restricted to the line, so column (block, m) carries the
-    block's coefficient of alpha times that of m(s*u + t*w).
-
+    Each is (low, coeffs): coeffs[i] is the coefficient of s^(low + i).
     The restriction has a closed form. At most one coordinate of s*u + t*w
     has both an s term and a t term (x, when a != 0); every other one is a
     single term, c*s or c*t, or zero. So x^e1 y^e2 z^e3 restricts to a
     monomial, the product of the single-term powers, times one binomial
     power, read off the line's _binary_form_powers table of the two-term
-    coordinate. Each entry is such a product, written straight into the
-    line's rows, and zero terms are skipped. On a line through a coordinate
-    point (a coefficient zero) every coordinate is a single term, and each
-    column has at most one nonzero entry in the line's rows.
+    coordinate; a zero product gives an empty coeffs. On a line through a
+    coordinate point (a coefficient zero) every coordinate is a single term.
     """
+    u, w = line_kernel_basis(line)
+    # the coordinate with both an s and a t term, if any, is the only one expanded
+    two = next((i for i in range(3) if u[i] and w[i]), 0)
+    one, other = (i for i in range(3) if i != two)
+    binomial = _binary_form_powers(u[two], w[two], e)
+    # a single-term coordinate to the power k: (power of s, coefficient)
+    first, second = ([(k, u[i] ** k) if u[i] else (0, w[i] ** k) for k in range(e + 1)] for i in (one, other))
+    out = []
+    for m in monomial_basis(e).monomials:
+        k1, c1 = first[m[one]]
+        k2, c2 = second[m[other]]
+        scale = c1 * c2
+        out.append((k1 + k2, [scale * v for v in binomial[m[two]]] if scale else []))
+    return out
+
+
+@lru_cache(maxsize=16)
+def derivation_matrix(arr: Arrangement, d: int) -> DerivationMatrix:
+    """Constraint matrix for degree-d tangent fields; its rows are built on first access."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    mons = monomial_basis(d).monomials
-    nd = len(mons)
-    rows: list[tuple[int, ...]] = []
-    for line in arr.lines:
-        u, w = line_kernel_basis(line)
-        # the coordinate with both an s and a t term, if any, is the only one expanded
-        two = next((i for i in range(3) if u[i] and w[i]), 0)
-        one, other = (i for i in range(3) if i != two)
-        binomial = _binary_form_powers(u[two], w[two], d)
-        # a single-term coordinate to the power e: (power of s, coefficient)
-        first, second = (
-            [(e, u[i] ** e) if u[i] else (0, w[i] ** e) for e in range(d + 1)] for i in (one, other)
-        )
-        blocks = [(block * nd, a) for block, a in enumerate(line.coeffs) if a]
-        line_rows = [[0] * (3 * nd) for _ in range(d + 1)]
-        for mi, m in enumerate(mons):
-            k1, c1 = first[m[one]]
-            k2, c2 = second[m[other]]
-            scale = c1 * c2
-            if not scale:
-                continue
-            for p, v in enumerate(binomial[m[two]], k1 + k2):
-                if v:
-                    row, lam = line_rows[p], scale * v
-                    for offset, a in blocks:
-                        row[offset + mi] = a * lam
-        rows.extend(tuple(row) for row in line_rows)
-    return DerivationMatrix(arr, d, tuple(rows))
+    return DerivationMatrix(arr, d)
 
 
 def euler_multiples(d: int) -> list[tuple[int, ...]]:
@@ -197,28 +212,148 @@ class NullBasisExact:
         return self.vectors[self.euler_dim:]
 
 
+class PencilSystem(NamedTuple):
+    """What is left of D(A)_d to solve once the pencil through point is solved.
+
+    k lines pass through point and eta is the field p x grad Q_p of their
+    product Q_p, of degree k - 1. Each row constrains (g1, g2), g1 over
+    basis(d) and g2 over basis(d - k + 1) (no columns when d < k - 1), so
+    that g1 * point + g2 * eta is tangent to one line off the point; see
+    null_space_exact.
+    """
+
+    point: tuple[int, int, int]
+    k: int
+    eta: tuple[Poly, Poly, Poly]
+    rows: list[list[int]]
+    ncols: int
+
+
+def _linear_combination(terms) -> Poly:
+    """sum c * poly over the (c, poly) pairs of terms."""
+    out: Poly = {}
+    for c, poly in terms:
+        if c:
+            for e, v in poly.items():
+                out[e] = out.get(e, 0) + c * v
+    return {e: v for e, v in out.items() if v}
+
+
+def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
+    """The reduced system of null_space_exact at degree d: (n - k)(d + 1) rows.
+
+    The point is the first of top multiplicity in intersection_summary's
+    coordinate order, so it, the field eta and the rows (up to their order)
+    depend on the line set alone. A single line has no point; any point on
+    it serves, with k = 1.
+    """
+    s = intersection_summary(arr)
+    if s.masks:
+        through = max(s.masks, key=int.bit_count)  # the first of top multiplicity
+        point = mask_point(arr.lines, through)
+    else:
+        through, point = 1, line_kernel_basis(arr.lines[0])[0]
+    pencil = [line for i, line in enumerate(arr.lines) if through >> i & 1]
+    k = len(pencil)
+    q = product_of_lines(pencil)
+    grad = [{}, {}, {}]
+    for e, v in q.items():
+        for i in range(3):
+            if e[i]:
+                grad[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = e[i] * v
+    px, py, pz = point
+    eta = (
+        _linear_combination([(py, grad[2]), (-pz, grad[1])]),
+        _linear_combination([(pz, grad[0]), (-px, grad[2])]),
+        _linear_combination([(px, grad[1]), (-py, grad[0])]),
+    )
+    nd = basis_size(d)
+    e2 = d - k + 1
+    ncols = nd + (basis_size(e2) if e2 >= 0 else 0)
+    eta_index = monomial_basis(k - 1).index
+    rows: list[list[int]] = []
+    for i, line in enumerate(arr.lines):
+        if through >> i & 1:
+            continue
+        line_rows = [[0] * ncols for _ in range(d + 1)]
+        at_point = line.evaluate(point)
+        for mi, (low, coeffs) in enumerate(_restrictions(line, d)):
+            for p, v in enumerate(coeffs, low):
+                if v:
+                    line_rows[p][mi] = at_point * v
+        if e2 >= 0:
+            # eta(alpha) restricted to the line, a binary form of degree k - 1
+            eta_restricted = [0] * k
+            eta_monomials = _restrictions(line, k - 1)
+            for e, v in _linear_combination(zip(line.coeffs, eta)).items():
+                low, coeffs = eta_monomials[eta_index(e)]
+                for p, c in enumerate(coeffs, low):
+                    eta_restricted[p] += v * c
+            for mj, (low, coeffs) in enumerate(_restrictions(line, e2), nd):
+                for p, v in enumerate(coeffs, low):
+                    if v:
+                        for r, c in enumerate(eta_restricted, p):
+                            if c:
+                                line_rows[r][mj] += v * c
+        rows.extend(line_rows)
+    return PencilSystem(point, k, eta, rows, ncols)
+
+
 @lru_cache(maxsize=16)
 def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
-    """Exact kernel basis: explicit Euler multiples plus a complement kernel.
+    """Exact basis of D(A)_d: the Euler multiples, then one complement vector per free column of a reduced system.
 
-    The Euler-multiple subspace E always sits inside the kernel, and the
-    coefficient space splits as E (+) W where W drops the f-block columns of
-    monomials divisible by x. Eliminating only the W columns gives
-    ker = E (+) (ker cap W) exactly, at a third fewer columns.
+    Only matrix.arrangement and matrix.degree are read; the rows are never built.
+
+    Theorem, as used (K. Saito, J. Fac. Sci. Univ. Tokyo 27 (1980);
+    Orlik and Terao, Arrangements of Hyperplanes, ch. 4). Let p be a point
+    of A, A_p the k lines through it and Q_p their product. The constant
+    field d_p = p (its components are those of p) and eta_p = p x grad Q_p
+    are tangent to every line through p, and det(E, d_p, eta_p) =
+    -(p . p) * k * Q_p, since p . grad Q_p = 0 (Q_p does not change along
+    p) and Euler's formula gives x . grad Q_p = k * Q_p. That is a nonzero
+    multiple of Q_p, so by Saito's criterion E, d_p, eta_p is a basis of
+    the free module D(A_p), of degrees 1, 0 and k - 1. D(A) lies in
+    D(A_p), and E is tangent to every line, so
+        D(A)_d = S_{d-1} E (+) {g1 d_p + g2 eta_p : g1 in S_d,
+                 g2 in S_{d-k+1}, alpha_H divides g1 * alpha_H(p) +
+                 g2 * eta_p(alpha_H) for every line H off p}.
+    The divisibility is the vanishing of the restriction to H, d + 1
+    linear conditions a line (pencil_system). So the kernel eliminated is
+    (n - k)(d + 1) x (N_d + N_{d-k+1}), against n(d + 1) x 3 N_d for the
+    derivation matrix; p has the top multiplicity, which makes n - k
+    smallest. Each kernel vector (g1, g2) gives g1 d_p + g2 eta_p, made
+    primitive with its first nonzero entry positive. The map is injective
+    (E, d_p, eta_p is a basis), so these vectors are independent, and the
+    RREF kernel (exactlinalg.kernel_basis) makes them the same for every
+    line order.
     """
     d = matrix.degree
-    mons = monomial_basis(d).monomials
-    nd = len(mons)
-    keep_f = [i for i, m in enumerate(mons) if m[0] == 0]
-    col_ids = keep_f + [nd + i for i in range(nd)] + [2 * nd + i for i in range(nd)]
-    sub = list(map(operator.itemgetter(*col_ids), matrix.rows))
-    sub_kernel = exactlinalg.kernel_basis(sub, len(col_ids))
-    vectors = [tuple(v) for v in euler_multiples(d)]
-    for kv in sub_kernel:
+    system = pencil_system(matrix.arrangement, d)
+    nd = basis_size(d)
+    index = monomial_basis(d).index
+    # for each monomial m of g2, the positions and coefficients of m * eta in the stacked vector
+    spread = [
+        [(block * nd + index((m[0] + e[0], m[1] + e[1], m[2] + e[2])), v)
+         for block, comp in enumerate(system.eta) for e, v in comp.items()]
+        for m in (monomial_basis(d - system.k + 1).monomials if system.ncols > nd else ())
+    ]
+    vectors = euler_multiples(d)
+    for kv in exactlinalg.kernel_basis(system.rows, system.ncols):
         full = [0] * (3 * nd)
-        for cid, v in zip(col_ids, kv):
-            full[cid] = v
-        vectors.append(tuple(full))
+        for block, c in enumerate(system.point):
+            if c:
+                for i, v in enumerate(kv[:nd], block * nd):
+                    if v:
+                        full[i] = c * v
+        for g, terms in zip(kv[nd:], spread):
+            if g:
+                for i, v in terms:
+                    full[i] += g * v
+        scale = math.gcd(*full)
+        if next(v for v in full if v) < 0:
+            scale = -scale
+        vectors.append(tuple(v // scale for v in full))
     return NullBasisExact(degree=d, vectors=tuple(vectors), euler_dim=basis_size(d - 1))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -465,6 +466,7 @@ INTEGER_LIKE = st.one_of(
     st.integers().map(str),
     st.from_regex(r"[-+ ]?[0-9_\u0663\u0967]{0,8}[\n ]?", fullmatch=True),
     st.sampled_from(["-0", "007", "+5", " 5", "5_000", "\u0663\u0663", "-\u0967", "--5", "-", "", "0x5", "5.0"]),
+    st.integers(3995, 4005).map(lambda k: "7" * k),
     st.integers(4295, 4400).map(lambda k: "7" * k),
     st.integers(4295, 4400).map(lambda k: "-" + "7" * k),
 )
@@ -473,8 +475,13 @@ INTEGER_LIKE = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(text=INTEGER_LIKE)
 def test_coefficient_reader_agrees_with_fraction(text):
-    # plain integers take int(); every text reads to Fraction(text)'s value
-    # or raises the same exception type
+    # plain integers take int(), up to MAX_DECIMAL_DIGITS digits, and a longer
+    # one is refused naming the bound; every other text reads to
+    # Fraction(text)'s value or raises the same exception type
+    if re.fullmatch(r"-?[0-9]+", text) and len(text.lstrip("-")) > arrangement.MAX_DECIMAL_DIGITS:
+        with pytest.raises(ValueError, match=f"^c: an integer of {len(text.lstrip('-'))} digits is longer than 4000"):
+            arrangement._as_fraction(text, "c")
+        return
     got, got_exc = _parse(lambda t: arrangement._as_fraction(t, "c"), text)
     want, want_exc = _parse(Fraction, text)
     assert got_exc is want_exc
@@ -542,9 +549,11 @@ def test_certificate_files_are_pinned(tmp_path):
         ("1/3", Fraction(1, 3)), ("2.5e1", 25), (" 7", 7), ("1_0", 10), ("007", 7), ("-0", None),
         (7, 7), (2.5, Fraction(5, 2)),
         (True, "theta1.f['1,0,0']: True is a boolean, not a number"),
-        ("7" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("7" * 5000, "theta1.f['1,0,0']: an integer of 5000 digits is longer than 4000 digits"),
+        ("-" + "7" * 4000, -int("7" * 4000)),
     ],
-    ids=["third", "exponent", "space", "underscore", "zeros", "minus-zero", "number", "float", "true", "5000-digits"],
+    ids=["third", "exponent", "space", "underscore", "zeros", "minus-zero", "number", "float", "true", "5000-digits",
+         "4000-digits"],
 )
 def test_certificate_reader_reads_each_coefficient_form(tmp_path, near_pencil5, value, want):
     # a value, or a ValueError naming the file, for each form a coefficient

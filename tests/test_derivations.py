@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import numpy as np
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freelines import fixtures
-from freelines.arrangement import Line, build_arrangement, candidate_exponents, canonicalize_line
+from freelines.arrangement import (
+    Line,
+    arrangement_hash,
+    build_arrangement,
+    candidate_exponents,
+    canonicalize_line,
+    intersection_summary,
+)
 from freelines.certify import NotFreeAtExponents, exact_determinant, verify_free
 from freelines.derivations import (
     DegreeMismatch,
@@ -18,14 +26,16 @@ from freelines.derivations import (
     line_kernel_basis,
     null_space_exact,
     null_space_float,
+    pencil_system,
     q_coefficient_vector,
 )
-from freelines.exactlinalg import in_kernel
+from freelines.exactlinalg import in_kernel, kernel_basis
 from freelines.monomials import (
     monomial_basis,
     poly_to_vector,
     vector_to_poly,
 )
+from freelines.search import candidate_pool
 
 
 def test_monomial_basis_small():
@@ -141,6 +151,68 @@ def test_mutant_images_off_the_coordinate_axes(km):
             for p in range(d + 1):
                 expected.append(tuple(coeff * r[p] for coeff in line.coeffs for r in restricted))
         assert derivation_matrix(image, d).rows == tuple(expected)
+
+
+def _pencil_kernel_inputs():
+    """(name, arrangement, degree): fixtures, the mutants, R = 2 pool sets, and the image of each."""
+    inputs = [(name, getattr(fixtures, name)()) for name in ("free_13", "free_19", "free_20")]
+    inputs += [(f"pencils_{k}_{m}", fixtures.disjoint_pencils(k, m)) for k, m in [(9, 4), (10, 5), (11, 5), (13, 6), (13, 7)]]
+    rng, pool = random.Random(28), candidate_pool(2).lines
+    inputs += [(f"pool_{i}", build_arrangement(rng.sample(pool, rng.randint(6, 10)))) for i in range(8)]
+    inputs += [(f"{name}_image", unimodular_image(arr)) for name, arr in inputs]
+    cases = []
+    for name, arr in inputs:
+        exps = candidate_exponents(arr)
+        degrees = sorted({exps.d1, exps.d2}) if exps else [2, 4]
+        cases += [(f"{name}-{d}", arr, d) for d in degrees]
+    return cases
+
+
+PENCIL_KERNEL_CASES = _pencil_kernel_inputs()
+
+
+@pytest.mark.parametrize("arr,d", [case[1:] for case in PENCIL_KERNEL_CASES],
+                         ids=[case[0] for case in PENCIL_KERNEL_CASES])
+def test_pencil_kernel_is_the_kernel_of_the_derivation_matrix(arr, d):
+    # the basis solved in the pencil spans the kernel of the full matrix: the
+    # same nullity, every vector annihilated by every row, the lines through
+    # the pencil's point included, and no vector dependent on the others
+    matrix = derivation_matrix(arr, d)
+    basis = null_space_exact(matrix)
+    assert basis.nullity == len(kernel_basis(list(matrix.rows), matrix.shape[1]))
+    support = [[(j, a) for j, a in enumerate(row) if a] for row in matrix.rows]
+    for vec in basis.vectors:
+        assert all(sum(a * vec[j] for j, a in row) == 0 for row in support)
+    assert kernel_basis([list(column) for column in zip(*basis.vectors)], basis.nullity) == []
+    assert basis.vectors[: basis.euler_dim] == tuple(euler_multiples(d))
+
+
+@pytest.mark.parametrize("arr,d", [case[1:] for case in PENCIL_KERNEL_CASES[::3]],
+                         ids=[case[0] for case in PENCIL_KERNEL_CASES[::3]])
+def test_pencil_kernel_does_not_depend_on_line_order(arr, d):
+    # the point, its pencil and the RREF kernel are read off the line set
+    # alone, so every order of the lines gives the same integers
+    basis = null_space_exact(derivation_matrix(arr, d))
+    rng = random.Random(f"{arrangement_hash(arr)}:{d}")
+    for _ in range(4):
+        lines = list(arr.lines)
+        rng.shuffle(lines)
+        assert null_space_exact(derivation_matrix(build_arrangement(lines), d)) == basis
+
+
+@pytest.mark.parametrize("arr,d", [case[1:] for case in PENCIL_KERNEL_CASES],
+                         ids=[case[0] for case in PENCIL_KERNEL_CASES])
+def test_pencil_system_constrains_only_the_lines_off_its_point(arr, d):
+    # the point is the first of top multiplicity in coordinate order, and each
+    # line off it gives d + 1 rows over N_d + N_{d-k+1} columns, none zero
+    s = intersection_summary(arr)
+    system = pencil_system(arr, d)
+    k = s.max_multiplicity
+    assert system.k == k
+    assert system.point == next(p.coords for p in s.points if p.multiplicity == k)
+    assert len(system.rows) == (arr.n - k) * (d + 1)
+    assert system.ncols == len(system.rows[0]) == comb(d + 2, 2) + (comb(d - k + 3, 2) if d >= k - 1 else 0)
+    assert all(any(row) for row in system.rows)
 
 
 def test_boolean_degree1_kernel_members(boolean):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from freelines import exactlinalg, fixtures
 from freelines.arrangement import build_arrangement, candidate_exponents
-from freelines.derivations import derivation_matrix, null_space_exact
+from freelines.derivations import derivation_matrix, euler_multiples, null_space_exact
 from freelines.exactlinalg import echelon_form, in_kernel, kernel_basis, matvec, rank
+from freelines.monomials import monomial_basis
 
 
 def rref_oracle(matrix, ncols):
@@ -192,8 +193,29 @@ def _vectors_digest(vectors) -> str:
     return h.hexdigest()
 
 
-# sha256 of the null_space_exact vectors that fraction-free elimination with
-# Fraction back-substitution produced at each fixture's candidate exponents
+def w_column_kernel(matrix):
+    """Euler multiples, then the kernel of the derivation matrix on the columns W.
+
+    W drops the f-block columns of monomials divisible by x. The coefficient
+    space splits as E (+) W, with E the Euler multiples, so the kernel is
+    E (+) (kernel cap W), and eliminating the W columns alone finds it.
+    """
+    d = matrix.degree
+    mons = monomial_basis(d).monomials
+    nd = len(mons)
+    col_ids = [i for i, m in enumerate(mons) if m[0] == 0] + list(range(nd, 3 * nd))
+    vectors = list(euler_multiples(d))
+    for kv in kernel_basis([[row[c] for c in col_ids] for row in matrix.rows], len(col_ids)):
+        full = [0] * (3 * nd)
+        for c, v in zip(col_ids, kv):
+            full[c] = v
+        vectors.append(tuple(full))
+    return vectors
+
+
+# sha256 of the W-column kernel vectors (w_column_kernel) that fraction-free
+# elimination with Fraction back-substitution produced at each fixture's
+# candidate exponents
 PINNED_KERNELS = [
     ("free_13", 6, "92e89b0d58527228b9410fb6dd5976b0e5e452a2cb5e1fe77ddb3f0e00d1cb7e"),
     ("free_19", 7, "d2b27d9d1ed38132b5ab62f74c819efe51066ff2b44274e948f997abbfb50210"),
@@ -208,6 +230,23 @@ def test_exact_kernels_are_pinned(name, d, digest):
     arr = getattr(fixtures, name)()
     exps = candidate_exponents(arr)
     assert d in (exps.d1, exps.d2)
+    assert _vectors_digest(w_column_kernel(derivation_matrix(arr, d))) == digest
+
+
+# sha256 of the null_space_exact vectors, solved in the pencil of the first
+# top-multiplicity point, at the same fixtures and degrees
+PINNED_PENCIL_KERNELS = [
+    ("free_13", 6, "aed88471d5166303e66bf78e515fc4cdd1eaa8930508d56216b5c2d276b38b57"),
+    ("free_19", 7, "a07042bc6239ce7bcddba892e001ffafff2e60d46e5a428c716326a266523f0b"),
+    ("free_19", 11, "f9370229a763ace3009db03e6a0cf3869d925200ad692b928e2dde670d66a253"),
+    ("free_20", 9, "82e66a667cdaeb5742898b89d3ba28c35185dfc421e7f0e392b30dae4aadcd1f"),
+    ("free_20", 10, "138216d96c5158919679c1c2b5b7c55e95f213e09c68b9eb579bdf83be221539"),
+]
+
+
+@pytest.mark.parametrize("name,d,digest", PINNED_PENCIL_KERNELS)
+def test_pencil_kernels_are_pinned(name, d, digest):
+    arr = getattr(fixtures, name)()
     assert _vectors_digest(null_space_exact(derivation_matrix(arr, d)).vectors) == digest
 
 

@@ -19,6 +19,7 @@ from freelines.arrangement import (
     canonicalize_line,
     intersection_summary,
     write_arrangement,
+    write_json,
 )
 from freelines.certify import (
     Certified,
@@ -392,6 +393,24 @@ def test_unwritable_files_leave_nothing_behind(tmp_path):
     with pytest.raises(ValueError, match="c: a coefficient has more than 4000 digits"):
         save_catalog(catalog, str(out))
     assert not out.exists()
+
+
+def test_a_file_that_cannot_be_opened_removes_the_files_before_it(tmp_path):
+    # a directory at the second path fails its open with an OSError; the
+    # first file, already written, is unlinked before the error propagates
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    second.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_json({str(first): {"a": 1}, str(second): {"b": 2}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["second.json"]
+    # save_catalog writes the entries first and index.json last
+    catalog = Catalog()
+    catalog.add(construct_certified(1, 2))
+    out = tmp_path / "catalog"
+    (out / "index.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        save_catalog(catalog, str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["index.json"]
 
 
 def test_bootstrap_returns_exactly_the_certified_candidates():
