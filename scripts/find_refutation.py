@@ -18,6 +18,7 @@ Two strategies, both preserving b2 so candidate exponents survive:
 Usage: python scripts/find_refutation.py [--search-fixture]
 """
 
+import argparse
 import sys
 
 from freelines import (
@@ -74,12 +75,16 @@ def search_fixture_swaps() -> int:
     return hits
 
 
-def main() -> int:
+def main(search_fixture: bool = False) -> int:
     hits = check_mutants()
-    if "--search-fixture" in sys.argv:
+    if search_fixture:
         hits += search_fixture_swaps()
     return 0 if hits else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--search-fixture", action="store_true",
+                        help="also try every b2-preserving single-line swap of free_13")
+    args = parser.parse_args()
+    sys.exit(main(args.search_fixture))

@@ -8,6 +8,7 @@ stay pinned by something outside it.
 Usage: python scripts/score_reference.py [pool_bound] [samples]
 """
 
+import argparse
 import random
 import sys
 from math import isqrt
@@ -68,5 +69,9 @@ def main(bound: int = 2, samples: int = 300) -> int:
 
 
 if __name__ == "__main__":
-    args = [int(a) for a in sys.argv[1:3]]
-    sys.exit(main(*args))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("pool_bound", nargs="?", type=int, default=2,
+                        help="coefficient bound of the line pool (default 2)")
+    parser.add_argument("samples", nargs="?", type=int, default=300, help="arrangements to check (default 300)")
+    args = parser.parse_args()
+    sys.exit(main(args.pool_bound, args.samples))

@@ -29,7 +29,7 @@ from .arrangement import (
     read_arrangement,
     read_json,
     tjurina,
-    write_arrangement,
+    write_json,
 )
 from .certify import (
     Certified,
@@ -198,8 +198,11 @@ def cmd_construct(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         base = f"two_pencil_{args.d1}x{args.d2}"
-        write_arrangement(os.path.join(args.out, base + ".json"), disc.arrangement)
-        write_certificate(os.path.join(args.out, base + ".cert.json"), disc.certificate)
+        # one call: a pair that cannot be written leaves neither file
+        write_json({
+            os.path.join(args.out, base + ".json"): payload["arrangement"],
+            os.path.join(args.out, base + ".cert.json"): payload["certificate"],
+        })
         payload["written_to"] = args.out
     _emit("construct", payload, arrangement_hash(disc.arrangement))
     return 0

@@ -9,6 +9,15 @@ must give the identically-zero binary form, one linear constraint per
 coefficient. The matrix's rows are built only when read, by the tests, which
 keep them as the oracle of every kernel.
 
+Every space is built from generator fields (theta_j, e_j), theta_j of degree
+e_j, by one rule: its vectors are the multiples m * theta_j over the monomials
+m of degree d - e_j (_multiples), and its rows are, for each line, the d + 1
+coefficients of alpha(sum g_j theta_j) restricted to the line
+(_constraint_rows). The Euler field E gives the Euler multiples; the point p
+and eta_p the pencil's vectors and rows (null_space_exact); theta1 and theta2
+a certificate's basis (null_space_from_fields); dx, dy and dz the derivation
+matrix.
+
 Float code never decides a nullity. A null space comes from one of two exact
 sources, both by Saito's criterion. null_space_exact solves D(A)_d inside
 the free pencil of lines through a point of top multiplicity, whose basis
@@ -43,14 +52,7 @@ import numpy as np
 
 from . import exactlinalg
 from .arrangement import Arrangement, Line, _normalize_triple, intersection_summary, mask_point
-from .monomials import (
-    Poly,
-    basis_size,
-    monomial_basis,
-    poly_to_vector,
-    product_of_lines,
-    variable_shift_indices,
-)
+from .monomials import Poly, basis_size, monomial_basis, poly_to_vector, product_of_lines
 
 
 class DegreeMismatch(ValueError):
@@ -95,33 +97,24 @@ class DerivationMatrix:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """d + 1 rows a line, in line order.
+        """d + 1 rows a line, in line order: the restriction rows (_constraint_rows) of dx, dy, dz.
 
         With the line alpha = a x + b y + c z parametrized as s*u + t*w by
         its line_kernel_basis, row p holds the s^p coefficients of
         alpha(f, g, h) restricted to the line, so column (block, m) carries
-        the block's coefficient of alpha times that of m(s*u + t*w)
-        (_restrictions).
+        the block's coefficient of alpha times that of m(s*u + t*w).
         """
-        d = self.degree
-        nd = basis_size(d)
-        rows: list[tuple[int, ...]] = []
-        for line in self.arrangement.lines:
-            blocks = [(block * nd, a) for block, a in enumerate(line.coeffs) if a]
-            line_rows = [[0] * (3 * nd) for _ in range(d + 1)]
-            for mi, (low, coeffs) in enumerate(_restrictions(line, d)):
-                for p, v in enumerate(coeffs, low):
-                    if v:
-                        row = line_rows[p]
-                        for offset, a in blocks:
-                            row[offset + mi] = a * v
-            rows.extend(tuple(row) for row in line_rows)
-        return tuple(rows)
+        return tuple(map(tuple, _constraint_rows(self.arrangement, self.degree, COORDINATE_FIELDS)[0]))
 
 
-def _binary_form_powers(u: int, w: int, d: int) -> list[list[int]]:
-    """Coefficients of (s*u + t*w)^e for e = 0..d, each indexed by the power of s."""
-    return [[math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)] for e in range(d + 1)]
+def _binary_form_powers(u: int, w: int, d: int) -> list[tuple[int, list[int]]]:
+    """(s*u + t*w)^e for e = 0..d, each as (low, coeffs): coeffs[i] is the coefficient of s^(low + i).
+
+    When u or w is zero the power is the single term u^e s^e or w^e t^e.
+    """
+    if u and w:
+        return [(0, [math.comb(e, r) * u**r * w ** (e - r) for r in range(e + 1)]) for e in range(d + 1)]
+    return [(e, [u**e]) if u else (0, [w**e]) for e in range(d + 1)]
 
 
 def _restrictions(line: Line, e: int) -> list[tuple[int, list[int]]]:
@@ -134,7 +127,8 @@ def _restrictions(line: Line, e: int) -> list[tuple[int, list[int]]]:
     monomial, the product of the single-term powers, times one binomial
     power, read off the line's _binary_form_powers table of the two-term
     coordinate; a zero product gives an empty coeffs. On a line through a
-    coordinate point (a coefficient zero) every coordinate is a single term.
+    coordinate point (a coefficient zero) every coordinate is a single term,
+    and so is every restriction.
     """
     u, w = line_kernel_basis(line)
     # the coordinate with both an s and a t term, if any, is the only one expanded
@@ -147,9 +141,94 @@ def _restrictions(line: Line, e: int) -> list[tuple[int, list[int]]]:
     for m in monomial_basis(e).monomials:
         k1, c1 = first[m[one]]
         k2, c2 = second[m[other]]
+        low, coeffs = binomial[m[two]]
         scale = c1 * c2
-        out.append((k1 + k2, [scale * v for v in binomial[m[two]]] if scale else []))
+        out.append((k1 + k2 + low, [scale * v for v in coeffs] if scale else []))
     return out
+
+
+def _constant_field(v) -> tuple[Poly, Poly, Poly]:
+    """The degree-0 field v[0] dx + v[1] dy + v[2] dz."""
+    return tuple({(0, 0, 0): c} if c else {} for c in v)
+
+
+# generator fields, as (f, g, h) polynomial dicts: the Euler field, of degree 1,
+# and dx, dy, dz, of degree 0, whose multiples are the unit stacked vectors
+EULER = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+COORDINATE_FIELDS = tuple((_constant_field(v), 0) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _multiples(theta, e: int, d: int) -> list[list[tuple[int, object]]]:
+    """m * theta for each monomial m of basis(d - e), in basis order; none when e > d.
+
+    theta is a field of degree e. Each multiple is given by the nonzero
+    entries of its stacked vector at degree d, as (position, coefficient).
+    """
+    if e > d:
+        return []
+    nd = basis_size(d)
+    index = monomial_basis(d).index
+    terms = [(block * nd, x, v) for block, comp in enumerate(theta) for x, v in comp.items() if v]
+    return [[(offset + index((x[0] + m[0], x[1] + m[1], x[2] + m[2])), v) for offset, x, v in terms]
+            for m in monomial_basis(d - e).monomials]
+
+
+def _dense(vec, size: int) -> tuple:
+    """The vector of the given size whose nonzero entries are the (position, coefficient) pairs of vec."""
+    out = [0] * size
+    for i, v in vec:
+        out[i] = v
+    return tuple(out)
+
+
+def _constraint_rows(arr: Arrangement, d: int, fields, skip: int = 0) -> tuple[list[list[int]], int]:
+    """Rows whose kernel is every (g_1, g_2, ...) with sum g_j theta_j tangent to the lines off skip.
+
+    fields is ((theta_j, e_j), ...): g_j runs over basis(d - e_j), with no
+    columns when e_j > d, and the columns are g_1's, then g_2's, and so on.
+    skip is a mask of lines that give no rows. Each other line alpha gives
+    d + 1 rows, the s^p coefficients of alpha(sum g_j theta_j) restricted
+    to the line: sum_j of g_j restricted (_restrictions) times the binary
+    form theta_j(alpha) restricted, of degree e_j. Returns (rows, ncols).
+    """
+    live, ncols = [], 0
+    for theta, e in fields:
+        if e <= d:
+            # theta's monomials, by index in basis(e), each with its f, g and h
+            # coefficients, so that theta(alpha) is restricted once a monomial
+            terms: dict = {}
+            for block, comp in enumerate(theta):
+                for x, v in comp.items():
+                    terms.setdefault(monomial_basis(e).index(x), [0, 0, 0])[block] = v
+            live.append((e, ncols, terms.items()))
+            ncols += basis_size(d - e)
+    rows: list[list[int]] = []
+    for i, line in enumerate(arr.lines):
+        if skip >> i & 1:
+            continue
+        a, b, c = line.coeffs
+        line_rows = [[0] * ncols for _ in range(d + 1)]
+        tables = {0: [(0, [1])]}  # degree -> the line's _restrictions at that degree
+        for e, offset, terms in live:
+            for degree in (e, d - e):
+                if degree not in tables:
+                    tables[degree] = _restrictions(line, degree)
+            # theta(alpha) restricted to the line, a binary form of degree e
+            form = [0] * (e + 1)
+            for mi, (f, g, h) in terms:
+                v = a * f + b * g + c * h
+                if v:
+                    low, coeffs = tables[e][mi]
+                    for p, w in enumerate(coeffs, low):
+                        form[p] += v * w
+            for q, w in enumerate(form):
+                if w:
+                    for mj, (low, coeffs) in enumerate(tables[d - e], offset):
+                        for p, v in enumerate(coeffs, low + q):
+                            if v:
+                                line_rows[p][mj] += v * w
+        rows.extend(line_rows)
+    return rows, ncols
 
 
 @lru_cache(maxsize=16)
@@ -168,16 +247,7 @@ def euler_multiples(d: int) -> list[tuple[int, ...]]:
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    nd = basis_size(d)
-    xs, ys, zs = variable_shift_indices(d - 1)
-    out = []
-    for k in range(basis_size(d - 1)):
-        vec = [0] * (3 * nd)
-        vec[xs[k]] = 1
-        vec[nd + ys[k]] = 1
-        vec[2 * nd + zs[k]] = 1
-        out.append(tuple(vec))
-    return out
+    return [_dense(vec, 3 * basis_size(d)) for vec in _multiples(EULER, 1, d)]
 
 
 def q_coefficient_vector(arr: Arrangement) -> list[int]:
@@ -215,16 +285,17 @@ class NullBasisExact:
 class PencilSystem(NamedTuple):
     """What is left of D(A)_d to solve once the pencil through point is solved.
 
-    k lines pass through point and eta is the field p x grad Q_p of their
-    product Q_p, of degree k - 1. Each row constrains (g1, g2), g1 over
-    basis(d) and g2 over basis(d - k + 1) (no columns when d < k - 1), so
-    that g1 * point + g2 * eta is tangent to one line off the point; see
-    null_space_exact.
+    k lines pass through point, and fields holds the pencil's generators
+    with their degrees: point, as a constant field of degree 0, and eta =
+    p x grad Q_p of their product Q_p, of degree k - 1. Each row constrains
+    (g1, g2), g1 over basis(d) and g2 over basis(d - k + 1) (no columns
+    when d < k - 1), so that g1 * point + g2 * eta is tangent to one line
+    off the point; see null_space_exact.
     """
 
     point: tuple[int, int, int]
     k: int
-    eta: tuple[Poly, Poly, Poly]
+    fields: tuple
     rows: list[list[int]]
     ncols: int
 
@@ -267,36 +338,9 @@ def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
         _linear_combination([(pz, grad[0]), (-px, grad[2])]),
         _linear_combination([(px, grad[1]), (-py, grad[0])]),
     )
-    nd = basis_size(d)
-    e2 = d - k + 1
-    ncols = nd + (basis_size(e2) if e2 >= 0 else 0)
-    eta_index = monomial_basis(k - 1).index
-    rows: list[list[int]] = []
-    for i, line in enumerate(arr.lines):
-        if through >> i & 1:
-            continue
-        line_rows = [[0] * ncols for _ in range(d + 1)]
-        at_point = line.evaluate(point)
-        for mi, (low, coeffs) in enumerate(_restrictions(line, d)):
-            for p, v in enumerate(coeffs, low):
-                if v:
-                    line_rows[p][mi] = at_point * v
-        if e2 >= 0:
-            # eta(alpha) restricted to the line, a binary form of degree k - 1
-            eta_restricted = [0] * k
-            eta_monomials = _restrictions(line, k - 1)
-            for e, v in _linear_combination(zip(line.coeffs, eta)).items():
-                low, coeffs = eta_monomials[eta_index(e)]
-                for p, c in enumerate(coeffs, low):
-                    eta_restricted[p] += v * c
-            for mj, (low, coeffs) in enumerate(_restrictions(line, e2), nd):
-                for p, v in enumerate(coeffs, low):
-                    if v:
-                        for r, c in enumerate(eta_restricted, p):
-                            if c:
-                                line_rows[r][mj] += v * c
-        rows.extend(line_rows)
-    return PencilSystem(point, k, eta, rows, ncols)
+    fields = ((_constant_field(point), 0), (eta, k - 1))
+    rows, ncols = _constraint_rows(arr, d, fields, through)
+    return PencilSystem(point, k, fields, rows, ncols)
 
 
 @lru_cache(maxsize=16)
@@ -330,25 +374,13 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
     """
     d = matrix.degree
     system = pencil_system(matrix.arrangement, d)
-    nd = basis_size(d)
-    index = monomial_basis(d).index
-    # for each monomial m of g2, the positions and coefficients of m * eta in the stacked vector
-    spread = [
-        [(block * nd + index((m[0] + e[0], m[1] + e[1], m[2] + e[2])), v)
-         for block, comp in enumerate(system.eta) for e, v in comp.items()]
-        for m in (monomial_basis(d - system.k + 1).monomials if system.ncols > nd else ())
-    ]
+    columns = [vec for theta, e in system.fields for vec in _multiples(theta, e, d)]
     vectors = euler_multiples(d)
     for kv in exactlinalg.kernel_basis(system.rows, system.ncols):
-        full = [0] * (3 * nd)
-        for block, c in enumerate(system.point):
-            if c:
-                for i, v in enumerate(kv[:nd], block * nd):
-                    if v:
-                        full[i] = c * v
-        for g, terms in zip(kv[nd:], spread):
+        full = [0] * (3 * basis_size(d))
+        for g, vec in zip(kv, columns):
             if g:
-                for i, v in terms:
+                for i, v in vec:
                     full[i] += g * v
         scale = math.gcd(*full)
         if next(v for v in full if v) < 0:
@@ -412,18 +444,9 @@ def null_space_from_fields(d: int, fields) -> NullBasisFloat:
     matrix and no kernel is built; the basis is only as sound as the check
     of the certificate.
     """
-    nd = basis_size(d)
-    index = monomial_basis(d).index
     vectors = euler_multiples(d)
     for theta, degree in fields:
-        if degree > d:
-            continue
-        for m in monomial_basis(d - degree).monomials:
-            vec = [0] * (3 * nd)
-            for block, comp in enumerate(theta):
-                for e, v in comp.items():
-                    vec[block * nd + index((e[0] + m[0], e[1] + m[1], e[2] + m[2]))] = v
-            vectors.append(vec)
+        vectors += [_dense(vec, 3 * basis_size(d)) for vec in _multiples(theta, degree, d)]
     return _orthonormal_basis(d, vectors, basis_size(d - 1))
 
 

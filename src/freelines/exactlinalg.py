@@ -34,8 +34,9 @@ returned primitive with its first nonzero entry positive.
 References: Dixon, Numer. Math. 40 (1982); von zur Gathen and Gerhard, Modern
 Computer Algebra, section 5.10 (rational reconstruction).
 
-echelon_form is fraction-free elimination over Z with content control: every
-update row is p*row_i - v*row_r divided by its integer content. It gives rank.
+echelon_form and rank read the pivot columns off that RREF: the last nonzero
+entry of an RREF kernel vector is its free column, and every other column is
+a pivot column. So the module has one elimination engine.
 """
 
 from __future__ import annotations
@@ -55,67 +56,6 @@ PRIME_LIMIT = 1 << 26
 LAZY_STEPS = (1 << 11) - 1
 FIRST_BATCH = 4
 PRIME_BLOCK = 32
-
-
-def _content_strip(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
-@dataclass
-class Echelon:
-    rows: list[list[int]]
-    pivot_columns: list[int]
-    ncols: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_columns)
-
-
-def echelon_form(matrix: list[list[int]], ncols: int | None = None) -> Echelon:
-    """Integer row echelon form (rows rescaled by content, order permuted)."""
-    rows = [_content_strip([int(x) for x in r]) for r in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    nrows = len(rows)
-    r = 0
-    pivot_columns: list[int] = []
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv, piv_bits = -1, None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                nb = abs(v).bit_length()
-                if piv_bits is None or nb < piv_bits:
-                    piv, piv_bits = i, nb
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if v:
-                row_i = rows[i]
-                new = [p * row_i[j] - v * row_r[j] for j in range(c + 1, ncols)]
-                rows[i] = [0] * (c + 1) + _content_strip(new)
-        pivot_columns.append(c)
-        r += 1
-    return Echelon(rows=rows[:r], pivot_columns=pivot_columns, ncols=ncols)
-
-
-def rank(matrix: list[list[int]], ncols: int | None = None) -> int:
-    return echelon_form(matrix, ncols).rank
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +375,25 @@ def kernel_basis(matrix: list[list[int]], ncols: int | None = None) -> list[tupl
                 raise RuntimeError(f"kernel_basis: no verified kernel after {used} primes")
 
 
-def matvec(matrix: list[list[int]], vec) -> list:
-    """Exact matrix-vector product; vec entries may be int or Fraction."""
-    return [sum(a * v for a, v in zip(row, vec) if a) for row in matrix]
+@dataclass
+class Echelon:
+    """The pivot columns of the RREF of a matrix with ncols columns."""
+
+    pivot_columns: list[int]
+    ncols: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_columns)
 
 
-def in_kernel(matrix: list[list[int]], vec) -> bool:
-    return all(s == 0 for s in matvec(matrix, vec))
+def echelon_form(matrix: list[list[int]], ncols: int | None = None) -> Echelon:
+    """The RREF's pivot columns: all but the free ones, each the last nonzero entry of a kernel_basis vector."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    free = {max(j for j, x in enumerate(v) if x) for v in kernel_basis(matrix, ncols)}
+    return Echelon([c for c in range(ncols) if c not in free], ncols)
+
+
+def rank(matrix: list[list[int]], ncols: int | None = None) -> int:
+    return echelon_form(matrix, ncols).rank

@@ -101,18 +101,3 @@ def poly_to_vector(p: Poly, d: int) -> list:
 def vector_to_poly(vec, d: int) -> Poly:
     mons = monomial_basis(d).monomials
     return {m: v for m, v in zip(mons, vec) if v}
-
-
-@lru_cache(maxsize=None)
-def variable_shift_indices(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Index maps for multiplication by x, y, z from S_d into S_{d+1}.
-
-    Entry k of the first tuple is the index in basis(d+1) of x * basis(d)[k],
-    and similarly for y and z.
-    """
-    src = monomial_basis(d).monomials
-    dst = _index_map(d + 1)
-    xs = tuple(dst[(e[0] + 1, e[1], e[2])] for e in src)
-    ys = tuple(dst[(e[0], e[1] + 1, e[2])] for e in src)
-    zs = tuple(dst[(e[0], e[1], e[2] + 1)] for e in src)
-    return xs, ys, zs

@@ -437,6 +437,15 @@ def test_unwritable_output_path_is_usage_error(files, tmp_path, capsys, argv):
     assert blocked in err["error"]
 
 
+def test_construct_writes_its_pair_whole_or_not_at_all(tmp_path, capsys):
+    # the certificate's path is a directory, so its open fails after the
+    # arrangement's; one write_json call unlinks the arrangement file again
+    (tmp_path / "two_pencil_2x3.cert.json").mkdir()
+    err = usage_error(capsys, ["construct", "2", "3", "--out", str(tmp_path)])
+    assert err["command"] == "construct"
+    assert not (tmp_path / "two_pencil_2x3.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelines import fixtures
+from freelines import derivations, fixtures
 from freelines.arrangement import (
     Line,
     arrangement_hash,
@@ -15,7 +15,7 @@ from freelines.arrangement import (
     canonicalize_line,
     intersection_summary,
 )
-from freelines.certify import NotFreeAtExponents, exact_determinant, verify_free
+from freelines.certify import NotFreeAtExponents, chain_certificate, exact_determinant, verify_free
 from freelines.derivations import (
     DegreeMismatch,
     assemble_saito_tensor,
@@ -26,16 +26,23 @@ from freelines.derivations import (
     line_kernel_basis,
     null_space_exact,
     null_space_float,
+    null_space_from_fields,
     pencil_system,
     q_coefficient_vector,
 )
-from freelines.exactlinalg import in_kernel, kernel_basis
+from freelines.exactlinalg import kernel_basis
 from freelines.monomials import (
     monomial_basis,
+    poly_mul,
     poly_to_vector,
     vector_to_poly,
 )
-from freelines.search import candidate_pool
+from freelines.search import candidate_pool, two_pencil_witness
+
+
+def in_kernel(matrix, vec):
+    """Exact A v = 0; vec entries may be int or Fraction."""
+    return all(sum(a * v for a, v in zip(row, vec) if a) == 0 for row in matrix)
 
 
 def test_monomial_basis_small():
@@ -315,6 +322,59 @@ def test_euler_multiples_in_every_kernel(boolean, near_pencil5):
             m = derivation_matrix(arr, d)
             for v in euler_multiples(d):
                 assert in_kernel(list(m.rows), v)
+
+
+EULER_FIELD = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+
+
+def expanded_multiples(theta, e, d):
+    """m * theta for m over basis(d - e), each stacked at degree d, expanded by poly_mul."""
+    if e > d:
+        return []
+    return [tuple(v for comp in theta for v in poly_to_vector(poly_mul({m: 1}, comp), d))
+            for m in monomial_basis(d - e).monomials]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_euler_multiples_are_the_expanded_multiples_of_euler(d):
+    assert euler_multiples(d) == expanded_multiples(EULER_FIELD, 1, d)
+
+
+def _certificate_fields():
+    """(name, ((theta1, d1), (theta2, d2))): free_16's chain certificate and one two-pencil witness."""
+    free16 = fixtures.free_16()
+    exps = candidate_exponents(free16)
+    cert = chain_certificate(free16, exps.d1, exps.d2)
+    theta1, theta2 = two_pencil_witness(2, 3)
+    return [("free_16", ((cert.theta1, cert.d1), (cert.theta2, cert.d2))),
+            ("two_pencil_2x3", ((theta1, 2), (theta2, 3)))]
+
+
+CERTIFICATE_FIELDS = _certificate_fields()
+
+
+@pytest.mark.parametrize("fields", [case[1] for case in CERTIFICATE_FIELDS],
+                         ids=[case[0] for case in CERTIFICATE_FIELDS])
+def test_null_space_from_fields_spans_the_expanded_multiples(fields, monkeypatch):
+    # the exact columns handed to the orthonormalization are the Euler
+    # multiples, then m * theta1, then m * theta2, each in basis order; at
+    # d = d1 < d2 theta2 has no multiples
+    seen = []
+    orthonormal = derivations._orthonormal_basis
+
+    def recording(d, vectors, euler_dim):
+        seen.append([tuple(v) for v in vectors])
+        return orthonormal(d, vectors, euler_dim)
+
+    monkeypatch.setattr(derivations, "_orthonormal_basis", recording)
+    (_, d1), (_, d2) = fields
+    for d in (d1, d2, d2 + 1):
+        seen.clear()
+        basis = null_space_from_fields(d, fields)
+        expected = expanded_multiples(EULER_FIELD, 1, d)
+        expected += [vec for theta, e in fields for vec in expanded_multiples(theta, e, d)]
+        assert seen == [expected]
+        assert basis.nullity == len(expected) and basis.euler_dim == comb(d + 1, 2)
 
 
 def test_q_vector_boolean(boolean):

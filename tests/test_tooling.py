@@ -75,6 +75,14 @@ def test_coverage_sweep_refuses_a_non_integer_n_max():
     assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("script,args", [("score_reference.py", ["two"]), ("find_refutation.py", ["--bogus"])])
+def test_scripts_refuse_bad_arguments(script, args):
+    # a non-integer count and an unknown flag are usage errors, caught before any work
+    done = _run_script(script, args)
+    assert done.returncode == 2 and done.stdout == "", done.stdout + done.stderr
+    assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+
+
 def test_coverage_sweep_writes_each_cell_whole_or_not_at_all(tmp_path, monkeypatch):
     # the arrangement and certificate of a cell are rendered before either
     # file is opened, so a certificate that cannot be written leaves neither
