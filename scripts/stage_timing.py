@@ -4,13 +4,15 @@
 STAGE is one of:
 - kernel: best and worst of REPEATS (default 5) cold times of
   null_space_exact at each candidate degree, with the system it solves:
-  k, the lines through the pencil's point, the shape (n - k)(d + 1) x
-  (N_d + N_{d-k+1}) and the nullity of D(A)_d, and the best cold time of
-  pencil_system alone (rows_ms), which builds that system's rows. The full
-  derivation matrix is never built. Each repeat takes the input in a line
-  order seeded by its name and the repeat's number, as the benchmark takes
-  each pass. Inputs: the five disjoint-pencil mutants of verify-refute and
-  the pinned fixtures.
+  k, the lines through the pencil's point, gens, the pencil generators it
+  solves for (1, the point alone, when d < k - 1, so eta_p is never built;
+  otherwise 2), the shape (n - k)(d + 1) x (N_d + N_{d-k+1}) and the
+  nullity of D(A)_d, and the best cold time of pencil_system alone
+  (rows_ms), which builds that system's rows. The full derivation matrix
+  is never built. Each repeat takes the input in a line order seeded by
+  its name and the repeat's number, as the benchmark takes each pass.
+  Inputs: the five disjoint-pencil mutants of verify-refute and the
+  pinned fixtures.
 - tangent: best of REPEATS (default 7) times of the two is_tangent_field
   calls, of _saito_scalar and of check_certificate. Inputs: the chain
   certificates of free_13, free_19 and free_20, and two_pencil: the
@@ -89,7 +91,8 @@ def timed(repeats, fn, cold=False):
 
 
 def kernel_stage(names, repeats):
-    print(f"{'input':<14} {'d':>3} {'k':>3} {'shape':>10} {'nullity':>8} {'kernel_ms':>10} {'worst':>7} {'rows_ms':>8}")
+    print(f"{'input':<14} {'d':>3} {'k':>3} {'gens':>4} {'shape':>10} {'nullity':>8} {'kernel_ms':>10} {'worst':>7} "
+          f"{'rows_ms':>8}")
     total = 0.0
     for name in names:
         arr = INPUTS[name]()
@@ -104,9 +107,10 @@ def kernel_stage(names, repeats):
             rows_times, systems = timed(repeats, lambda k: pencil_system(orders[k], d), cold=True)
             system = systems[-1]
             total += min(times)
-            print(f"{name:<14} {d:>3} {system.k:>3} {len(system.rows):>4}x{system.ncols:<5} {bases[-1].nullity:>8} "
-                  f"{1e3 * min(times):>10.1f} {1e3 * max(times):>7.1f} {1e3 * min(rows_times):>8.2f}")
-    print(f"{'total (best)':<41} {1e3 * total:>10.1f}")
+            print(f"{name:<14} {d:>3} {system.k:>3} {len(system.fields):>4} {len(system.rows):>4}x{system.ncols:<5} "
+                  f"{bases[-1].nullity:>8} {1e3 * min(times):>10.1f} {1e3 * max(times):>7.1f} "
+                  f"{1e3 * min(rows_times):>8.2f}")
+    print(f"{'total (best)':<46} {1e3 * total:>10.1f}")
 
 
 CHECKS = {  # tangent column -> test of one (arrangement, certificate) pair

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm, prod
 
 from .arrangement import (
@@ -336,10 +337,6 @@ def _triangle_certificate(arr: Arrangement) -> FreenessCertificate:
     return FreenessCertificate(1, 1, fields[0], fields[1], Fraction(det), arrangement_hash(arr))
 
 
-def _bit_size(vec) -> int:
-    return sum(v.bit_length() for v in vec)
-
-
 def _witness_certificate(
     arr: Arrangement, d1: int, d2: int, witness: tuple[ExactDerivation, ExactDerivation]
 ) -> FreenessCertificate | None:
@@ -370,12 +367,13 @@ def verify_free(
     descent on the lattice looks for a deletion chain down to a triangle,
     with no budget, and a chain found is lifted into a certificate that
     passes check_certificate (see chain_certificate). When there is no
-    chain, the exact kernels at both degrees are computed,
-    quotiented by the Euler multiples, and basis pairs are scanned in order
-    of increasing coefficient size. Each basis vector is integral and is
-    evaluated once at the point P of _saito_point, by shifts (_value_at),
-    so a pair's determinant at P is one 3x3 integer determinant; it is
-    nonzero exactly when det(E, theta1, theta2) is. The first nonzero pair
+    chain, the exact kernels at both degrees are computed, quotiented by
+    the Euler multiples, and basis pairs are scanned in the kernels' RREF
+    order, each pair once when d1 = d2 (det is antisymmetric). Each basis
+    vector is integral and is evaluated once at the point P of
+    _saito_point, by shifts (_value_at), so a pair's determinant at P is
+    one 3x3 integer determinant; it is nonzero exactly when
+    det(E, theta1, theta2) is. The first nonzero pair
     yields the certificate, with c = det(P) / Q(P) read off those same
     values, and it must pass check_certificate (InternalInconsistency
     otherwise); if every pair vanishes the bilinear map is identically zero
@@ -399,28 +397,23 @@ def verify_free(
     bits = point[1].bit_length() - 1
 
     def fields_at_point(d):
-        comp = null_space_exact(derivation_matrix(arr, d)).complement
-        fields = [vector_to_derivation(vec, d) for vec in comp]
-        order = sorted(range(len(comp)), key=lambda i: _bit_size(comp[i]))
-        return fields, [_value_at(theta, bits) for theta in fields], order
+        fields = [vector_to_derivation(vec, d) for vec in null_space_exact(derivation_matrix(arr, d)).complement]
+        return fields, [_value_at(theta, bits) for theta in fields]
 
-    fields1, values1, order1 = fields_at_point(d1)
-    fields2, values2, order2 = (fields1, values1, order1) if d2 == d1 else fields_at_point(d2)
-    pairs_scanned = 0
-    for i in order1:
-        for j in order2:
-            if d1 == d2 and i >= j:
-                continue  # antisymmetric in the equal-degree case
-            pairs_scanned += 1
-            det = _det_at(bits, values1[i], values2[j])
-            if det:
-                c = Fraction(det, prod(line.evaluate(point) for line in arr.lines))
-                cert = FreenessCertificate(d1, d2, fields1[i], fields2[j], c, arrangement_hash(arr))
-                ok, failing = check_certificate(arr, cert)
-                if not ok:
-                    raise InternalInconsistency(f"kernel-pair certificate fails its re-check: {failing}")
-                return Certified(cert)
-    return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=pairs_scanned)
+    fields1, values1 = fields_at_point(d1)
+    fields2, values2 = (fields1, values1) if d2 == d1 else fields_at_point(d2)
+    indices = range(len(fields1)), range(len(fields2))
+    pairs = list(combinations(indices[0], 2) if d1 == d2 else product(*indices))
+    for i, j in pairs:
+        det = _det_at(bits, values1[i], values2[j])
+        if det:
+            c = Fraction(det, prod(line.evaluate(point) for line in arr.lines))
+            cert = FreenessCertificate(d1, d2, fields1[i], fields2[j], c, arrangement_hash(arr))
+            ok, failing = check_certificate(arr, cert)
+            if not ok:
+                raise InternalInconsistency(f"kernel-pair certificate fails its re-check: {failing}")
+            return Certified(cert)
+    return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=len(pairs))
 
 
 def verify_arrangement(arr: Arrangement) -> VerificationOutcome:
@@ -700,13 +693,21 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
     }
 
 
+def _exponent_from_json(v, what: str) -> int:
+    """An exponent, read as a coefficient is, so 1.0 reads as 1; ValueError naming what unless an integer."""
+    e = _as_fraction(v, what)
+    if e.denominator != 1:
+        raise ValueError(f"{what}: {v!r} is not an integer")
+    return int(e)
+
+
 def certificate_from_json(data: dict) -> FreenessCertificate:
     """Certificate from its JSON form; a malformed shape raises ValueError."""
     json_object(data, "certificate")
     exponents = json_entry(data, "exponents", "certificate")
     if not isinstance(exponents, list) or len(exponents) != 2:
         raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
-    d1, d2 = (int(str(x)) for x in exponents)
+    d1, d2 = (_exponent_from_json(x, f"exponents[{i}]") for i, x in enumerate(exponents))
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
     c = Fraction(_as_fraction(json_entry(data, "c", "certificate"), "c"))

@@ -184,24 +184,24 @@ def _dense(vec, size: int) -> tuple:
 def _constraint_rows(arr: Arrangement, d: int, fields, skip: int = 0) -> tuple[list[list[int]], int]:
     """Rows whose kernel is every (g_1, g_2, ...) with sum g_j theta_j tangent to the lines off skip.
 
-    fields is ((theta_j, e_j), ...): g_j runs over basis(d - e_j), with no
-    columns when e_j > d, and the columns are g_1's, then g_2's, and so on.
-    skip is a mask of lines that give no rows. Each other line alpha gives
-    d + 1 rows, the s^p coefficients of alpha(sum g_j theta_j) restricted
-    to the line: sum_j of g_j restricted (_restrictions) times the binary
-    form theta_j(alpha) restricted, of degree e_j. Returns (rows, ncols).
+    fields is ((theta_j, e_j), ...) with every e_j <= d, as pencil_system
+    builds eta only then: g_j runs over basis(d - e_j), and the columns are
+    g_1's, then g_2's, and so on. skip is a mask of lines that give no rows.
+    Each other line alpha gives d + 1 rows, the s^p coefficients of
+    alpha(sum g_j theta_j) restricted to the line: sum_j of g_j restricted
+    (_restrictions) times the binary form theta_j(alpha) restricted, of
+    degree e_j. Returns (rows, ncols).
     """
     live, ncols = [], 0
     for theta, e in fields:
-        if e <= d:
-            # theta's monomials, by index in basis(e), each with its f, g and h
-            # coefficients, so that theta(alpha) is restricted once a monomial
-            terms: dict = {}
-            for block, comp in enumerate(theta):
-                for x, v in comp.items():
-                    terms.setdefault(monomial_basis(e).index(x), [0, 0, 0])[block] = v
-            live.append((e, ncols, terms.items()))
-            ncols += basis_size(d - e)
+        # theta's monomials, by index in basis(e), each with its f, g and h
+        # coefficients, so that theta(alpha) is restricted once a monomial
+        terms: dict = {}
+        for block, comp in enumerate(theta):
+            for x, v in comp.items():
+                terms.setdefault(monomial_basis(e).index(x), [0, 0, 0])[block] = v
+        live.append((e, ncols, terms.items()))
+        ncols += basis_size(d - e)
     rows: list[list[int]] = []
     for i, line in enumerate(arr.lines):
         if skip >> i & 1:
@@ -262,35 +262,38 @@ def q_coefficient_vector(arr: Arrangement) -> list[int]:
 
 @dataclass(frozen=True)
 class NullBasisExact:
-    """Primitive integer basis of the rational kernel of a derivation matrix.
+    """Primitive integer basis of D(A)_d: the Euler multiples, then the complement.
 
-    The first euler_dim vectors span the Euler-multiple subspace; the rest are
-    coordinate-complement representatives, so slicing off the head implements
-    the quotient by Euler multiples.
+    Only what null_space_exact solves is stored, the complement: one
+    representative a class of D(A)_d modulo the Euler multiples. The Euler
+    head is fixed by the degree, so it, euler_dim and nullity are derived.
     """
 
     degree: int
-    vectors: tuple[tuple[int, ...], ...]
-    euler_dim: int
+    complement: tuple[tuple[int, ...], ...]
+
+    @property
+    def euler_dim(self) -> int:
+        return basis_size(self.degree - 1)
 
     @property
     def nullity(self) -> int:
-        return len(self.vectors)
+        return self.euler_dim + len(self.complement)
 
     @property
-    def complement(self) -> tuple[tuple[int, ...], ...]:
-        return self.vectors[self.euler_dim:]
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return (*euler_multiples(self.degree), *self.complement)
 
 
 class PencilSystem(NamedTuple):
     """What is left of D(A)_d to solve once the pencil through point is solved.
 
     k lines pass through point, and fields holds the pencil's generators
-    with their degrees: point, as a constant field of degree 0, and eta =
-    p x grad Q_p of their product Q_p, of degree k - 1. Each row constrains
-    (g1, g2), g1 over basis(d) and g2 over basis(d - k + 1) (no columns
-    when d < k - 1), so that g1 * point + g2 * eta is tangent to one line
-    off the point; see null_space_exact.
+    with their degrees: point, as a constant field of degree 0, and, only
+    when it has columns (d >= k - 1), eta = p x grad Q_p of their product
+    Q_p, of degree k - 1. Each row constrains (g1, g2), g1 over basis(d)
+    and g2 over basis(d - k + 1), so that g1 * point + g2 * eta is tangent
+    to one line off the point; see null_space_exact.
     """
 
     point: tuple[int, int, int]
@@ -300,23 +303,14 @@ class PencilSystem(NamedTuple):
     ncols: int
 
 
-def _linear_combination(terms) -> Poly:
-    """sum c * poly over the (c, poly) pairs of terms."""
-    out: Poly = {}
-    for c, poly in terms:
-        if c:
-            for e, v in poly.items():
-                out[e] = out.get(e, 0) + c * v
-    return {e: v for e, v in out.items() if v}
-
-
 def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
     """The reduced system of null_space_exact at degree d: (n - k)(d + 1) rows.
 
     The point is the first of top multiplicity in intersection_summary's
     coordinate order, so it, the field eta and the rows (up to their order)
     depend on the line set alone. A single line has no point; any point on
-    it serves, with k = 1.
+    it serves, with k = 1. Below d = k - 1 eta has no columns and is not
+    built: the point is the one generator.
     """
     s = intersection_summary(arr)
     if s.masks:
@@ -326,26 +320,25 @@ def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
         through, point = 1, line_kernel_basis(arr.lines[0])[0]
     pencil = [line for i, line in enumerate(arr.lines) if through >> i & 1]
     k = len(pencil)
-    q = product_of_lines(pencil)
-    grad = [{}, {}, {}]
-    for e, v in q.items():
-        for i in range(3):
-            if e[i]:
-                grad[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = e[i] * v
-    px, py, pz = point
-    eta = (
-        _linear_combination([(py, grad[2]), (-pz, grad[1])]),
-        _linear_combination([(pz, grad[0]), (-px, grad[2])]),
-        _linear_combination([(px, grad[1]), (-py, grad[0])]),
-    )
-    fields = ((_constant_field(point), 0), (eta, k - 1))
+    fields = ((_constant_field(point), 0),)
+    if d >= k - 1:
+        # eta = p x grad Q_p: the term of d(Q_p)/dx_i at m adds p[i + 2] times
+        # itself to component i + 1 and -p[i + 1] times itself to component i + 2
+        eta = ({}, {}, {})
+        for e, v in product_of_lines(pencil).items():
+            for i in range(3):
+                if e[i]:
+                    m = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    for j, c in (((i + 1) % 3, point[(i + 2) % 3]), ((i + 2) % 3, -point[(i + 1) % 3])):
+                        eta[j][m] = eta[j].get(m, 0) + c * e[i] * v
+        fields += ((tuple({m: v for m, v in comp.items() if v} for comp in eta), k - 1),)
     rows, ncols = _constraint_rows(arr, d, fields, through)
     return PencilSystem(point, k, fields, rows, ncols)
 
 
 @lru_cache(maxsize=16)
 def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
-    """Exact basis of D(A)_d: the Euler multiples, then one complement vector per free column of a reduced system.
+    """Exact basis of D(A)_d: one complement vector per free column of a reduced system, after the Euler multiples.
 
     Only matrix.arrangement and matrix.degree are read; the rows are never built.
 
@@ -361,32 +354,30 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
     D(A_p), and E is tangent to every line, so
         D(A)_d = S_{d-1} E (+) {g1 d_p + g2 eta_p : g1 in S_d,
                  g2 in S_{d-k+1}, alpha_H divides g1 * alpha_H(p) +
-                 g2 * eta_p(alpha_H) for every line H off p}.
+                 g2 * eta_p(alpha_H) for every line H off p},
+    with no g2 when d < k - 1, where pencil_system builds no eta_p.
     The divisibility is the vanishing of the restriction to H, d + 1
     linear conditions a line (pencil_system). So the kernel eliminated is
     (n - k)(d + 1) x (N_d + N_{d-k+1}), against n(d + 1) x 3 N_d for the
     derivation matrix; p has the top multiplicity, which makes n - k
-    smallest. Each kernel vector (g1, g2) gives g1 d_p + g2 eta_p, made
-    primitive with its first nonzero entry positive. The map is injective
-    (E, d_p, eta_p is a basis), so these vectors are independent, and the
-    RREF kernel (exactlinalg.kernel_basis) makes them the same for every
-    line order.
+    smallest. Each kernel vector (g1, g2) gives g1 d_p + g2 eta_p, in
+    exactlinalg's primitive normal form. The map is injective (E, d_p,
+    eta_p is a basis), so these vectors are independent, and the RREF
+    kernel (exactlinalg.kernel_basis) makes them the same for every line
+    order. They are the complement; NullBasisExact derives the Euler head.
     """
     d = matrix.degree
     system = pencil_system(matrix.arrangement, d)
     columns = [vec for theta, e in system.fields for vec in _multiples(theta, e, d)]
-    vectors = euler_multiples(d)
+    complement = []
     for kv in exactlinalg.kernel_basis(system.rows, system.ncols):
         full = [0] * (3 * basis_size(d))
         for g, vec in zip(kv, columns):
             if g:
                 for i, v in vec:
                     full[i] += g * v
-        scale = math.gcd(*full)
-        if next(v for v in full if v) < 0:
-            scale = -scale
-        vectors.append(tuple(v // scale for v in full))
-    return NullBasisExact(degree=d, vectors=tuple(vectors), euler_dim=basis_size(d - 1))
+        complement.append(exactlinalg.primitive(full))
+    return NullBasisExact(degree=d, complement=tuple(complement))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ kernel_basis is multimodular and Las Vegas: never wrong, only retried.
 
 A vector that passes is the RREF kernel vector of its free column: its support
 is that column and the pivot columns before it, so it is unique. It is
-returned primitive with its first nonzero entry positive.
+returned in primitive normal form (primitive).
 
 References: Dixon, Numer. Math. 40 (1982); von zur Gathen and Gerhard, Modern
 Computer Algebra, section 5.10 (rational reconstruction).
@@ -290,12 +290,16 @@ def _lift(residues: np.ndarray, primes: list[int], pivots: list[int], free: list
         vec[f] = den
         for c, t in zip(pivots, nums):
             vec[c] = -t
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        sign = -1 if next(x for x in vec if x) < 0 else 1
-        basis.append(tuple(sign * x // g for x in vec))
+        basis.append(primitive(vec))
     return basis
+
+
+def primitive(vec: list[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries, its first nonzero entry made positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def _annihilates(rows: list, abits: int, vectors: list[tuple[int, ...]], ncols: int) -> bool:

@@ -44,6 +44,7 @@ from freelines.search import (
     candidate_pool,
     cascade,
     construct_certified,
+    enumerate_extension_candidates,
     supersolvable_two_pencil,
     two_pencil_witness,
 )
@@ -386,6 +387,23 @@ def test_refutation_disjoint_pencils():
     assert loss > 0.05
 
 
+# (k, m) of disjoint_pencils(k, m), (5, 2) and the five benchmark mutants,
+# with the kernel pairs a refutation at the candidate exponents scans
+REFUTED_PAIRS = [((5, 2), 3), ((9, 4), 30), ((10, 5), 15), ((11, 5), 45), ((13, 6), 63), ((13, 7), 60)]
+
+
+@pytest.mark.parametrize("km,pairs", REFUTED_PAIRS, ids=[f"pencils_{k}_{m}" for (k, m), _ in REFUTED_PAIRS])
+def test_refutation_scans_each_complement_pair_once(km, pairs):
+    # every pair of complement vectors, k1 * k2 of them, or each pair of two
+    # distinct vectors, k(k - 1)/2, when d1 = d2 and det is antisymmetric
+    arr = fixtures.disjoint_pencils(*km)
+    exps = candidate_exponents(arr)
+    k1, k2 = (len(null_space_exact(derivation_matrix(arr, d)).complement) for d in (exps.d1, exps.d2))
+    out = verify_free(arr, exps.d1, exps.d2)
+    assert isinstance(out, NotFreeAtExponents)
+    assert out.pairs_scanned == (k1 * (k1 - 1) // 2 if exps.d1 == exps.d2 else k1 * k2) == pairs
+
+
 def test_verify_arrangement_no_exponents(generic4):
     out = verify_arrangement(generic4)
     assert isinstance(out, NoCandidateExponents)
@@ -569,6 +587,33 @@ def test_certificate_reader_reads_each_coefficient_form(tmp_path, near_pencil5, 
     else:
         got = read_certificate(path).theta1[0].get((1, 0, 0))
         assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        ("1", 1), (1, 1), (1.0, 1), ("2/2", 1),
+        ("7" * 5000, "exponents[0]: an integer of 5000 digits is longer than 4000 digits"),
+        ("3/2", "exponents[0]: '3/2' is not an integer"), (1.5, "exponents[0]: 1.5 is not an integer"),
+        (True, "exponents[0]: True is a boolean, not a number"),
+    ],
+    ids=["text", "number", "float", "ratio", "5000-digits", "half-text", "half-float", "true"],
+)
+def test_certificate_reader_reads_each_exponent_form(tmp_path, near_pencil5, value, want):
+    # an exponent reads as a coefficient does, and must then be an integer;
+    # every refusal names the entry
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["exponents"][0] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            read_certificate(path)
+        assert str(info.value) == f"{path}: {want}"
+    else:
+        got = read_certificate(path)
+        assert (got.d1, got.d2) == (want, 3) and type(got.d1) is int
+        assert check_certificate(near_pencil5, got) == (True, None)
 
 
 def test_certificate_writer_refuses_an_overlong_integer(tmp_path, near_pencil5):
@@ -756,16 +801,23 @@ def test_chain_steps_match_the_lattice():
         assert check_certificate(tri, certify._triangle_certificate(tri)) == (True, None)
 
 
+def elementary_product(steps):
+    """I (I + c_1 E_{i_1 j_1}) (I + c_2 E_{i_2 j_2}) ... for the (i, j, c) steps: determinant 1."""
+    g = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j, c in steps:
+        for row in g:  # column j gains c times column i
+            row[j] += c * row[i]
+    return g
+
+
 @st.composite
 def unimodular(draw):
     """An integral g of determinant 1, drawn as a product of elementary matrices I + c*E_ij."""
-    g = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    steps = []
     for _ in range(draw(st.integers(1, 4))):
         i, j = draw(st.permutations(range(3)))[:2]
-        c = draw(st.sampled_from((-2, -1, 1, 2)))
-        for row in g:  # g <- g * (I + c*E_ij): column j gains c times column i
-            row[j] += c * row[i]
-    return g
+        steps.append((i, j, draw(st.sampled_from((-2, -1, 1, 2)))))
+    return elementary_product(steps)
 
 
 def image_under(arr, g):
@@ -910,6 +962,105 @@ def test_transported_certificates_certify_the_image_without_a_chain(monkeypatch)
         assert isinstance(outcome, Certified)
         assert (outcome.certificate.theta1, outcome.certificate.theta2) == witness
         assert check_certificate(image, outcome.certificate) == (True, None)
+
+
+def moved_certificate(arr, cert, g):
+    """g*A and the certificate that cert, one of A, becomes there: fields transported, c read off g*A."""
+    image = image_under(arr, g)
+    theta1, theta2 = transported(cert.theta1, g), transported(cert.theta2, g)
+    c = certify._saito_scalar(image, theta1, theta2)
+    return image, dataclasses.replace(cert, theta1=theta1, theta2=theta2, c=c,
+                                      arrangement_hash=certify.arrangement_hash(image))
+
+
+def lifts_commute_with(g):
+    """Lift each seed's certificate across every candidate line, before and after g; (lifts, failures)."""
+    lifted = failed = 0
+    for arr in (fixtures.near_pencil(5), fixtures.free_16()):
+        exps = candidate_exponents(arr)
+        cert = certify.chain_certificate(arr, exps.d1, exps.d2)
+        image, moved = moved_certificate(arr, cert, g)
+        assert check_certificate(image, moved) == (True, None)
+        for line in enumerate_extension_candidates(arr, ExtensionConfig()):
+            extended = build_arrangement([*arr.lines, line])
+            moved_extended = image_under(extended, g)  # keeps the line order, so line moves last
+            lift = certify.lift_certificate(cert, extended, line)
+            moved_lift = certify.lift_certificate(moved, moved_extended, moved_extended.lines[-1])
+            assert (lift is None) == (moved_lift is None), line
+            if moved_lift is None:
+                failed += 1
+            else:
+                assert check_certificate(moved_extended, moved_lift) == (True, None), line
+                lifted += 1
+    return lifted, failed
+
+
+def test_lift_commutes_with_a_change_of_coordinates():
+    # the addition theorem reads a lift off the lattice, which g keeps, so
+    # the lift across a moved line exists exactly when the original does
+    assert lifts_commute_with(KERNEL_IMAGE_G) == (38, 277)
+
+
+@given(unimodular())
+@settings(max_examples=1, deadline=None)
+def test_lift_commutes_with_a_drawn_change_of_coordinates(g):
+    lifted, failed = lifts_commute_with(g)
+    assert lifted and failed
+
+
+# [[-1008, 1009, 1009], [-1, 1, 1], [-996, 997, 998]]: generic entries near 10^3
+LARGE_IMAGE_G = elementary_product([(2, 1, 997), (0, 1, 1009), (2, 0, 1), (1, 2, 1), (1, 0, -1)])
+
+
+def chart_restriction(theta, a, d):
+    """theta(alpha) at U + k*W on the line a's chart (_chart), expanded in k: d + 1 coefficients, lowest first."""
+    e, s, t = certify._chart(a)
+    point = [None] * 3  # each coordinate of U + k*W as [constant, coefficient of k]
+    point[e], point[s], point[t] = [-a[s], -a[t]], [a[e], 0], [0, a[e]]
+    out = [0] * (d + 1)
+    for c, comp in enumerate(theta):
+        for mon, v in comp.items():
+            poly = [a[c] * v]
+            for coordinate, power in zip(point, mon):
+                for _ in range(power):
+                    poly = convolve(poly, coordinate)
+            for i, w in enumerate(poly):
+                out[i] += w
+    return out
+
+
+def test_packing_stays_exact_at_generic_coefficients():
+    # moved by a g with entries near 10^3, fields and lines have large
+    # coefficients: tangency agrees with the derivation matrix, c with the
+    # expanded determinant, and every line's restriction read off its packed
+    # value with the coefficients expanded here
+    g = LARGE_IMAGE_G
+    rng = random.Random(20261020)
+    free13 = fixtures.free_13()
+    inputs = [(free13, certify.chain_certificate(free13, 6, 6))]
+    inputs += [(disc.arrangement, disc.certificate) for disc in
+               (construct_certified(2, 5), construct_certified(4, 4), construct_certified(3, 7))]
+    read = 0
+    for arr, cert in inputs:
+        image, moved = moved_certificate(arr, cert, g)
+        assert moved.c == expanded_ratio(image, moved.theta1, moved.theta2) != 0
+        lines = [line.coeffs for line in image.lines]
+        for theta, d in ((moved.theta1, cert.d1), (moved.theta2, cert.d2)):
+            c = rng.randrange(3)
+            mon = rng.choice(monomial_basis(d).monomials)
+            changes = [theta]
+            for t in (rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([-1, 1]) * 10**30 + rng.randint(-999, 999)):
+                comp = {**theta[c], mon: theta[c].get(mon, 0) + t}
+                changes.append(tuple(comp if i == c else theta[i] for i in range(3)))
+            for k, field in enumerate(changes):
+                assert is_tangent_field(image, field, d) == tangency_oracle(image, field, d) == (k == 0)
+                bits = certify._line_bound(lines, field, d).bit_length() + 1
+                for a in lines:
+                    chart = certify._chart(a)
+                    value = certify._restriction_at(certify._packed_groups(field, d, chart, bits), a, chart, bits, d)
+                    assert certify._unpack(value, bits, d + 1) == chart_restriction(field, a, d)
+                    read += 1
+    assert read == 3 * 2 * (13 + 8 + 9 + 11)
 
 
 def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):

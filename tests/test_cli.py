@@ -211,6 +211,19 @@ def test_check_malformed_certificate_is_usage_error(files, tmp_path, capsys, mut
     assert "expected a JSON object" in err["error"] or "nonnegative exponents" in err["error"]
 
 
+def test_check_names_an_unreadable_exponent(files, tmp_path, capsys):
+    # exponents are read as coefficients are, so an overlong one is refused
+    # by the same digit bound, naming its entry
+    cert_path = tmp_path / "b.cert.json"
+    run(capsys, ["verify", files["boolean"], "--certificate-out", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["exponents"][0] = "7" * 5000
+    cert_path.write_text(json.dumps(cert))
+    err = usage_error(capsys, ["check", files["boolean"], str(cert_path)])
+    assert err["command"] == "check"
+    assert err["error"] == f"{cert_path}: exponents[0]: an integer of 5000 digits is longer than 4000 digits"
+
+
 def test_config_not_object_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -211,15 +212,37 @@ def test_pencil_kernel_does_not_depend_on_line_order(arr, d):
                          ids=[case[0] for case in PENCIL_KERNEL_CASES])
 def test_pencil_system_constrains_only_the_lines_off_its_point(arr, d):
     # the point is the first of top multiplicity in coordinate order, and each
-    # line off it gives d + 1 rows over N_d + N_{d-k+1} columns, none zero
+    # line off it gives d + 1 rows over N_d + N_{d-k+1} columns, none zero;
+    # eta, of degree k - 1, is a generator only when it has columns
     s = intersection_summary(arr)
     system = pencil_system(arr, d)
     k = s.max_multiplicity
     assert system.k == k
+    assert [e for _, e in system.fields] == ([0, k - 1] if d >= k - 1 else [0])
     assert system.point == next(p.coords for p in s.points if p.multiplicity == k)
     assert len(system.rows) == (arr.n - k) * (d + 1)
     assert system.ncols == len(system.rows[0]) == comb(d + 2, 2) + (comb(d - k + 3, 2) if d >= k - 1 else 0)
     assert all(any(row) for row in system.rows)
+
+
+def test_null_space_exact_stores_only_what_it_solves(monkeypatch):
+    # the Euler head is fixed by the degree, so no solve builds it: the basis
+    # holds the degree and the complement, and derives the rest
+    def refuse(d):
+        raise AssertionError("null_space_exact built the Euler multiples")
+
+    arr = fixtures.disjoint_pencils(9, 4)
+    bases = {}
+    monkeypatch.setattr(derivations, "euler_multiples", refuse)
+    null_space_exact.cache_clear()
+    for d in (5, 7):
+        bases[d] = null_space_exact(derivation_matrix(arr, d))
+    monkeypatch.undo()
+    for d, basis in bases.items():
+        assert [f.name for f in dataclasses.fields(basis)] == ["degree", "complement"]
+        assert basis.euler_dim == comb(d + 1, 2) == len(euler_multiples(d))
+        assert basis.vectors == tuple(euler_multiples(d)) + basis.complement
+        assert basis.nullity == len(basis.vectors)
 
 
 def test_boolean_degree1_kernel_members(boolean):
