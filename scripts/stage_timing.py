@@ -24,9 +24,10 @@ STAGE is one of:
 - construct: best of REPEATS (default 7) times of each step of a
   construct-sweep operation and of the whole operation (op), each summed
   over the 156 exponent cells with n <= 26 (input two_pencil): the two-pencil
-  arrangement, its witness, verify_free on that witness, and the certificate
-  write, read and check_certificate. op is cold; the other steps reuse the
-  arrangement, witness and certificate built before timing.
+  arrangement, its witness, and the certificate write, read and
+  check_certificate, the gate construct_certified also passes its
+  closed-form certificate through. op is cold; the other steps reuse the
+  arrangement and the certificate construct_certified built before timing.
 A cold call starts with the lattice, derivation-matrix and kernel caches cleared.
 
 Usage: python scripts/stage_timing.py STAGE [REPEATS [NAME ...]]
@@ -56,7 +57,7 @@ VERIFY_FIXTURES = ("free_13", "free_16", "free_19", "free_20")
 TWO_PENCIL_N_MAX = 26
 TWO_PENCIL_CELLS = [(d1, n - 1 - d1) for n in range(3, TWO_PENCIL_N_MAX + 1) for d1 in range(1, (n - 1) // 2 + 1)]
 VERIFY_STEPS = ("chain", "witness", "write", "read", "check", "op")
-CONSTRUCT_STEPS = ("arrangement", "witness", "verify", "write", "read", "check", "op")
+CONSTRUCT_STEPS = ("arrangement", "witness", "write", "read", "check", "op")
 
 
 def two_pencils():
@@ -194,22 +195,15 @@ def construct_stage(names, repeats):
     cells = TWO_PENCIL_CELLS
     with tempfile.TemporaryDirectory() as workdir:
         paths = {cell: os.path.join(workdir, "%d_%d.cert.json" % cell) for cell in cells}
-        arrs = {cell: supersolvable_two_pencil(*cell) for cell in cells}
-        witnesses = {cell: two_pencil_witness(*cell) for cell in cells}
-        certs = {}
+        discs = {cell: construct_certified(*cell) for cell in cells}
         for cell in cells:
-            outcome = verify_free(arrs[cell], *cell, witness=witnesses[cell])
-            if not isinstance(outcome, Certified):
-                raise RuntimeError(f"the two-pencil witness at {cell} does not certify")
-            certs[cell] = outcome.certificate
-            write_certificate(paths[cell], certs[cell])
+            write_certificate(paths[cell], discs[cell].certificate)
         steps = {  # step -> (call on one cell, whether it is timed cold), in CONSTRUCT_STEPS order
             "arrangement": (lambda cell: supersolvable_two_pencil(*cell), False),
             "witness": (lambda cell: two_pencil_witness(*cell), False),
-            "verify": (lambda cell: verify_free(arrs[cell], *cell, witness=witnesses[cell]), False),
-            "write": (lambda cell: write_certificate(paths[cell], certs[cell]), False),
+            "write": (lambda cell: write_certificate(paths[cell], discs[cell].certificate), False),
             "read": (lambda cell: read_certificate(paths[cell]), False),
-            "check": (lambda cell: check_certificate(arrs[cell], certs[cell]), False),
+            "check": (lambda cell: check_certificate(discs[cell].arrangement, discs[cell].certificate), False),
             "op": (lambda cell: construct_operation(*cell, paths[cell]), True),
         }
         best = [min(timed(repeats, lambda _: [call(cell) for cell in cells], cold)[0]) for call, cold in steps.values()]

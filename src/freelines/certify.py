@@ -11,6 +11,10 @@ multiples therefore either produces a certificate or proves that the
 bilinear map vanishes identically at these exponents, refuting freeness at
 (d1, d2).
 
+check_certificate is the one gate: a certificate file, every certificate
+verify_free is given or builds, the two-pencil's, a cascade seed and a
+catalog entry are accepted only when it accepts them.
+
 Before any kernel, the lattice alone may already prove freeness. If the
 line set minus a line H is free with exponents (a, b - 1) (or (a - 1, b))
 and H meets the rest in |A^H| = a + 1 (or b + 1) points, the set is free
@@ -85,11 +89,12 @@ ExactDerivation = tuple[Poly, Poly, Poly]
 class InternalInconsistency(RuntimeError):
     """An exact claim that a theorem guarantees failed its exact check.
 
-    For example, a kernel-pair certificate that does not pass
-    check_certificate (which re-derives tangency without the derivation
-    matrix), or a lift that the addition theorem guarantees but whose
-    division leaves a remainder, or whose result does not pass
-    check_certificate. This signals a bug, never a property of the input.
+    For example, a kernel-pair, chain, lifted or two-pencil certificate
+    that does not pass check_certificate (which re-derives tangency without
+    the derivation matrix), or a lift that the addition theorem guarantees
+    but whose division leaves a remainder. Raised only for the library's own
+    outputs, it signals a bug, never a property of the input: a caller's
+    certificate that fails the check gets a ValueError or a fallback.
     """
 
 
@@ -337,17 +342,6 @@ def _triangle_certificate(arr: Arrangement) -> FreenessCertificate:
     return FreenessCertificate(1, 1, fields[0], fields[1], Fraction(det), arrangement_hash(arr))
 
 
-def _witness_certificate(
-    arr: Arrangement, d1: int, d2: int, witness: tuple[ExactDerivation, ExactDerivation]
-) -> FreenessCertificate | None:
-    """The certificate of a witness pair, or None when it does not certify."""
-    theta1, theta2 = witness
-    if not (is_tangent_field(arr, theta1, d1) and is_tangent_field(arr, theta2, d2)):
-        return None
-    c = _saito_scalar(arr, theta1, theta2)
-    return FreenessCertificate(d1, d2, theta1, theta2, c, arrangement_hash(arr)) if c else None
-
-
 def verify_free(
     arr: Arrangement,
     d1: int,
@@ -357,39 +351,39 @@ def verify_free(
 ) -> VerificationOutcome:
     """Certify or refute freeness of the arrangement at exponents (d1, d2).
 
-    A caller-supplied witness pair (from a known construction) is tried
-    first. Without one, als may be a saito_functional evaluation of the
-    same input: the certificate it carries at (d1, d2), if any, is tried as
-    the witness. A witness certifies only when both fields are tangent to
-    this arrangement at these degrees and _saito_scalar is nonzero, and the
-    certificate then gets this arrangement's hash, so a wrong or tampered
-    witness can only cost its check. When there is none, or it fails, a
-    descent on the lattice looks for a deletion chain down to a triangle,
-    with no budget, and a chain found is lifted into a certificate that
-    passes check_certificate (see chain_certificate). When there is no
-    chain, the exact kernels at both degrees are computed, quotiented by
-    the Euler multiples, and basis pairs are scanned in the kernels' RREF
-    order, each pair once when d1 = d2 (det is antisymmetric). Each basis
-    vector is integral and is evaluated once at the point P of
-    _saito_point, by shifts (_value_at), so a pair's determinant at P is
-    one 3x3 integer determinant; it is nonzero exactly when
-    det(E, theta1, theta2) is. The first nonzero pair
-    yields the certificate, with c = det(P) / Q(P) read off those same
-    values, and it must pass check_certificate (InternalInconsistency
-    otherwise); if every pair vanishes the bilinear map is identically zero
-    on the kernels and NotFreeAtExponents is returned. So every Certified
-    passes the same exact test as a certificate file.
+    A caller may supply a certificate to try first: a witness pair (from a
+    known construction), which gets c = _saito_scalar and this arrangement's
+    hash, or, without one, the certificate that als (a saito_functional
+    evaluation) carries at (d1, d2), if any, taken as it is, its c and hash
+    included. Either is accepted exactly when check_certificate accepts it,
+    as `freelines check` accepts a file, and is then returned as given; so a
+    wrong, foreign or tampered certificate can only cost its check. When
+    there is none, or it fails, a descent on the lattice looks for a
+    deletion chain down to a triangle, with no budget, and a chain found is
+    lifted into a certificate that passes check_certificate (see
+    chain_certificate). When there is no chain, the exact kernels at both
+    degrees are computed, quotiented by the Euler multiples, and basis
+    pairs are scanned in the kernels' RREF order, each pair once when
+    d1 = d2 (det is antisymmetric). Each basis vector is integral and is
+    evaluated once at the point P of _saito_point, by shifts (_value_at),
+    so a pair's determinant at P is one 3x3 integer determinant; it is
+    nonzero exactly when det(E, theta1, theta2) is. The first nonzero pair
+    yields the certificate, with c = _saito_scalar, and it must pass
+    check_certificate (InternalInconsistency otherwise); if every pair
+    vanishes the bilinear map is identically zero on the kernels and
+    NotFreeAtExponents is returned. So every Certified passes the same
+    exact test as a certificate file.
     """
     if d1 + d2 != arr.n - 1:
         raise DegreeMismatch(f"exponents ({d1}, {d2}) do not sum to n - 1 = {arr.n - 1}")
     if not 1 <= d1 <= d2:
         raise ValueError("exponents must satisfy 1 <= d1 <= d2")
-    if witness is None:
-        supplied = getattr(als, "certificate", None)
-        if isinstance(supplied, FreenessCertificate) and (supplied.d1, supplied.d2) == (d1, d2):
-            witness = (supplied.theta1, supplied.theta2)
-    cert = None if witness is None else _witness_certificate(arr, d1, d2, witness)
-    if cert is None:
+    cert = getattr(als, "certificate", None)
+    if witness is not None:
+        theta1, theta2 = witness
+        cert = FreenessCertificate(d1, d2, theta1, theta2, _saito_scalar(arr, theta1, theta2), arrangement_hash(arr))
+    supplied = isinstance(cert, FreenessCertificate) and (cert.d1, cert.d2) == (d1, d2)
+    if not (supplied and check_certificate(arr, cert)[0]):
         cert = chain_certificate(arr, d1, d2)
     if cert is not None:
         return Certified(cert)
@@ -405,14 +399,10 @@ def verify_free(
     indices = range(len(fields1)), range(len(fields2))
     pairs = list(combinations(indices[0], 2) if d1 == d2 else product(*indices))
     for i, j in pairs:
-        det = _det_at(bits, values1[i], values2[j])
-        if det:
-            c = Fraction(det, prod(line.evaluate(point) for line in arr.lines))
+        if _det_at(bits, values1[i], values2[j]):
+            c = _saito_scalar(arr, fields1[i], fields2[j])
             cert = FreenessCertificate(d1, d2, fields1[i], fields2[j], c, arrangement_hash(arr))
-            ok, failing = check_certificate(arr, cert)
-            if not ok:
-                raise InternalInconsistency(f"kernel-pair certificate fails its re-check: {failing}")
-            return Certified(cert)
+            return Certified(_checked(arr, cert, "kernel-pair certificate"))
     return NotFreeAtExponents(d1=d1, d2=d2, pairs_scanned=len(pairs))
 
 
@@ -451,6 +441,14 @@ def check_certificate(arr: Arrangement, cert: FreenessCertificate) -> tuple[bool
     if _saito_scalar(arr, cert.theta1, cert.theta2) != cert.c:
         return False, "determinant-mismatch"
     return True, None
+
+
+def _checked(arr: Arrangement, cert: FreenessCertificate, what: str, error=InternalInconsistency):
+    """cert when check_certificate accepts it; otherwise raises error naming what and the failed check."""
+    ok, failing = check_certificate(arr, cert)
+    if not ok:
+        raise error(f"{what} fails its check: {failing}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +623,7 @@ def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate
         cert = lift_certificate(cert, build_arrangement(lines), arr.lines[k])
         if cert is None:
             raise InternalInconsistency(f"no lift across {arr.lines[k].coeffs} on a deletion chain")
-    ok, failing = check_certificate(arr, cert)
-    if not ok:
-        raise InternalInconsistency(f"certificate built on a deletion chain fails its re-check: {failing}")
-    return cert
+    return _checked(arr, cert, "certificate built on a deletion chain")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +657,10 @@ def _poly_to_json(p: Poly, what: str) -> dict[str, str]:
 def _poly_from_json(data: dict, what: str) -> Poly:
     out: Poly = {}
     for key, val in json_object(data, what).items():
-        e = tuple(int(x) for x in key.split(","))
+        try:
+            e = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            e = ()
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
         v = _as_fraction(val, f"{what}[{key!r}]")

@@ -6,7 +6,8 @@ inductively free (16; 7, 8) arrangement, hash prefix e8968cae13d1, on which a
 deletion descent that never undoes a step stalls in its listed line order.
 The smaller constructions (coordinate triangle, near-pencils) have classical
 hand-checkable behavior. disjoint_pencils builds the non-free mutants that
-the refutation tests and benchmark use.
+the refutation tests and benchmark use. ziegler_pair gives two realizations
+of one lattice whose kernels differ.
 """
 
 from __future__ import annotations
@@ -137,6 +138,24 @@ def disjoint_pencils(k: int, m: int) -> Arrangement:
     """
     rows = [(1, 0, 0)] + [(1, -i, 0) for i in range(1, k)] + [(0, 1, -j) for j in range(1, m + 1)]
     return _from_table(rows)
+
+
+def ziegler_pair() -> tuple[Arrangement, Arrangement]:
+    """Ziegler's pair: two realizations of one lattice whose derivation modules differ.
+
+    Each is the nine lines P_i P_j, i in {1, 2, 3}, j in {4, 5, 6}, of six
+    points: the lattice is K_{3,3}, with six triple and 18 double points,
+    b2 = 30 and no candidate exponents. In the first the six points lie on
+    the conic x^2 + y^2 = z^2, and D(A) has a field that is not a multiple
+    of the Euler field at degree 5; in the second they lie on no conic, and
+    the least such degree is 6 (G. M. Ziegler, Combinatorial construction of
+    logarithmic differential forms, Adv. Math. 76, 1989).
+    """
+    conic = _from_table([(11, 10, -14), (5, 3, -5), (4, -1, -1), (1, -5, 1), (0, 1, 0), (1, 1, 1),
+                         (13, 13, -17), (3, 2, -3), (5, -1, -1)])
+    generic = _from_table([(0, 1, 2), (5, 1, -23), (1, 1, -3), (1, -7, -20), (12, -11, 52), (13, -2, 96),
+                           (1, 3, 0), (2, -3, 18), (1, 0, 6)])
+    return conic, generic
 
 
 def generic_four() -> Arrangement:

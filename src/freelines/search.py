@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from collections.abc import Container
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .arrangement import (
@@ -38,12 +39,11 @@ from .certify import (
     FreenessCertificate,
     InternalInconsistency,
     VerificationOutcome,
+    _checked,
     certificate_from_json,
     certificate_to_json,
-    check_certificate,
     lift_certificate,
     verify_arrangement,
-    verify_free,
 )
 from .monomials import Poly
 from .scores import RewardWeights, ScoreConfig, reward
@@ -177,20 +177,15 @@ def bootstrap_extend(
     fixes the exponents of any certificate of the extension. Each lift is
     re-checked exactly; a lift that fails raises InternalInconsistency.
     Extensions whose arrangement hash is in known are skipped before the
-    lift. Returns the certified extensions in candidate order. A certificate
-    of another arrangement, or one whose exponents do not sum to n - 1 or
-    break 1 <= d1 <= d2 (which check_certificate rejects), raises ValueError.
+    lift. Returns the certified extensions in candidate order. A seed
+    certificate that fails check_certificate raises ValueError naming the
+    failed check.
     """
     n = seed.n
     if d1p + d2p != n:
         raise ValueError(f"target exponents must sum to n = {n} for an (n+1)-line extension")
-    seed_hash = arrangement_hash(seed)
-    if certificate.arrangement_hash != seed_hash:
-        raise ValueError("the seed certificate is for another arrangement")
-    if certificate.d1 + certificate.d2 != n - 1:
-        raise ValueError(f"seed certificate exponents do not sum to n - 1 = {n - 1}")
-    if not 1 <= certificate.d1 <= certificate.d2:
-        raise ValueError("seed certificate exponents must satisfy 1 <= d1 <= d2")
+    _checked(seed, certificate, "the seed certificate", ValueError)
+    seed_hash = certificate.arrangement_hash
     a, b = certificate.d1, certificate.d2
     points = next((p for exps, p in _lift_routes(a, b) if exps == (d1p, d2p)), None)
     if points is None:
@@ -207,13 +202,10 @@ def bootstrap_extend(
             raise InternalInconsistency(
                 f"no lift of the ({a}, {b}) seed certificate across {line.coeffs}"
             )
-        ok, failing = check_certificate(extended, lifted)
-        if not ok:
-            raise InternalInconsistency(f"lifted certificate fails its re-check: {failing}")
         out.append(
             Discovery(
                 arrangement=extended,
-                certificate=lifted,
+                certificate=_checked(extended, lifted, "lifted certificate"),
                 provenance={
                     "source": "bootstrap",
                     "seed_hash": seed_hash,
@@ -277,14 +269,16 @@ def supersolvable_two_pencil(d1: int, d2: int) -> Arrangement:
 
 
 def construct_certified(d1: int, d2: int) -> Discovery:
-    """Two-pencil arrangement together with its exact freeness certificate."""
+    """Two-pencil arrangement with its certificate in closed form: two_pencil_witness's fields.
+
+    c = 1, since det(E, B1 d/dy, B2 d/dz) = x * B1 * B2 = Q. The certificate
+    must pass check_certificate; a failure raises InternalInconsistency.
+    """
     arr = supersolvable_two_pencil(d1, d2)
-    outcome = verify_free(arr, d1, d2, witness=two_pencil_witness(d1, d2))
-    if not isinstance(outcome, Certified):  # pragma: no cover - construction theorem
-        raise RuntimeError(f"two-pencil construction failed certification at ({d1}, {d2})")
+    cert = FreenessCertificate(d1, d2, *two_pencil_witness(d1, d2), Fraction(1), arrangement_hash(arr))
     return Discovery(
         arrangement=arr,
-        certificate=outcome.certificate,
+        certificate=_checked(arr, cert, f"the two-pencil certificate at ({d1}, {d2})"),
         provenance={"source": "two-pencil", "exponents": [str(d1), str(d2)]},
     )
 
@@ -367,7 +361,7 @@ def beam_search_build(
 
 @dataclass
 class Catalog:
-    """Certified arrangements keyed by (n, d1, d2), deduplicated by hash."""
+    """Certified arrangements by (n, d1, d2), one per hash; cascade and load_catalog add only checked ones."""
 
     entries: dict[tuple[int, int, int], list[Discovery]] = field(default_factory=dict)
     _hashes: set[str] = field(default_factory=set)
@@ -462,15 +456,16 @@ def _index_from_json(data) -> list[str]:
 
 def _discovery_from_json(data) -> Discovery:
     json_object(data, "catalog entry")
-    return Discovery(
-        arrangement=arrangement_from_json(json_entry(data, "arrangement", "catalog entry")),
-        certificate=certificate_from_json(json_entry(data, "certificate", "catalog entry")),
-        provenance=data.get("provenance", {}),
-    )
+    arr = arrangement_from_json(json_entry(data, "arrangement", "catalog entry"))
+    cert = certificate_from_json(json_entry(data, "certificate", "catalog entry"))
+    return Discovery(arr, _checked(arr, cert, "catalog certificate", ValueError), data.get("provenance", {}))
 
 
 def load_catalog(out_dir: str) -> Catalog:
-    """The catalog save_catalog wrote to out_dir; a bad index or entry raises ValueError naming its file."""
+    """The catalog save_catalog wrote to out_dir; a bad index or entry raises ValueError naming its file.
+
+    A certificate that fails check_certificate is a bad entry, and the error names the failed check.
+    """
     catalog = Catalog()
     for name in read_json(os.path.join(out_dir, "index.json"), _index_from_json):
         catalog.add(read_json(os.path.join(out_dir, name), _discovery_from_json))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -7,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from freelines import arrangement, certify, derivations, exactlinalg, fixtures
@@ -616,6 +617,22 @@ def test_certificate_reader_reads_each_exponent_form(tmp_path, near_pencil5, val
         assert check_certificate(near_pencil5, got) == (True, None)
 
 
+@pytest.mark.parametrize(
+    "key", ["1.5,0,0", "x,0,0", "-1,2,0", "1,0", "1,0,0,0", "7" * 5000 + ",0,0"],
+    ids=["half", "letter", "negative", "two", "four", "5000-digits"],
+)
+def test_certificate_reader_refuses_a_monomial_that_is_not_three_exponents(tmp_path, near_pencil5, key):
+    # every monomial key is three nonnegative integers; anything else is
+    # refused naming its component and key, not with int()'s own message
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["theta1"]["f"] = {key: "1"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_certificate(path)
+    assert str(info.value) == f"{path}: theta1.f: monomial {key!r} is not three nonnegative exponents"
+
+
 def test_certificate_writer_refuses_an_overlong_integer(tmp_path, near_pencil5):
     # an int coefficient is written by str() only inside the digit bound; at
     # 10**4000 the writer raises naming the component and leaves no file
@@ -684,23 +701,24 @@ def test_verify_accepts_the_certificate_of_a_permuted_copy(free19, monkeypatch):
 
 
 def test_verify_rechecks_a_foreign_or_tampered_evaluation(free13, monkeypatch):
-    # a certificate of another 13-line free set at (6, 6), or one with a
-    # coefficient of theta1 changed, fails the witness check; the chain
-    # then certifies, with no kernel
+    # a certificate of another 13-line free set at (6, 6), one with a
+    # coefficient of theta1 changed, or one with a wrong c fails
+    # check_certificate; the chain then certifies, with no kernel
     ev = saito_functional(free13, 6, 6)
     foreign = saito_functional(supersolvable_two_pencil(6, 6), 6, 6)
     f, g, h = ev.certificate.theta1
     mon = next(iter(f))
     tampered_theta1 = ({**f, mon: f[mon] + 1}, g, h)
     tampered = dataclasses.replace(ev, certificate=dataclasses.replace(ev.certificate, theta1=tampered_theta1))
+    wrong_c = dataclasses.replace(ev, certificate=dataclasses.replace(ev.certificate, c=ev.certificate.c + 1))
     fresh = verify_free(free13, 6, 6)
     kernels = _cold_kernels(monkeypatch)
     chains = _count_calls(monkeypatch, certify, "_deletion_chain")
-    for other in (foreign, tampered):
+    for other in (foreign, tampered, wrong_c):
         out = verify_free(free13, 6, 6, als=other)
         assert out == fresh
         assert check_certificate(free13, out.certificate) == (True, None)
-    assert len(chains) == 2
+    assert len(chains) == 3
     assert kernels == []
 
 
@@ -1061,6 +1079,94 @@ def test_packing_stays_exact_at_generic_coefficients():
                     assert certify._unpack(value, bits, d + 1) == chart_restriction(field, a, d)
                     read += 1
     assert read == 3 * 2 * (13 + 8 + 9 + 11)
+
+
+# ---------------------------------------------------------------------------
+# Ziegler's pair: one lattice, two kernels
+# ---------------------------------------------------------------------------
+
+
+# dimensions of the complement of the Euler multiples at d = 1..7
+ZIEGLER_COMPLEMENTS = {"conic": [0, 0, 0, 0, 1, 6, 14], "generic": [0, 0, 0, 0, 0, 6, 14]}
+
+
+def complement_dimensions(arr, degrees=range(1, 8)):
+    return [len(null_space_exact(derivation_matrix(arr, d)).complement) for d in degrees]
+
+
+@pytest.mark.parametrize("g", [None, KERNEL_IMAGE_G, LARGE_IMAGE_G], ids=["aligned", "kernel-image", "large-image"])
+def test_ziegler_pair_kernels_are_pinned(g):
+    # the lattice fixes neither dimension list: only the conic realization
+    # has a field at degree 5 that is not a multiple of the Euler field, and
+    # a change of coordinates moves D(A) without changing a dimension
+    for name, arr in zip(ZIEGLER_COMPLEMENTS, fixtures.ziegler_pair()):
+        image = arr if g is None else image_under(arr, g)
+        assert complement_dimensions(image) == ZIEGLER_COMPLEMENTS[name], name
+
+
+def k33_edges(arr):
+    """The masks of the triple points, and each line as the set of indices of the triple points on it."""
+    triples = [p.mask for p in intersection_summary(arr).points if p.multiplicity == 3]
+    return triples, [frozenset(i for i, mask in enumerate(triples) if mask >> k & 1) for k in range(arr.n)]
+
+
+def test_ziegler_pair_has_one_lattice():
+    # every line holds two of the six triple points, so a bijection of the
+    # triple points that maps the one realization's lines onto the other's
+    # is an isomorphism of the lattices; K_{3,3} has 72 automorphisms
+    conic, generic = fixtures.ziegler_pair()
+    for arr in (conic, generic):
+        s = intersection_summary(arr)
+        assert (s.t, s.b2) == ({2: 18, 3: 6}, 30)
+        assert verify_arrangement(arr) == NoCandidateExponents("delta-negative")
+    (triples, edges), (_, other) = k33_edges(conic), k33_edges(generic)
+    assert all(len(edge) == 2 for edge in edges + other)
+    target = set(other)
+    matches = [sigma for sigma in itertools.permutations(range(len(triples)))
+               if {frozenset(sigma[i] for i in edge) for edge in edges} == target]
+    assert len(matches) == 72
+
+
+def k33_arrangement(points):
+    """The nine lines P_i P_j, i < 3 <= j, when they are distinct and meet in six triple and 18 double points."""
+    rows = [arrangement._cross(points[i], points[j]) for i in range(3) for j in range(3, 6)]
+    if (0, 0, 0) in rows:
+        return None
+    lines = [canonicalize_line(*row) for row in rows]
+    if len(set(lines)) < 9:
+        return None
+    arr = build_arrangement(lines)
+    return arr if intersection_summary(arr).t == {2: 18, 3: 6} else None
+
+
+def on_no_conic(points):
+    """Whether no conic holds the six points: the 6 x 6 matrix of the conic monomials at them is regular."""
+    return exactlinalg.rank([[x * x, x * y, y * y, x * z, y * z, z * z] for x, y, z in points], 6) == 6
+
+
+@st.composite
+def ziegler_draws(draw):
+    """(six points, whether they lie on x^2 + y^2 = z^2): Pythagorean points, or six on no conic."""
+    on_conic = draw(st.booleans())
+    if on_conic:
+        mn = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), min_size=6, max_size=6, unique=True))
+        return [(m * m - n * n, 2 * m * n, m * m + n * n) for m, n in mn], True
+    coordinate = st.integers(-9, 9)
+    points = draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=6, max_size=6))
+    return points, False
+
+
+@given(ziegler_draws())
+@settings(max_examples=30, deadline=None)
+def test_ziegler_degree_five_field_exactly_on_the_conic(draw):
+    # on every realization of K_{3,3} drawn, a non-Euler field of degree 5
+    # exists exactly when the six triple points lie on a conic
+    points, on_conic = draw
+    assume(on_conic or on_no_conic(points))
+    arr = k33_arrangement(points)
+    assume(arr is not None)
+    event(f"kept, on the conic: {on_conic}")
+    assert (complement_dimensions(arr, [5]) == [0]) is not on_conic
 
 
 def test_kernel_path_certifies_with_no_chain_budget(monkeypatch, free13):

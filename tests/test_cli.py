@@ -224,6 +224,19 @@ def test_check_names_an_unreadable_exponent(files, tmp_path, capsys):
     assert err["error"] == f"{cert_path}: exponents[0]: an integer of 5000 digits is longer than 4000 digits"
 
 
+@pytest.mark.parametrize("key", ["1.5,0,0", "x,0,0"])
+def test_check_names_a_monomial_that_is_not_integral(files, tmp_path, capsys, key):
+    # a monomial key that int() refuses is a usage error naming its entry
+    cert_path = tmp_path / "b.cert.json"
+    run(capsys, ["verify", files["boolean"], "--certificate-out", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["theta1"]["f"] = {key: "1"}
+    cert_path.write_text(json.dumps(cert))
+    err = usage_error(capsys, ["check", files["boolean"], str(cert_path)])
+    assert err == {"command": "check",
+                   "error": f"{cert_path}: theta1.f: monomial {key!r} is not three nonnegative exponents"}
+
+
 def test_config_not_object_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

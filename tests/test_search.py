@@ -21,8 +21,10 @@ from freelines.arrangement import (
     write_arrangement,
     write_json,
 )
+from freelines import search
 from freelines.certify import (
     Certified,
+    InternalInconsistency,
     NotFreeAtExponents,
     certificate_to_json,
     check_certificate,
@@ -237,6 +239,22 @@ def test_construct_certified_roundtrip():
     assert disc.provenance["source"] == "two-pencil"
 
 
+@pytest.mark.parametrize(
+    "wrong,failing",
+    [(lambda d1, d2: two_pencil_witness(d1, d2)[::-1], "determinant-mismatch"),
+     (lambda d1, d2: (({}, {}, two_pencil_witness(d1, d2)[0][1]), two_pencil_witness(d1, d2)[1]), "theta1-kernel")],
+    ids=["swapped", "not-tangent"],
+)
+def test_construct_certified_gates_its_closed_form(monkeypatch, wrong, failing):
+    # the two-pencil certificate is built in closed form with c = 1 and must
+    # pass check_certificate: a wrong pair is a bug in the construction, not
+    # something for the deletion chain to certify in its place. Swapped at
+    # (3, 3) the fields give det = -Q; B1 d/dz is not tangent to x = y
+    monkeypatch.setattr(search, "two_pencil_witness", wrong)
+    with pytest.raises(InternalInconsistency, match=f"two-pencil certificate at \\(3, 3\\) fails its check: {failing}"):
+        construct_certified(3, 3)
+
+
 def test_beam_n3_finds_certified_triangle():
     entries = beam_search_build(3, 1, 1, pool=candidate_pool(1), beam_width=4, seed=0)
     assert entries
@@ -362,6 +380,19 @@ def test_catalog_save_load(tmp_path, near_pencil5):
     for key, ds in back.entries.items():
         for d in ds:
             assert check_certificate(d.arrangement, d.certificate) == (True, None)
+
+
+def test_load_catalog_refuses_an_entry_that_fails_its_check(tmp_path, near_pencil5):
+    # a Catalog holds certified arrangements: an entry whose c was changed
+    # is refused when it is read, naming its file and the failed check
+    out = tmp_path / "catalog"
+    save_catalog(cascade([near_pencil5], 6, config=ExtensionConfig(pool_bound=2)), str(out))
+    name = json.loads((out / "index.json").read_text())["6,2,3"][0]
+    entry = json.loads((out / name).read_text())
+    entry["certificate"]["c"] = str(Fraction(entry["certificate"]["c"]) + 1)
+    (out / name).write_text(json.dumps(entry))
+    with pytest.raises(ValueError, match=f"{name}: catalog certificate fails its check: determinant-mismatch"):
+        load_catalog(str(out))
 
 
 def test_load_catalog_names_the_bad_file(tmp_path):
@@ -698,6 +729,14 @@ def test_seed_certificate_must_match(near_pencil5, boolean):
         assert check_certificate(near_pencil5, bad) == (False, "exponent-order")
         for target in ((3, 2), (2, 3), (1, 4)):
             with pytest.raises(ValueError):
+                bootstrap_extend(near_pencil5, bad, *target)
+    # a wrong scalar, or the two fields swapped while d1 < d2 stays, fails
+    # the same check_certificate as a certificate file, naming the check
+    wrong_c = dataclasses.replace(cert, c=cert.c + 1)
+    swapped_fields = dataclasses.replace(cert, theta1=cert.theta2, theta2=cert.theta1)
+    for bad, failing in ((wrong_c, "determinant-mismatch"), (swapped_fields, "theta1-kernel")):
+        for target in ((2, 3), (1, 4)):
+            with pytest.raises(ValueError, match=f"seed certificate fails its check: {failing}"):
                 bootstrap_extend(near_pencil5, bad, *target)
 
 
