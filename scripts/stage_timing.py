@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process timings of one stage of freelines, input by input.
+"""Timings of one stage of freelines, input by input, in process or (startup) in fresh processes.
 
 STAGE is one of:
 - kernel: best and worst of REPEATS (default 5) cold times of
@@ -28,20 +28,31 @@ STAGE is one of:
   check_certificate, the gate construct_certified also passes its
   closed-form certificate through. op is cold; the other steps reuse the
   arrangement and the certificate construct_certified built before timing.
+- startup: best and median of REPEATS (default 10) wall times of a fresh
+  Python process, from spawn to exit, that imports freelines (import) or
+  runs one freelines command: construct 4 7, check of free_13's chain
+  certificate, verify on free_13 and verify on the mutant
+  disjoint_pencils(9, 4). The numpy column says whether numpy's code ran in
+  that process: the package binds numpy lazily, so only a command that
+  reaches an exact kernel or the float evaluator loads it.
 A cold call starts with the lattice, derivation-matrix and kernel caches cleared.
 
 Usage: python scripts/stage_timing.py STAGE [REPEATS [NAME ...]]
        e.g. python scripts/stage_timing.py kernel 1 pencils_9_4
+            python scripts/stage_timing.py startup 10
 """
 
 import argparse
 import os
 import random
+import statistics
+import subprocess
 import sys
 import tempfile
 from functools import partial
 from time import perf_counter
 
+import freelines
 from freelines import arrangement, derivations, fixtures
 from freelines.arrangement import build_arrangement, candidate_exponents, read_arrangement, write_arrangement
 from freelines.certify import Certified, _saito_scalar, chain_certificate, check_certificate, is_tangent_field
@@ -210,19 +221,66 @@ def construct_stage(names, repeats):
     print(f"{names[0]:<12} {len(cells):>6} " + " ".join(f"{1e3 * t:>14.2f}" for t in best))
 
 
+# a startup process: import freelines, run the CLI on the process's arguments
+# if it has any, then report on stderr whether any numpy module ran
+STARTUP_PROGRAM = """import sys
+import freelines
+code = 0
+if sys.argv[1:]:
+    from freelines.cli import main
+    code = main(sys.argv[1:])
+sys.stderr.write("numpy_ran=%d" % any(name.startswith("numpy.") for name in sys.modules))
+sys.exit(code)
+"""
+# row -> (CLI arguments, on files startup_stage writes; the exit code they give)
+STARTUP_COMMANDS = {
+    "import": ([], 0),
+    "construct": (["construct", "4", "7"], 0),
+    "check": (["check", "free_13.json", "free_13.cert.json"], 0),
+    "verify_free_13": (["verify", "free_13.json"], 0),
+    "verify_pencils_9_4": (["verify", "pencils_9_4.json"], 1),  # not free
+}
+
+
+def startup_stage(names, repeats):
+    print(f"{'command':<20} {'numpy':>6} {'best_ms':>9} {'median_ms':>10}")
+    env = dict(os.environ)  # the children import the freelines this script imported
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(freelines.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as workdir:
+        free13 = fixtures.free_13()
+        write_arrangement(os.path.join(workdir, "free_13.json"), free13)
+        write_certificate(os.path.join(workdir, "free_13.cert.json"), chain_certificate(free13, 6, 6))
+        write_arrangement(os.path.join(workdir, "pencils_9_4.json"), fixtures.disjoint_pencils(9, 4))
+        for name in names:
+            args, expected = STARTUP_COMMANDS[name]
+            times, ran = [], set()
+            for _ in range(repeats):
+                t0 = perf_counter()
+                done = subprocess.run([sys.executable, "-c", STARTUP_PROGRAM, *args], cwd=workdir, env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                times.append(perf_counter() - t0)
+                _, marker, flag = done.stderr.rpartition("numpy_ran=")
+                if done.returncode != expected or not marker:
+                    raise RuntimeError(f"the {name} process exited with {done.returncode}: {done.stderr}")
+                ran.add(flag)
+            print(f"{name:<20} {'yes' if '1' in ran else 'no':>6} {1e3 * min(times):>9.1f} {1e3 * statistics.median(times):>10.1f}")
+
+
 # stage -> (its function, its inputs in print order, its default REPEATS)
 STAGES = {
     "kernel": (kernel_stage, [*PENCILS, *FIXTURES], 5),
     "tangent": (tangent_stage, [*FIXTURES, "two_pencil"], 7),
     "verify": (verify_stage, list(VERIFY_FIXTURES), 7),
     "construct": (construct_stage, ["two_pencil"], 7),
+    "startup": (startup_stage, list(STARTUP_COMMANDS), 10),
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("stage", choices=STAGES)
-    parser.add_argument("repeats", nargs="?", type=int, help="default: 5 for kernel, 7 otherwise")
+    parser.add_argument("repeats", nargs="?", type=int, help="default: 5 for kernel, 10 for startup, 7 otherwise")
     parser.add_argument("names", nargs="*", help="inputs to time (default: all of the stage's)")
     args = parser.parse_args(argv)
     run, known, default_repeats = STAGES[args.stage]

@@ -48,10 +48,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import exactlinalg
 from .arrangement import Arrangement, Line, _normalize_triple, intersection_summary, mask_point
+from .exactlinalg import np
 from .monomials import Poly, basis_size, monomial_basis, poly_to_vector, product_of_lines
 
 

@@ -37,17 +37,48 @@ Computer Algebra, section 5.10 (rational reconstruction).
 echelon_form and rank read the pivot columns off that RREF: the last nonzero
 entry of an RREF kernel vector is its free column, and every other column is
 a pivot column. So the module has one elimination engine.
+
+numpy is bound here, lazily, as np, and derivations and saito take it from
+this module (from .exactlinalg import np). Most verdicts run no numpy: the
+deletion chain, check_certificate, construct_certified and the cascade are
+integer and rational code. So importing freelines only checks that numpy is
+installed, and numpy itself loads at the first attribute read, which is the
+first exact kernel or float-evaluator call of the process. This is the
+importlib.util.LazyLoader recipe of the standard library's documentation.
+Before Python 3.12 that first read is not thread-safe, so a program that
+calls freelines from several threads should import numpy before it starts
+them.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt, log2, prod
 from operator import lshift, mul
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """The module name, found now and executed at its first attribute read.
+
+    Raises ModuleNotFoundError at once if the module is not installed.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 # A product of two residues is below 2^52, so int64 has room for sums of them.
 PRIME_LIMIT = 1 << 26

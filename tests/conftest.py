@@ -1,8 +1,10 @@
 import os
 
 # One BLAS thread, as the benchmark runs: on a small host a multi-threaded
-# BLAS can stall the first mid-sized QR of a process. Set before freelines
-# (and so numpy) is imported, since BLAS reads these when it loads.
+# BLAS can stall the first mid-sized QR of a process. BLAS reads these when
+# numpy loads, so they only need to be set before that: freelines binds
+# numpy lazily, and numpy loads at the first kernel or float call, or when a
+# test module imports it.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

@@ -38,7 +38,7 @@ from freelines.monomials import (
     poly_to_vector,
     vector_to_poly,
 )
-from freelines.search import candidate_pool, two_pencil_witness
+from freelines.search import candidate_pool, supersolvable_two_pencil, two_pencil_witness
 
 
 def in_kernel(matrix, vec):
@@ -173,6 +173,13 @@ def _pencil_kernel_inputs():
         exps = candidate_exponents(arr)
         degrees = sorted({exps.d1, exps.d2}) if exps else [2, 4]
         cases += [(f"{name}-{d}", arr, d) for d in degrees]
+    # d = k - 1, the first degree at which eta_p has columns (one, of degree
+    # d), and d = k, on inputs whose top multiplicity k puts both in reach
+    edges = [(f"near_pencil_{n}", fixtures.near_pencil(n)) for n in range(4, 8)]
+    edges += [(f"two_pencil_{d1}x{d2}", supersolvable_two_pencil(d1, d2)) for d1, d2 in [(2, 3), (3, 5)]]
+    for name, arr in edges:
+        k = intersection_summary(arr).max_multiplicity
+        cases += [(f"{name}-{d}", arr, d) for d in (k - 1, k)]
     return cases
 
 

@@ -589,16 +589,26 @@ def test_non_adjacent_target_runs_no_lift(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize(
-    "seed,cert",
-    [(near_pencil(6), None), (fixtures.free_13(), None),
-     (construct_certified(2, 4).arrangement, construct_certified(2, 4).certificate)],
-    ids=["near_pencil6", "free13", "two_pencil_2x4"],
-)
-def test_lift_exists_exactly_on_the_addition_theorem_count(seed, cert):
+def _two_pencil_seed(d1, d2):
+    disc = construct_certified(d1, d2)
+    return disc.arrangement, disc.certificate
+
+
+# seed name -> (seed, its certificate or None); built in the test, so that a
+# fault in construct_certified fails this case instead of the module's collection
+LIFT_SEEDS = {
+    "near_pencil6": lambda: (near_pencil(6), None),
+    "free13": lambda: (fixtures.free_13(), None),
+    "two_pencil_2x4": lambda: _two_pencil_seed(2, 4),
+}
+
+
+@pytest.mark.parametrize("name", LIFT_SEEDS)
+def test_lift_exists_exactly_on_the_addition_theorem_count(name):
     # the addition theorem, candidate by candidate: the division finds a
     # lift exactly when H meets the seed in a route's |A''| points, at that
     # route's exponents, and every lift passes the exact check
+    seed, cert = LIFT_SEEDS[name]()
     cert = cert or seed_certificate(seed)
     routes = {points: exps for exps, points in _lift_routes(cert.d1, cert.d2)}
     lifted = set()

@@ -46,7 +46,8 @@ def test_traced_caches_keep_their_interface():
     "script,args",
     [("score_reference.py", ["2", "100"]), ("coverage_sweep.py", ["6"]), ("find_refutation.py", []),
      ("stage_timing.py", ["kernel", "1", "pencils_9_4", "free_13"]), ("stage_timing.py", ["tangent", "1", "free_13"]),
-     ("stage_timing.py", ["verify", "1", "free_13"]), ("stage_timing.py", ["construct", "1"])],
+     ("stage_timing.py", ["verify", "1", "free_13"]), ("stage_timing.py", ["construct", "1"]),
+     ("stage_timing.py", ["startup", "1"])],
 )
 def test_scripts_run(script, args):
     # score_reference.py is the outside oracle for the score closed forms;
@@ -54,7 +55,8 @@ def test_scripts_run(script, args):
     # find_refutation.py runs verify_free's kernel pair scan on non-free inputs;
     # stage_timing.py times the exact kernel path (kernel), is_tangent_field
     # and check_certificate on chain certificates (tangent), and each step of
-    # a verify-free operation (verify) and of a construct-sweep one (construct)
+    # a verify-free operation (verify) and of a construct-sweep one (construct),
+    # and fresh processes of an import and of four CLI commands (startup)
     done = _run_script(script, args)
     assert done.returncode == 0, done.stdout + done.stderr
 
