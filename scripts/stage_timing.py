@@ -19,7 +19,10 @@ STAGE is one of:
   certified two-pencils of all 156 exponent cells with n <= 26, together.
 - verify: best of REPEATS (default 7) times of each step of a verify-free
   operation and of the whole operation (op), on free_13, free_16, free_19
-  and free_20. The chain and op are cold, as a new input is; the other steps
+  and free_20: the arrangement file's write and read (arr_write, arr_read),
+  the chain, the gate (verify_free with the ALS evaluation, whose
+  certificate check_certificate accepts), and the certificate's write, read
+  and check. The chain and op are cold, as a new input is; the other steps
   reuse the chain's certificate.
 - construct: best of REPEATS (default 7) times of each step of a
   construct-sweep operation and of the whole operation (op), each summed
@@ -67,7 +70,7 @@ FIXTURES = ("free_13", "free_19", "free_20")
 VERIFY_FIXTURES = ("free_13", "free_16", "free_19", "free_20")
 TWO_PENCIL_N_MAX = 26
 TWO_PENCIL_CELLS = [(d1, n - 1 - d1) for n in range(3, TWO_PENCIL_N_MAX + 1) for d1 in range(1, (n - 1) // 2 + 1)]
-VERIFY_STEPS = ("chain", "witness", "write", "read", "check", "op")
+VERIFY_STEPS = ("arr_write", "arr_read", "chain", "gate", "write", "read", "check", "op")
 CONSTRUCT_STEPS = ("arrangement", "witness", "write", "read", "check", "op")
 
 
@@ -168,9 +171,9 @@ def operation(arr, workdir):
 
 
 def verify_stage(names, repeats):
-    print(f"{'input':<8} {'exps':>6} " + " ".join(f"{s + '_ms':>10}" for s in VERIFY_STEPS))
+    print(f"{'input':<8} {'exps':>6} " + " ".join(f"{s + '_ms':>12}" for s in VERIFY_STEPS))
     with tempfile.TemporaryDirectory() as workdir:
-        cert_path = os.path.join(workdir, "cert.json")
+        arr_path, cert_path = os.path.join(workdir, "arr.json"), os.path.join(workdir, "cert.json")
         for name in names:
             arr = INPUTS[name]()
             exps = candidate_exponents(arr)
@@ -179,17 +182,20 @@ def verify_stage(names, repeats):
             ev = saito_functional(arr, d1, d2)
             if not isinstance(verify_free(arr, d1, d2, als=ev), Certified):
                 raise RuntimeError(f"{arr.n} lines are not certified")
+            write_arrangement(arr_path, arr)
             write_certificate(cert_path, cert)
             steps = {  # step -> (call, whether it is timed cold), in VERIFY_STEPS order
+                "arr_write": (lambda _: write_arrangement(arr_path, arr), False),
+                "arr_read": (lambda _: read_arrangement(arr_path), False),
                 "chain": (lambda _: chain_certificate(arr, d1, d2), True),
-                "witness": (lambda _: verify_free(arr, d1, d2, als=ev), False),
+                "gate": (lambda _: verify_free(arr, d1, d2, als=ev), False),
                 "write": (lambda _: write_certificate(cert_path, cert), False),
                 "read": (lambda _: read_certificate(cert_path), False),
                 "check": (lambda _: check_certificate(arr, cert), False),
                 "op": (lambda _: operation(arr, workdir), True),
             }
             best = [min(timed(repeats, call, cold)[0]) for call, cold in steps.values()]
-            print(f"{name:<8} {f'{d1},{d2}':>6} " + " ".join(f"{1e3 * t:>10.2f}" for t in best))
+            print(f"{name:<8} {f'{d1},{d2}':>6} " + " ".join(f"{1e3 * t:>12.2f}" for t in best))
 
 
 def construct_operation(d1, d2, cert_path):

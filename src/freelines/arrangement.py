@@ -4,6 +4,12 @@ Lines are integer-coprime linear forms a*x + b*y + c*z, sign-normalized so that
 the first nonzero coefficient is positive: one canonical representative per
 projective class, which makes hashing and deduplication trivial. Everything in
 this module is integer or rational arithmetic; there is no floating point.
+
+This module also owns the file codec of every freelines JSON file: the number
+reader (_as_fraction, _rational_from_json, _integer_from_json), the one number
+writer (_rational_to_json), the one digit bound they share, and the object
+helpers (json_object, json_entry, read_json, write_json). certify, search and
+cli import them, so every writer emits only what the readers take.
 """
 
 from __future__ import annotations
@@ -72,11 +78,14 @@ class Line:
 
 RationalLike = int | float | str | Fraction
 
-# Fraction multiplies by 10**exponent before anything can look at the result,
-# so "1e999999999" would build a billion-digit integer. Text with a decimal
-# exponent may expand to at most this many digits, which stays below the
-# 4300 digits that Python converts back to a string.
+# The one bound of the file codec. Fraction multiplies by 10**exponent before
+# anything can look at the result, so "1e999999999" would build a
+# billion-digit integer: text with a decimal exponent may expand to at most
+# this many digits. Every number a file holds, numerator and denominator
+# alike, has at most this many digits, which stays below the 4300 digits that
+# Python converts back to a string.
 MAX_DECIMAL_DIGITS = 4000
+_DIGIT_BOUND = 10**MAX_DECIMAL_DIGITS
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
@@ -121,6 +130,33 @@ def _as_fraction(v, what: str = "coefficient") -> int | Fraction:
         return Fraction(v)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise ValueError(f"{what}: {v!r} is not a rational number: {exc}") from exc
+
+
+def _rational_from_json(v, what: str) -> int | Fraction:
+    """_as_fraction's value, refused naming what when its numerator or denominator passes the digit bound."""
+    r = _as_fraction(v, what)
+    if abs(r.numerator) < _DIGIT_BOUND and r.denominator < _DIGIT_BOUND:
+        return r
+    raise ValueError(f"{what}: a numerator or denominator has more than {MAX_DECIMAL_DIGITS} digits")
+
+
+def _integer_from_json(v, what: str) -> int:
+    """An integer, read as a rational is, so 1.0 reads as 1; ValueError naming what unless it is one."""
+    r = _rational_from_json(v, what)
+    if r.denominator != 1:
+        raise ValueError(f"{what}: {v!r} is not an integer")
+    return int(r)
+
+
+def _rational_to_json(v, what: str | None = None) -> str:
+    """str of the rational v; ValueError, naming what if given, when its numerator or denominator passes the bound."""
+    if type(v) is int and abs(v) < _DIGIT_BOUND:
+        return str(v)
+    v = Fraction(v)
+    if abs(v.numerator) < _DIGIT_BOUND and v.denominator < _DIGIT_BOUND:
+        return str(v)
+    message = f"a coefficient has more than {MAX_DECIMAL_DIGITS} digits"
+    raise ValueError(f"{what}: {message}" if what else message)
 
 
 def canonicalize_line(a: RationalLike, b: RationalLike, c: RationalLike) -> Line:
@@ -390,20 +426,47 @@ def tjurina(arr: Arrangement) -> int:
 
 
 def arrangement_to_json(arr: Arrangement) -> dict:
-    return {"lines": [[str(l.a), str(l.b), str(l.c)] for l in arr.lines]}
+    """JSON form of the arrangement; ValueError naming lines[i] when a coefficient passes the digit bound.
 
-
-def arrangement_from_json(data: dict) -> Arrangement:
-    if not isinstance(data, dict) or "lines" not in data:
-        raise ValueError("arrangement file needs a 'lines' key")
-    raw = data["lines"]
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("'lines' must be a nonempty list")
+    Like the reader, it names the entry only when it refuses it, so a good
+    arrangement pays nothing for the name.
+    """
     lines = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"line entry {entry!r} is not a coefficient triple")
-        lines.append(canonicalize_line(*entry))
+    for i, line in enumerate(arr.lines):
+        try:
+            lines.append([_rational_to_json(v) for v in line.coeffs])
+        except ValueError as exc:
+            raise ValueError(f"lines[{i}]: {exc}") from exc
+    return {"lines": lines}
+
+
+def _line_from_json(entry) -> Line:
+    """The canonical line of a coefficient triple, refused when a canonical coefficient passes the digit bound."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        got = f"a list of {len(entry)}" if isinstance(entry, list) else type(entry).__name__
+        raise ValueError(f"expected a list of three coefficients, got {got}")
+    line = canonicalize_line(*entry)
+    if abs(line.a) < _DIGIT_BOUND and abs(line.b) < _DIGIT_BOUND and abs(line.c) < _DIGIT_BOUND:
+        return line
+    raise ValueError(f"the canonical form has a coefficient of more than {MAX_DECIMAL_DIGITS} digits")
+
+
+def arrangement_from_json(data) -> Arrangement:
+    """Arrangement from its JSON form; ValueError naming the entry, e.g. lines[2], on a malformed one.
+
+    The entry is named when it is refused, not before each line is parsed.
+    Every arrangement it returns can be hashed and written back: its
+    canonical coefficients fit the digit bound.
+    """
+    raw = json_entry(json_object(data, "arrangement"), "lines", "arrangement")
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("lines: expected a nonempty list")
+    lines = []
+    for i, entry in enumerate(raw):
+        try:
+            lines.append(_line_from_json(entry))
+        except ValueError as exc:
+            raise ValueError(f"lines[{i}]: {exc}") from exc
     return build_arrangement(lines)
 
 

@@ -15,6 +15,12 @@ check_certificate is the one gate: a certificate file, every certificate
 verify_free is given or builds, the two-pencil's, a cascade seed and a
 catalog entry are accepted only when it accepts them.
 
+Certificate files are written and read through the file codec that the
+arrangement module owns (_rational_to_json, _rational_from_json,
+_integer_from_json, json_object, json_entry, read_json, write_json); this
+module defines no number reader, number writer or digit bound of its own, so
+a certificate file holds only numbers its reader takes, exponents included.
+
 Before any kernel, the lattice alone may already prove freeness. If the
 line set minus a line H is free with exponents (a, b - 1) (or (a - 1, b))
 and H meets the rest in |A^H| = a + 1 (or b + 1) points, the set is free
@@ -63,11 +69,12 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .arrangement import (
-    MAX_DECIMAL_DIGITS,
     Arrangement,
     Line,
-    _as_fraction,
     _cross,
+    _integer_from_json,
+    _rational_from_json,
+    _rational_to_json,
     arrangement_hash,
     build_arrangement,
     intersection_summary,
@@ -631,22 +638,6 @@ def chain_certificate(arr: Arrangement, d1: int, d2: int) -> FreenessCertificate
 # ---------------------------------------------------------------------------
 
 
-# Certificate files hold no number the readers would refuse (see
-# arrangement.MAX_DECIMAL_DIGITS); this bound also keeps str() below the
-# 4300 digits Python converts.
-_DIGIT_BOUND = 10**MAX_DECIMAL_DIGITS
-
-
-def _rational_to_json(v, what: str) -> str:
-    """str of the rational v; ValueError when its numerator or denominator has too many digits."""
-    if type(v) is int and -_DIGIT_BOUND < v < _DIGIT_BOUND:
-        return str(v)
-    v = Fraction(v)
-    if max(abs(v.numerator), v.denominator) >= _DIGIT_BOUND:
-        raise ValueError(f"{what}: a coefficient has more than {MAX_DECIMAL_DIGITS} digits")
-    return str(v)
-
-
 def _poly_to_json(p: Poly, what: str) -> dict[str, str]:
     return {
         "%d,%d,%d" % e: _rational_to_json(v, what)
@@ -663,7 +654,7 @@ def _poly_from_json(data: dict, what: str) -> Poly:
             e = ()
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
-        v = _as_fraction(val, f"{what}[{key!r}]")
+        v = _rational_from_json(val, f"{what}[{key!r}]")
         if v:
             out[e] = v if v.denominator != 1 else int(v)
     return out
@@ -675,9 +666,9 @@ def _theta_from_json(data: dict, key: str) -> ExactDerivation:
 
 
 def certificate_to_json(cert: FreenessCertificate) -> dict:
-    """JSON form of a certificate; ValueError when a coefficient is too long for the readers."""
+    """JSON form of a certificate, every number by _rational_to_json; ValueError naming a number too long to read."""
     return {
-        "exponents": [str(cert.d1), str(cert.d2)],
+        "exponents": [_rational_to_json(cert.d1, "exponents[0]"), _rational_to_json(cert.d2, "exponents[1]")],
         "theta1": {
             name: _poly_to_json(comp, f"theta1.{name}")
             for name, comp in zip("fgh", cert.theta1)
@@ -691,24 +682,16 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
     }
 
 
-def _exponent_from_json(v, what: str) -> int:
-    """An exponent, read as a coefficient is, so 1.0 reads as 1; ValueError naming what unless an integer."""
-    e = _as_fraction(v, what)
-    if e.denominator != 1:
-        raise ValueError(f"{what}: {v!r} is not an integer")
-    return int(e)
-
-
 def certificate_from_json(data: dict) -> FreenessCertificate:
     """Certificate from its JSON form; a malformed shape raises ValueError."""
     json_object(data, "certificate")
     exponents = json_entry(data, "exponents", "certificate")
     if not isinstance(exponents, list) or len(exponents) != 2:
         raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
-    d1, d2 = (_exponent_from_json(x, f"exponents[{i}]") for i, x in enumerate(exponents))
+    d1, d2 = (_integer_from_json(x, f"exponents[{i}]") for i, x in enumerate(exponents))
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
-    c = Fraction(_as_fraction(json_entry(data, "c", "certificate"), "c"))
+    c = Fraction(_rational_from_json(json_entry(data, "c", "certificate"), "c"))
     return FreenessCertificate(
         d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
         arrangement_hash=str(json_entry(data, "arrangement_hash", "certificate")),

@@ -5,8 +5,12 @@ failed check), 2 usage errors, reported as a {"command", "error"} JSON object
 on stderr. main is the one place that turns an error into an exit code: an
 OSError or ValueError raised while a command runs (an unreadable or unwritable
 path, a malformed file, a bad value) is a usage error, and anything else is a
-fault of the program and propagates. Exact quantities are emitted as integer
-or rational strings; only losses, scores and timings are floats.
+fault of the program and propagates. Every input file, the --config file
+included, is read through arrangement.read_json, so a bad one is reported under
+the command that read it, with the path and the entry it refuses, e.g.
+{"command": "search", "error": "cfg.json: weights: there is no weight 'w'"}.
+Exact quantities are emitted as integer or rational strings; only losses,
+scores and timings are floats.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .arrangement import (
     candidate_exponents,
     characteristic_polynomial,
     intersection_summary,
+    json_entry,
+    json_object,
     no_exponent_reason,
     read_arrangement,
     read_json,
@@ -209,22 +215,23 @@ def cmd_construct(args) -> int:
 
 
 def _weights_from(args) -> RewardWeights:
-    """The reward weights of the optional --config JSON object {"weights": {...}}."""
+    """The reward weights of the optional --config JSON object {"weights": {...}}.
+
+    The file is read like every other input file: a refusal is a ValueError
+    naming the path and the entry, which main reports under the command.
+    """
     if not args.config:
         return RewardWeights()
 
     def parse(data) -> RewardWeights:
-        if not isinstance(data, dict):
-            _usage_error("config", f"expected a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - {"weights"})
+        unknown = sorted(set(json_object(data, "config")) - {"weights"})
         if unknown:
-            _usage_error("config", f"{args.command} does not read config key {unknown[0]!r}")
-        weights = data.get("weights", {})
-        if not isinstance(weights, dict):
-            _usage_error("config", f"weights: expected a JSON object, got {type(weights).__name__}")
+            raise ValueError(f"config: {args.command} does not read config key {unknown[0]!r}")
+        # data is now {} or {"weights": ...}
+        weights = json_object(json_entry(data, "weights", "config"), "weights") if data else {}
         unknown = sorted(set(weights) - {f.name for f in fields(RewardWeights)})
         if unknown:
-            _usage_error("config", f"weights: there is no weight {unknown[0]!r}")
+            raise ValueError(f"weights: there is no weight {unknown[0]!r}")
         return RewardWeights(**weights)
 
     return read_json(args.config, parse)

@@ -256,6 +256,65 @@ def test_json_rejects_boolean_coefficients():
             arrangement_from_json({"lines": [[bad, 0, 0], [0, 1, 0], [0, 0, 1]]})
 
 
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        ({"lines": [[None, 0, 1], [0, 1, 0], [1, 0, 0]]}, "lines[0]: coefficient: None is not a rational number"),
+        ({"lines": [[1, 0, 0], [0, 0, 0], [0, 1, 0]]}, "lines[1]: the zero form does not define a line"),
+        ({"lines": [[1, 0, 0], [0, 1, 0], [1, 2]]}, "lines[2]: expected a list of three coefficients, got a list of 2"),
+        ({"lines": [[1, 0, 0], "0,1,0"]}, "lines[1]: expected a list of three coefficients, got str"),
+        ({"lines": [[1, 0, 0], [True, 1, 0]]}, "lines[1]: coefficient: True is a boolean, not a number"),
+        ({"lines": []}, "lines: expected a nonempty list"),
+        ({"lines": {"0": [1, 0, 0]}}, "lines: expected a nonempty list"),
+        ([], "arrangement: expected a JSON object, got list"),
+        ({"line": []}, "arrangement: missing key 'lines'"),
+    ],
+    ids=["null", "zero-form", "pair", "text", "boolean", "empty", "lines-object", "list", "no-lines"],
+)
+def test_json_reader_names_the_refused_entry(tmp_path, data, error):
+    # a refusal names the file and the entry, whatever refuses it
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_arrangement(path)
+    assert str(info.value).startswith(f"{path}: {error}")
+
+
+def test_json_reader_refuses_a_canonical_form_past_the_digit_bound(tmp_path):
+    # each coefficient reads, but clearing the denominators of 1/A and 1/B
+    # gives [B : A : AB], whose last entry has 5001 digits: more than the
+    # writer and arrangement_hash can take, so the reader refuses the line
+    a, b = 10**2500 + 1, 10**2500 + 3
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"lines": [[1, 0, 0], [f"1/{a}", f"1/{b}", "1"], [0, 1, 0]]}))
+    with pytest.raises(ValueError) as info:
+        read_arrangement(path)
+    assert str(info.value) == f"{path}: lines[1]: the canonical form has a coefficient of more than 4000 digits"
+    # 4000 digits, the longest the bound takes, read, hash and write back
+    a, b = 3 * 10**1999 + 1, 4 * 10**1999 + 1
+    path.write_text(json.dumps({"lines": [[1, 0, 0], [f"1/{a}", f"1/{b}", "1"], [0, 1, 0]]}))
+    arr = read_arrangement(path)
+    assert arr.lines[1] == Line(b, a, a * b) and len(str(a * b)) == 4000
+    write_arrangement(path, arr)
+    assert arrangement_hash(read_arrangement(path)) == arrangement_hash(arr)
+
+
+@pytest.mark.parametrize("digits", [4001, 4101, 4301, 5000])
+def test_json_writer_refuses_a_coefficient_past_the_digit_bound(tmp_path, digits):
+    # the writer writes only what the reader takes: past 4000 digits it
+    # raises naming the line and leaves no file, past 4300 too, where str()
+    # itself would fail; 4000 digits write and read back
+    arr = build_arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 10 ** (digits - 1))])
+    path = tmp_path / "arr.json"
+    with pytest.raises(ValueError) as info:
+        write_arrangement(path, arr)
+    assert str(info.value) == "lines[2]: a coefficient has more than 4000 digits"
+    assert not path.exists()
+    top = build_arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 10**3999)])
+    write_arrangement(path, top)
+    assert read_arrangement(path) == top
+
+
 def test_hash_is_order_independent(boolean):
     reordered = build_arrangement(list(reversed(boolean.lines)))
     assert arrangement_hash(reordered) == arrangement_hash(boolean)

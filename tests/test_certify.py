@@ -5,6 +5,8 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import partial
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -650,9 +652,42 @@ def test_certificate_writer_refuses_an_overlong_integer(tmp_path, near_pencil5):
     assert read_certificate(path).theta1[0][(1, 0, 0)] == 10**4000 - 1
 
 
+@pytest.mark.parametrize(
+    "value", [10**4000, -(10**4100), "7" * 4100 + "/1", "1/" + "7" * 4001, "-" + "9" * 4001 + "/2"],
+    ids=["4001-digit-number", "4101-digit-number", "4100-digit-ratio", "4001-digit-denominator", "4001-digit-half"],
+)
+@pytest.mark.parametrize("slot", ["exponents", "c", "theta1"])
+def test_certificate_reader_refuses_a_number_past_the_digit_bound(tmp_path, near_pencil5, slot, value):
+    # the reader takes exactly the numbers the writer writes, so every
+    # certificate it returns can be written back; a longer one is refused
+    # naming the file and the entry
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    what = {"exponents": "exponents[0]", "c": "c", "theta1": "theta1.f['1,0,0']"}[slot]
+    if slot == "exponents":
+        data["exponents"][0] = value
+    elif slot == "c":
+        data["c"] = value
+    else:
+        data["theta1"]["f"] = {"1,0,0": value}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_certificate(path)
+    assert str(info.value) == f"{path}: {what}: a numerator or denominator has more than 4000 digits"
+
+
 def test_verify_free_validates_exponents(boolean):
     with pytest.raises(DegreeMismatch):
         verify_free(boolean, 1, 2)
+
+
+def test_exponents_in_the_wrong_order_are_refused(near_pencil5):
+    # (3, 1) sums to n - 1 = 4 but is not 1 <= d1 <= d2: verify_free raises
+    # and chain_certificate has no chain to offer
+    with pytest.raises(ValueError, match="1 <= d1 <= d2"):
+        verify_free(near_pencil5, 3, 1)
+    assert certify.chain_certificate(near_pencil5, 3, 1) is None
+    assert check_certificate(near_pencil5, certify.chain_certificate(near_pencil5, 1, 3)) == (True, None)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -1450,3 +1485,99 @@ def test_kernel_pair_certificate_is_gated(monkeypatch, boolean):
     monkeypatch.setattr(certify, "null_space_exact", lambda matrix: SimpleNamespace(complement=[y_dx, z_dz]))
     with pytest.raises(certify.InternalInconsistency, match="theta1-kernel"):
         verify_free(boolean, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The pencil theorem as an oracle of the kernel
+# ---------------------------------------------------------------------------
+
+
+def pencil_span(arr, mask, d):
+    """The vectors Q_off * m * p, m over the monomials of degree d - (n - k), for the point p of mask.
+
+    p is the point whose k lines are the bits of mask and Q_off the product of
+    the n - k lines off it; there are none when d < n - k. For d < k - 1
+    they span D(A)_d modulo the Euler multiples: D(A) lies in D(A_p), whose
+    basis E, p, eta_p has eta_p of degree k - 1 > d, so a field beyond the
+    Euler multiples is g * p, and it is tangent to a line off p exactly when
+    that line divides g.
+    """
+    p = arrangement.mask_point(arr.lines, mask)
+    off = [line for i, line in enumerate(arr.lines) if not mask >> i & 1]
+    if d < len(off):
+        return []
+    q_off = product_of_lines(off)
+    span = []
+    for mono in monomial_basis(d - len(off)).monomials:
+        g = poly_mul(q_off, {mono: 1})
+        span.append([v for c in p for v in poly_to_vector({m: c * x for m, x in g.items()}, d)])
+    return span
+
+
+def rank(vectors):
+    return len(vectors) - len(exactlinalg.kernel_basis([list(col) for col in zip(*vectors)], len(vectors)))
+
+
+def pencil_count(n, k, d):
+    """C(d - n + k + 2, 2), the dimension of Q_off * S_{d-(n-k)} * p, or 0 when d < n - k."""
+    return comb(d - n + k + 2, 2) if d >= n - k else 0
+
+
+def assert_pencil_theorem(arr):
+    """The kernel's complement at each d < k - 1 of each point of multiplicity k is its pencil span.
+
+    When the top multiplicity k reaches d2 + 2 every complement field is a
+    multiple of one point, so every pair has det(E, theta1, theta2) = 0 and
+    verify_free must refute, scanning the pairs the counts give. Returns
+    pairs_scanned then, else None.
+    """
+    s = intersection_summary(arr)
+    n = arr.n
+    for mask in s.masks:
+        k = mask.bit_count()
+        for d in range(1, k - 1):
+            complement = list(null_space_exact(derivation_matrix(arr, d)).complement)
+            span = pencil_span(arr, mask, d)
+            assert len(complement) == len(span) == pencil_count(n, k, d), (k, d)
+            assert not span or rank(complement + span) == len(span), (k, d)
+    exps, k = candidate_exponents(arr), s.max_multiplicity
+    if exps is None or k < exps.d2 + 2:
+        return None
+    c1, c2 = (pencil_count(n, k, d) for d in (exps.d1, exps.d2))
+    out = verify_free(arr, exps.d1, exps.d2)
+    assert isinstance(out, NotFreeAtExponents)
+    assert out.pairs_scanned == (comb(c1, 2) if exps.d1 == exps.d2 else c1 * c2)
+    return out.pairs_scanned
+
+
+# the six refuted mutants, then the pinned fixtures and Ziegler's pair, then
+# two more disjoint pencils with candidate exponents and k >= d2 + 2
+PENCIL_ORACLE_INPUTS = {
+    **{f"pencils_{k}_{m}": partial(fixtures.disjoint_pencils, k, m) for (k, m), _ in REFUTED_PAIRS},
+    **{name: getattr(fixtures, name) for name in ("free_13", "free_16", "free_19", "free_20")},
+    "ziegler_conic": lambda: fixtures.ziegler_pair()[0],
+    "ziegler_generic": lambda: fixtures.ziegler_pair()[1],
+    "pencils_7_3": partial(fixtures.disjoint_pencils, 7, 3),
+    "pencils_15_7": partial(fixtures.disjoint_pencils, 15, 7),
+}
+PENCIL_ORACLE_PAIRS = {f"pencils_{k}_{m}": pairs for (k, m), pairs in REFUTED_PAIRS}
+
+
+@pytest.mark.parametrize("g", [None, KERNEL_IMAGE_G], ids=["aligned", "kernel-image"])
+@pytest.mark.parametrize("name", list(PENCIL_ORACLE_INPUTS))
+def test_kernel_obeys_the_pencil_theorem(name, g):
+    arr = PENCIL_ORACLE_INPUTS[name]()
+    pairs = assert_pencil_theorem(arr if g is None else image_under(arr, g))
+    if name in PENCIL_ORACLE_PAIRS:
+        assert pairs == PENCIL_ORACLE_PAIRS[name]
+    elif name.startswith("pencils"):
+        assert pairs is not None
+    else:
+        assert pairs is None
+
+
+@given(g=unimodular(), name=st.sampled_from(["pencils_5_2", "pencils_7_3", "pencils_9_4", "free_13", "ziegler_conic"]))
+@settings(max_examples=5, deadline=None)
+def test_kernel_obeys_the_pencil_theorem_after_a_drawn_change_of_coordinates(g, name):
+    pairs = assert_pencil_theorem(image_under(PENCIL_ORACLE_INPUTS[name](), g))
+    assert pairs == PENCIL_ORACLE_PAIRS.get(name, pairs)

@@ -237,15 +237,46 @@ def test_check_names_a_monomial_that_is_not_integral(files, tmp_path, capsys, ke
                    "error": f"{cert_path}: theta1.f: monomial {key!r} is not three nonnegative exponents"}
 
 
+def test_a_line_too_long_to_hash_is_refused_naming_the_file_and_the_line(tmp_path, capsys):
+    # 1/A and 1/B read, but the canonical line [B : A : AB] has 5001 digits,
+    # which arrangement_hash cannot print: the reader refuses it by name
+    a, b = 10**2500 + 1, 10**2500 + 3
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"lines": [[1, 0, 0], [0, 1, 0], [f"1/{a}", f"1/{b}", "1"]]}))
+    for command in ("invariants", "verify"):
+        assert usage_error(capsys, [command, str(path)]) == {
+            "command": command,
+            "error": f"{path}: lines[2]: the canonical form has a coefficient of more than 4000 digits",
+        }
+
+
 def test_config_not_object_is_usage_error(tmp_path, capsys):
+    # the config file is read like every input file: main returns 2 and the
+    # error names the command that read it and the path
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "3", "1", "1", "--config", str(cfg)])
-    assert exc.value.code == 2
+    assert main(["search", "3", "1", "1", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"command": "config", "error": "expected a JSON object, got list"}
+    assert json.loads(captured.err) == {
+        "command": "search", "error": f"{cfg}: config: expected a JSON object, got list"}
+
+
+@pytest.mark.parametrize(
+    "config,error",
+    [
+        ({"weights": [1]}, "weights: expected a JSON object, got list"),
+        ({"weights": {"w": 1}}, "weights: there is no weight 'w'"),
+        ({"weights": {"w_comb": "x"}}, "w_comb: weight must be a finite real number, got 'x'"),
+        ({"beam": 2}, "config: search does not read config key 'beam'"),
+    ],
+    ids=["weights-list", "unknown-weight", "bad-weight", "unknown-key"],
+)
+def test_config_errors_name_the_command_and_the_path(tmp_path, capsys, config, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert usage_error(capsys, ["search", "3", "1", "1", "--config", str(cfg)]) == {
+        "command": "search", "error": f"{cfg}: {error}"}
 
 
 @pytest.mark.parametrize(

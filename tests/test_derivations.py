@@ -232,6 +232,29 @@ def test_pencil_system_constrains_only_the_lines_off_its_point(arr, d):
     assert all(any(row) for row in system.rows)
 
 
+# the nullity of D(A)_d at d = 1, 2, 3 of one line and of two lines
+FEW_LINES = {
+    "one_line": ([Line(1, 2, 3)], [7, 15, 26]),
+    "two_lines": ([Line(1, 0, 0), Line(1, 1, 1)], [5, 12, 22]),
+}
+
+
+@pytest.mark.parametrize("name", list(FEW_LINES))
+def test_pencil_kernel_of_one_or_two_lines_is_the_kernel_of_the_derivation_matrix(name):
+    # one line has no point, so pencil_system takes a point on it with k = 1;
+    # two lines meet in one point that holds both. Neither leaves a line off
+    # the point, so the system has no rows, and the kernel is what the pencil
+    # generators span: the derivation-matrix oracle must agree
+    lines, nullities = FEW_LINES[name]
+    arr = build_arrangement(lines)
+    for d, nullity in zip((1, 2, 3), nullities):
+        test_pencil_kernel_is_the_kernel_of_the_derivation_matrix(arr, d)
+        assert null_space_exact(derivation_matrix(arr, d)).nullity == nullity
+        system = pencil_system(arr, d)
+        assert (system.k, system.rows, [e for _, e in system.fields]) == (arr.n, [], [0, arr.n - 1])
+        assert all(line.evaluate(system.point) == 0 for line in arr.lines) and any(system.point)
+
+
 def test_null_space_exact_stores_only_what_it_solves(monkeypatch):
     # the Euler head is fixed by the degree, so no solve builds it: the basis
     # holds the degree and the complement, and derives the rest

@@ -1,16 +1,20 @@
-"""Fuzz the arrangement and certificate readers through the CLI.
+"""Fuzz the arrangement and certificate readers through the CLI, and the file boundary.
 
 One value of a valid file is replaced by arbitrary JSON. Whatever the value,
 the CLI must answer with an exit code (0, 1 or 2) and never a traceback; a
 usage error (2) prints nothing to stdout and a JSON error to stderr. A
 certificate with one number changed must get the verdict of an oracle that
-expands the determinant.
+expands the determinant. At the file boundary, numbers are drawn around the
+codec's digit bound: whatever a writer writes reads back equal, a writer that
+refuses names the entry and leaves no file, and whatever a reader accepts can
+be hashed and written back.
 """
 
 import contextlib
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +23,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freelines import fixtures
-from freelines.arrangement import arrangement_to_json
-from freelines.certify import certificate_to_json, exact_determinant, verify_free
+from freelines.arrangement import (
+    arrangement_hash,
+    arrangement_to_json,
+    build_arrangement,
+    canonicalize_line,
+    read_arrangement,
+    write_arrangement,
+)
+from freelines.certify import (
+    certificate_to_json,
+    exact_determinant,
+    read_certificate,
+    verify_free,
+    write_certificate,
+)
 from freelines.cli import main
 from freelines.derivations import derivation_matrix
 from freelines.monomials import monomial_basis, poly_to_vector, product_of_lines
@@ -178,3 +195,115 @@ def test_check_agrees_with_the_expanded_determinant(slot, delta):
         cert_path.write_text(json.dumps(certificate_to_json(cert)))
         code, _, _ = assert_answered(["check", str(arr_path), str(cert_path)])
     assert code == (0 if oracle_accepts(fixtures.near_pencil(5), cert) else 1), (slot, delta)
+
+
+# ---------------------------------------------------------------------------
+# The file boundary: numbers around the digit bound of 10**4000
+# ---------------------------------------------------------------------------
+
+BOUND = 10**4000
+
+
+def digits_long(sizes):
+    """Integers with each of these numbers of digits."""
+    return st.builds(lambda digits, offset: 10 ** (digits - 1) + offset, st.sampled_from(sizes), st.integers(1, 99))
+
+
+# up to the bound, which a file may hold (two 2501-digit denominators clear
+# to a 5001-digit canonical coefficient), and past it, past Python's 4300
+# conversion digits too, only in memory
+big = digits_long([1, 2, 1000, 2001, 2501, 3999, 4000])
+huge = digits_long([4001, 4101, 4301, 4400])
+signed = st.builds(lambda sign, v: sign * v, st.sampled_from([1, -1]), big)
+rational_text = st.one_of(
+    signed.map(str),
+    st.builds(lambda p, q: f"{p}/{q}", signed, big),
+    st.sampled_from(["0", "1", "-1", "1e3999", "-5e3999", "1e-3999", "1/3"]),
+)
+
+
+def fits(line):
+    return all(abs(v) < BOUND for v in line.coeffs)
+
+
+def lines_of(triples):
+    """The canonical lines of the triples, or None when one is the zero form or two coincide."""
+    try:
+        return build_arrangement([canonicalize_line(*t) for t in triples])
+    except ValueError:  # ZeroForm or DuplicateLine
+        return None
+
+
+@FUZZ
+@given(triples=st.lists(st.tuples(*[st.builds(Fraction, signed | huge, big) | st.just(0)] * 3), min_size=1,
+                        max_size=4))
+def test_a_written_arrangement_reads_back_or_is_refused_by_name(triples):
+    arr = lines_of(triples)
+    if arr is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arr.json"
+        try:
+            write_arrangement(path, arr)
+        except ValueError as exc:
+            m = re.fullmatch(r"lines\[(\d+)\]: a coefficient has more than 4000 digits", str(exc))
+            assert m, str(exc)
+            i = int(m.group(1))
+            assert not fits(arr.lines[i]) and all(fits(line) for line in arr.lines[:i])
+            assert not path.exists()
+            return
+        back = read_arrangement(path)
+    assert back == arr and arrangement_hash(back) == arrangement_hash(arr)
+
+
+@FUZZ
+@given(triples=st.lists(st.tuples(rational_text, rational_text, rational_text), min_size=1, max_size=4))
+def test_an_arrangement_file_read_can_be_hashed_and_written_back(triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arr.json"
+        path.write_text(json.dumps({"lines": [list(t) for t in triples]}))
+        try:
+            arr = read_arrangement(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+        digest = arrangement_hash(arr)
+        write_arrangement(path, arr)
+        back = read_arrangement(path)
+    assert back == arr and arrangement_hash(back) == digest
+
+
+@FUZZ
+@given(slot=st.sampled_from([0, 1]), value=big | huge)
+def test_a_written_certificate_reads_back_or_is_refused_by_name(slot, value):
+    cert = dataclasses.replace(NEAR_PENCIL_CERT, **{("d1", "d2")[slot]: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        try:
+            write_certificate(path, cert)
+        except ValueError as exc:
+            assert str(exc) == f"exponents[{slot}]: a coefficient has more than 4000 digits"
+            assert value >= BOUND and not path.exists()
+            return
+        assert read_certificate(path) == cert
+
+
+# every number of CERTIFICATE: the exponents, c and each coefficient
+NUMBER_PATHS = [("exponents", 0), ("exponents", 1), ("c",)] + [
+    path for path in value_paths(CERTIFICATE) if path[0] in ("theta1", "theta2") and len(path) == 3
+]
+
+
+@FUZZ
+@given(path=st.sampled_from(NUMBER_PATHS), value=rational_text | big | st.sampled_from([BOUND + 1, -(10**4100)]))
+def test_a_certificate_file_read_can_be_written_back(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cert_path = Path(tmp) / "c.json"
+        cert_path.write_text(json.dumps(replaced(CERTIFICATE, path, value)))
+        try:
+            cert = read_certificate(cert_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{cert_path}: "), str(exc)
+            return
+        write_certificate(cert_path, cert)
+        assert read_certificate(cert_path) == cert
