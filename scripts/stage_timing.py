@@ -3,16 +3,17 @@
 
 STAGE is one of:
 - kernel: best and worst of REPEATS (default 5) cold times of
-  null_space_exact at each candidate degree, with the system it solves:
-  k, the lines through the pencil's point, gens, the pencil generators it
-  solves for (1, the point alone, when d < k - 1, so eta_p is never built;
-  otherwise 2), the shape (n - k)(d + 1) x (N_d + N_{d-k+1}) and the
-  nullity of D(A)_d, and the best cold time of pencil_system alone
-  (rows_ms), which builds that system's rows. The full derivation matrix
-  is never built. Each repeat takes the input in a line order seeded by
-  its name and the repeat's number, as the benchmark takes each pass.
-  Inputs: the five disjoint-pencil mutants of verify-refute and the
-  pinned fixtures.
+  null_space_exact at each candidate degree, with k, the lines through
+  the pencil's point, the source of the complement and the nullity of
+  D(A)_d. The source is closed when d < k - 1: the complement is
+  Q_off * S_{d-(n-k)} * p, reduced with no elimination. Otherwise it is
+  pencil, and the row also gives the shape (n - k)(d + 1) x
+  (N_d + N_{d-k+1}) of the system eliminated and the best cold time of
+  pencil_system alone (rows_ms), which builds its rows. The full
+  derivation matrix is never built. Each repeat takes the input in a line
+  order seeded by its name and the repeat's number, as the benchmark
+  takes each pass. Inputs: the five disjoint-pencil mutants of
+  verify-refute and the pinned fixtures.
 - tangent: best of REPEATS (default 7) times of the two is_tangent_field
   calls, of _saito_scalar and of check_certificate. Inputs: the chain
   certificates of free_13, free_19 and free_20, and two_pencil: the
@@ -37,7 +38,9 @@ STAGE is one of:
   certificate, verify on free_13 and verify on the mutant
   disjoint_pencils(9, 4). The numpy column says whether numpy's code ran in
   that process: the package binds numpy lazily, so only a command that
-  reaches an exact kernel or the float evaluator loads it.
+  eliminates a kernel or reaches the float evaluator loads it. The
+  mutant's kernels lie below its pencil degree and are closed form, so
+  its verify loads none.
 A cold call starts with the lattice, derivation-matrix and kernel caches cleared.
 
 Usage: python scripts/stage_timing.py STAGE [REPEATS [NAME ...]]
@@ -106,7 +109,7 @@ def timed(repeats, fn, cold=False):
 
 
 def kernel_stage(names, repeats):
-    print(f"{'input':<14} {'d':>3} {'k':>3} {'gens':>4} {'shape':>10} {'nullity':>8} {'kernel_ms':>10} {'worst':>7} "
+    print(f"{'input':<14} {'d':>3} {'k':>3} {'source':>6} {'shape':>10} {'nullity':>8} {'kernel_ms':>10} {'worst':>7} "
           f"{'rows_ms':>8}")
     total = 0.0
     for name in names:
@@ -117,15 +120,19 @@ def kernel_stage(names, repeats):
             random.Random(f"{name}:{k}").shuffle(lines)
             orders.append(build_arrangement(lines))
         exps = candidate_exponents(arr)
+        top = arrangement.intersection_summary(arr).max_multiplicity  # k of the pencil's point
         for d in sorted({exps.d1, exps.d2}):
             times, bases = timed(repeats, lambda k: null_space_exact(derivation_matrix(orders[k], d)), cold=True)
-            rows_times, systems = timed(repeats, lambda k: pencil_system(orders[k], d), cold=True)
-            system = systems[-1]
             total += min(times)
-            print(f"{name:<14} {d:>3} {system.k:>3} {len(system.fields):>4} {len(system.rows):>4}x{system.ncols:<5} "
-                  f"{bases[-1].nullity:>8} {1e3 * min(times):>10.1f} {1e3 * max(times):>7.1f} "
-                  f"{1e3 * min(rows_times):>8.2f}")
-    print(f"{'total (best)':<46} {1e3 * total:>10.1f}")
+            if d < top - 1:
+                source, shape, rows_ms = "closed", "", ""
+            else:
+                rows_times, systems = timed(repeats, lambda k: pencil_system(orders[k], d), cold=True)
+                system = systems[-1]
+                source, shape, rows_ms = "pencil", f"{len(system.rows)}x{system.ncols}", f"{1e3 * min(rows_times):.2f}"
+            print(f"{name:<14} {d:>3} {top:>3} {source:>6} {shape:>10} {bases[-1].nullity:>8} "
+                  f"{1e3 * min(times):>10.1f} {1e3 * max(times):>7.1f} {rows_ms:>8}")
+    print(f"{'total (best)':<48} {1e3 * total:>10.1f}")
 
 
 CHECKS = {  # tangent column -> test of one (arrangement, certificate) pair

@@ -440,11 +440,15 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     return {"lines": lines}
 
 
+def json_kind(value) -> str:
+    """A refused JSON value, described by its type, or a list by its length: short whatever the file holds."""
+    return f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
+
+
 def _line_from_json(entry) -> Line:
     """The canonical line of a coefficient triple, refused when a canonical coefficient passes the digit bound."""
     if not isinstance(entry, list) or len(entry) != 3:
-        got = f"a list of {len(entry)}" if isinstance(entry, list) else type(entry).__name__
-        raise ValueError(f"expected a list of three coefficients, got {got}")
+        raise ValueError(f"expected a list of three coefficients, got {json_kind(entry)}")
     line = canonicalize_line(*entry)
     if abs(line.a) < _DIGIT_BOUND and abs(line.b) < _DIGIT_BOUND and abs(line.c) < _DIGIT_BOUND:
         return line

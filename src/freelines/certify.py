@@ -79,6 +79,7 @@ from .arrangement import (
     build_arrangement,
     intersection_summary,
     json_entry,
+    json_kind,
     json_object,
     read_json,
     write_json,
@@ -654,7 +655,12 @@ def _poly_from_json(data: dict, what: str) -> Poly:
             e = ()
         if len(e) != 3 or min(e) < 0:
             raise ValueError(f"{what}: monomial {key!r} is not three nonnegative exponents")
-        v = _rational_from_json(val, f"{what}[{key!r}]")
+        try:
+            v = _rational_from_json(val, what)
+        except ValueError:
+            # the entry is named only on refusal, by the same read again
+            _rational_from_json(val, f"{what}[{key!r}]")
+            raise
         if v:
             out[e] = v if v.denominator != 1 else int(v)
     return out
@@ -683,19 +689,19 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> FreenessCertificate:
-    """Certificate from its JSON form; a malformed shape raises ValueError."""
+    """Certificate from its JSON form; a malformed shape raises ValueError naming the entry and its json_kind."""
     json_object(data, "certificate")
     exponents = json_entry(data, "exponents", "certificate")
     if not isinstance(exponents, list) or len(exponents) != 2:
-        raise ValueError(f"exponents: expected a list of two, got {exponents!r}")
+        raise ValueError(f"exponents: expected a list of two, got {json_kind(exponents)}")
     d1, d2 = (_integer_from_json(x, f"exponents[{i}]") for i, x in enumerate(exponents))
     theta1 = _theta_from_json(data, "theta1")
     theta2 = _theta_from_json(data, "theta2")
     c = Fraction(_rational_from_json(json_entry(data, "c", "certificate"), "c"))
-    return FreenessCertificate(
-        d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c,
-        arrangement_hash=str(json_entry(data, "arrangement_hash", "certificate")),
-    )
+    digest = json_entry(data, "arrangement_hash", "certificate")
+    if not isinstance(digest, str):
+        raise ValueError(f"arrangement_hash: expected a JSON string, got {json_kind(digest)}")
+    return FreenessCertificate(d1=d1, d2=d2, theta1=theta1, theta2=theta2, c=c, arrangement_hash=digest)
 
 
 def exact_determinant_from_parts(theta1: ExactDerivation, theta2: ExactDerivation) -> Poly:

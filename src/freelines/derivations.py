@@ -20,10 +20,18 @@ matrix.
 
 Float code never decides a nullity. A null space comes from one of two exact
 sources, both by Saito's criterion. null_space_exact solves D(A)_d inside
-the free pencil of lines through a point of top multiplicity, whose basis
-is explicit, so only the lines off that point are eliminated, on about a
-third of the matrix's columns. For a free arrangement with a checked
-certificate (theta1, theta2, c != 0), the criterion gives D(A)_d =
+the free pencil of lines through a point p of top multiplicity k, whose
+basis E, p, eta_p is explicit. Below the pencil degree, d < k - 1, eta_p
+has no multiple of degree d, and a field g * p is tangent to a line off p
+exactly when that line divides g: the complement is Q_off * S_{d-(n-k)} * p,
+Q_off the product of the lines off p, reduced to the RREF basis in closed
+form with no elimination (_off_multiples). If both candidate degrees lie
+below k - 1, every pair of complement fields has det(E, theta1, theta2) = 0:
+a free arrangement with exponents d1 <= d2 has k <= d2 + 1 at every point
+(T. Abe, J. Singul. 8 (2014), bounds it further). From d = k - 1 on,
+only the lines off p are eliminated, on about a third of the matrix's
+columns. For a free arrangement with a checked certificate (theta1,
+theta2, c != 0), the criterion gives D(A)_d =
 S_{d-1} E (+) S_{d-d1} theta1 (+) S_{d-d2} theta2 with no elimination at
 all (null_space_from_fields). The loss needs no basis: it is read off
 verify_free's verdict. The exact kernel serves verify_free's pair scan,
@@ -302,21 +310,30 @@ class PencilSystem(NamedTuple):
     ncols: int
 
 
-def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
-    """The reduced system of null_space_exact at degree d: (n - k)(d + 1) rows.
+def _pencil_point(arr: Arrangement) -> tuple[int, tuple[int, int, int]]:
+    """(mask of the lines through it, point): the point that pencil_system and null_space_exact solve at.
 
-    The point is the first of top multiplicity in intersection_summary's
-    coordinate order, so it, the field eta and the rows (up to their order)
-    depend on the line set alone. A single line has no point; any point on
-    it serves, with k = 1. Below d = k - 1 eta has no columns and is not
-    built: the point is the one generator.
+    It is the first point of top multiplicity in intersection_summary's
+    coordinate order, so it depends on the line set alone. A single line
+    has no point; any point on it serves, through that line alone.
     """
     s = intersection_summary(arr)
     if s.masks:
         through = max(s.masks, key=int.bit_count)  # the first of top multiplicity
-        point = mask_point(arr.lines, through)
-    else:
-        through, point = 1, line_kernel_basis(arr.lines[0])[0]
+        return through, mask_point(arr.lines, through)
+    return 1, line_kernel_basis(arr.lines[0])[0]
+
+
+def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
+    """The reduced system of null_space_exact at degree d: (n - k)(d + 1) rows.
+
+    The point is _pencil_point's, so it, the field eta and the rows (up to
+    their order) depend on the line set alone. Below d = k - 1 eta has no
+    columns and is not built: the point is the one generator, and
+    null_space_exact solves that case in closed form; the rows stay the
+    tests' reference for it.
+    """
+    through, point = _pencil_point(arr)
     pencil = [line for i, line in enumerate(arr.lines) if through >> i & 1]
     k = len(pencil)
     fields = ((_constant_field(point), 0),)
@@ -333,6 +350,46 @@ def pencil_system(arr: Arrangement, d: int) -> PencilSystem:
         fields += ((tuple({m: v for m, v in comp.items() if v} for comp in eta), k - 1),)
     rows, ncols = _constraint_rows(arr, d, fields, through)
     return PencilSystem(point, k, fields, rows, ncols)
+
+
+def _off_multiples(arr: Arrangement, through: int, d: int) -> list[list[int]]:
+    """The RREF kernel of pencil_system's rows when eta has no columns, up to scale, with no elimination.
+
+    The kernel is Q_off * S_{d-(n-k)}, Q_off the product of the lines off
+    the point (null_space_exact). Each generator Q_off * mu, mu over
+    basis(d - (n - k)), is written on basis(d). Basis order is lex read
+    backwards, a monomial order, so the last nonzero column of Q_off * mu
+    is that of LM(Q_off) * mu: one column a generator, all distinct.
+    Every kernel vector ends at one of them, and an RREF kernel vector
+    ends at its own free column, so they are the RREF's free columns; the
+    RREF vector of one is, up to scale, the kernel vector that is zero at
+    every other. So, in order of that column, each generator is cleared
+    at the free columns before its own by integer (lcm) multiples of the
+    vectors already reduced, which are zero at every other free column,
+    and is divided by its content. None when d < n - k.
+    """
+    off = [line for i, line in enumerate(arr.lines) if not through >> i & 1]
+    if d < len(off):
+        return []
+    terms = product_of_lines(off).items()
+    index = monomial_basis(d).index
+    gens = []
+    for mu in monomial_basis(d - len(off)).monomials:
+        vec = [0] * basis_size(d)
+        for x, v in terms:
+            vec[index((x[0] + mu[0], x[1] + mu[1], x[2] + mu[2]))] = v
+        gens.append((max(j for j, v in enumerate(vec) if v), vec))
+    gens.sort(key=lambda gen: gen[0])
+    reduced: list[tuple[int, list[int]]] = []
+    for lead, vec in gens:
+        for f, r in reduced:
+            if vec[f]:
+                g = math.gcd(vec[f], r[f])
+                s, t = r[f] // g, vec[f] // g
+                vec = [s * a - t * b for a, b in zip(vec, r)]
+        content = math.gcd(*vec)
+        reduced.append((lead, [a // content for a in vec]))
+    return [vec for _, vec in reduced]
 
 
 @lru_cache(maxsize=16)
@@ -354,22 +411,44 @@ def null_space_exact(matrix: DerivationMatrix) -> NullBasisExact:
         D(A)_d = S_{d-1} E (+) {g1 d_p + g2 eta_p : g1 in S_d,
                  g2 in S_{d-k+1}, alpha_H divides g1 * alpha_H(p) +
                  g2 * eta_p(alpha_H) for every line H off p},
-    with no g2 when d < k - 1, where pencil_system builds no eta_p.
-    The divisibility is the vanishing of the restriction to H, d + 1
-    linear conditions a line (pencil_system). So the kernel eliminated is
-    (n - k)(d + 1) x (N_d + N_{d-k+1}), against n(d + 1) x 3 N_d for the
-    derivation matrix; p has the top multiplicity, which makes n - k
-    smallest. Each kernel vector (g1, g2) gives g1 d_p + g2 eta_p, in
+    with no g2 when d < k - 1. p is _pencil_point's, of top multiplicity,
+    which makes the n - k lines off it fewest.
+
+    Below the pencil degree, d < k - 1, the complement is closed form.
+    theta = g1 d_p + h E has theta(alpha) = g1 * (alpha . p) + h * alpha,
+    and alpha . p != 0 for a line off p, so alpha divides theta(alpha)
+    exactly when it divides g1. The lines off p are distinct, so the g1
+    are Q_off * S_{d-(n-k)}, Q_off their product, and there are none when
+    d < n - k. _off_multiples reduces these generators to the RREF
+    kernel of pencil_system's rows up to scale, so nothing is eliminated
+    and the bytes are those the elimination gives. If both candidate
+    degrees are below k - 1, every complement field is a multiple of the
+    one field d_p, so det(E, g d_p, h d_p) = 0 for every pair: a free A
+    has k <= d2 + 1 at every point (T. Abe, J. Singul. 8 (2014), bounds
+    it further).
+
+    From d = k - 1 on, the divisibility is the vanishing of the
+    restriction to H, d + 1 linear conditions a line (pencil_system). So
+    the kernel eliminated is (n - k)(d + 1) x (N_d + N_{d-k+1}), against
+    n(d + 1) x 3 N_d for the derivation matrix. The RREF kernel
+    (exactlinalg.kernel_basis) makes its vectors the same for every line
+    order.
+
+    Each g1, or kernel vector (g1, g2), gives g1 d_p + g2 eta_p, in
     exactlinalg's primitive normal form. The map is injective (E, d_p,
-    eta_p is a basis), so these vectors are independent, and the RREF
-    kernel (exactlinalg.kernel_basis) makes them the same for every line
-    order. They are the complement; NullBasisExact derives the Euler head.
+    eta_p is a basis), so these vectors are independent. They are the
+    complement; NullBasisExact derives the Euler head.
     """
-    d = matrix.degree
-    system = pencil_system(matrix.arrangement, d)
-    columns = [vec for theta, e in system.fields for vec in _multiples(theta, e, d)]
+    d, arr = matrix.degree, matrix.arrangement
+    through, point = _pencil_point(arr)
+    if d < through.bit_count() - 1:
+        fields, kernel = ((_constant_field(point), 0),), _off_multiples(arr, through, d)
+    else:
+        system = pencil_system(arr, d)
+        fields, kernel = system.fields, exactlinalg.kernel_basis(system.rows, system.ncols)
+    columns = [vec for theta, e in fields for vec in _multiples(theta, e, d)]
     complement = []
-    for kv in exactlinalg.kernel_basis(system.rows, system.ncols):
+    for kv in kernel:
         full = [0] * (3 * basis_size(d))
         for g, vec in zip(kv, columns):
             if g:

@@ -676,6 +676,34 @@ def test_certificate_reader_refuses_a_number_past_the_digit_bound(tmp_path, near
     assert str(info.value) == f"{path}: {what}: a numerator or denominator has more than 4000 digits"
 
 
+@pytest.mark.parametrize(
+    "value,got", [(list(range(200_000)), "a list of 200000"), ([1], "a list of 1"), ({"d1": 1}, "dict"),
+                  ("1,3", "str"), (None, "NoneType")],
+    ids=["200000-entries", "one-entry", "object", "text", "null"],
+)
+def test_certificate_reader_reports_malformed_exponents_by_type_or_length(tmp_path, near_pencil5, value, got):
+    # the refused value is described, not printed: its repr can be megabytes
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["exponents"] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_certificate(path)
+    assert str(info.value) == f"{path}: exponents: expected a list of two, got {got}"
+
+
+@pytest.mark.parametrize("value,got", [([1, 2], "a list of 2"), (7, "int"), (None, "NoneType"), ({"h": "x"}, "dict")])
+def test_certificate_reader_takes_only_a_text_hash(tmp_path, near_pencil5, value, got):
+    # str() of any JSON value was taken as the hash, so [1, 2] read as "[1, 2]"
+    data = certificate_to_json(verify_free(near_pencil5, 1, 3).certificate)
+    data["arrangement_hash"] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_certificate(path)
+    assert str(info.value) == f"{path}: arrangement_hash: expected a JSON string, got {got}"
+
+
 def test_verify_free_validates_exponents(boolean):
     with pytest.raises(DegreeMismatch):
         verify_free(boolean, 1, 2)
@@ -1581,3 +1609,84 @@ def test_kernel_obeys_the_pencil_theorem(name, g):
 def test_kernel_obeys_the_pencil_theorem_after_a_drawn_change_of_coordinates(g, name):
     pairs = assert_pencil_theorem(image_under(PENCIL_ORACLE_INPUTS[name](), g))
     assert pairs == PENCIL_ORACLE_PAIRS.get(name, pairs)
+
+
+def eliminated_complement(arr, d):
+    """The complement by elimination: the RREF kernel of pencil_system's rows, each g1 expanded by p, primitive.
+
+    Below the pencil degree the point is the one generator, so a kernel
+    vector g1 gives the field g1 * p, whose stacked blocks are g1 times
+    each coordinate of p.
+    """
+    system = derivations.pencil_system(arr, d)
+    assert len(system.fields) == 1 and system.ncols == comb(d + 2, 2)
+    return tuple(exactlinalg.primitive([g * c for c in system.point for g in kv])
+                 for kv in exactlinalg.kernel_basis(system.rows, system.ncols))
+
+
+# inputs of the closed form: the five benchmark mutants, three more disjoint
+# pencils, the near-pencils and Ziegler's pair, whose complement at d = 1 is empty
+CLOSED_FORM_INPUTS = {
+    **{f"pencils_{k}_{m}": partial(fixtures.disjoint_pencils, k, m)
+       for k, m in [(9, 4), (10, 5), (11, 5), (13, 6), (13, 7), (5, 2), (7, 3), (15, 7)]},
+    **{f"near_pencil_{n}": partial(fixtures.near_pencil, n) for n in range(4, 8)},
+    "ziegler_conic": lambda: fixtures.ziegler_pair()[0],
+    "ziegler_generic": lambda: fixtures.ziegler_pair()[1],
+}
+BENCHMARK_MUTANTS = ["pencils_9_4", "pencils_10_5", "pencils_11_5", "pencils_13_6", "pencils_13_7"]
+
+
+def assert_closed_form_is_the_elimination(arr):
+    """At every 1 <= d < k - 1, null_space_exact's complement is the eliminated one, byte for byte.
+
+    Returns the degrees checked.
+    """
+    k = intersection_summary(arr).max_multiplicity
+    degrees = range(1, k - 1)
+    for d in degrees:
+        derivations.null_space_exact.cache_clear()
+        assert null_space_exact(derivation_matrix(arr, d)).complement == eliminated_complement(arr, d), d
+    return degrees
+
+
+@pytest.mark.parametrize("g", [None, KERNEL_IMAGE_G, LARGE_IMAGE_G], ids=["aligned", "kernel-image", "large-image"])
+@pytest.mark.parametrize("name", list(CLOSED_FORM_INPUTS))
+def test_closed_form_complement_is_the_eliminated_kernel(name, g):
+    arr = CLOSED_FORM_INPUTS[name]()
+    degrees = assert_closed_form_is_the_elimination(arr if g is None else image_under(arr, g))
+    if name in BENCHMARK_MUTANTS:
+        exps = candidate_exponents(arr)
+        assert {exps.d1 - 1, exps.d1, exps.d2} <= set(degrees)
+    if name.startswith("ziegler"):
+        assert list(degrees) == [1] and eliminated_complement(arr, 1) == ()
+
+
+@given(g=unimodular(), name=st.sampled_from(list(CLOSED_FORM_INPUTS)))
+@settings(max_examples=10, deadline=None)
+def test_closed_form_complement_is_the_eliminated_kernel_after_a_drawn_change_of_coordinates(g, name):
+    assert assert_closed_form_is_the_elimination(image_under(CLOSED_FORM_INPUTS[name](), g))
+
+
+# (input, degrees): each side of d = k - 1, where the pencil's eta first has columns
+KERNEL_CALL_CASES = [
+    ("near_pencil_5", range(1, 6)),  # k = 4
+    ("pencils_9_4", range(1, 10)),  # k = 9
+    ("ziegler_conic", range(1, 4)),  # k = 3
+]
+
+
+@pytest.mark.parametrize("name,degrees", KERNEL_CALL_CASES, ids=[name for name, _ in KERNEL_CALL_CASES])
+def test_only_kernels_from_the_pencil_degree_on_are_eliminated(monkeypatch, name, degrees):
+    arr = CLOSED_FORM_INPUTS[name]()
+    k = intersection_summary(arr).max_multiplicity
+    for d in degrees:
+        calls = _cold_kernels(monkeypatch)
+        null_space_exact(derivation_matrix(arr, d))
+        assert len(calls) == (0 if d < k - 1 else 1), d
+        monkeypatch.undo()
+    # a refutation of a benchmark mutant eliminates nothing; free_13 (k = 5) at d = 6 is eliminated
+    calls = _cold_kernels(monkeypatch)
+    assert isinstance(verify_free(fixtures.disjoint_pencils(9, 4), 5, 7), NotFreeAtExponents)
+    assert calls == []
+    null_space_exact(derivation_matrix(fixtures.free_13(), 6))
+    assert len(calls) == 1

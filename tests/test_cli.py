@@ -224,6 +224,18 @@ def test_check_names_an_unreadable_exponent(files, tmp_path, capsys):
     assert err["error"] == f"{cert_path}: exponents[0]: an integer of 5000 digits is longer than 4000 digits"
 
 
+def test_check_refuses_a_hash_that_is_not_text(files, tmp_path, capsys):
+    # a list in arrangement_hash is a malformed file, a usage error naming
+    # the entry, not a certificate whose hash does not match (exit 1)
+    cert_path = tmp_path / "b.cert.json"
+    run(capsys, ["verify", files["boolean"], "--certificate-out", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["arrangement_hash"] = [1, 2]
+    cert_path.write_text(json.dumps(cert))
+    assert usage_error(capsys, ["check", files["boolean"], str(cert_path)]) == {
+        "command": "check", "error": f"{cert_path}: arrangement_hash: expected a JSON string, got a list of 2"}
+
+
 @pytest.mark.parametrize("key", ["1.5,0,0", "x,0,0"])
 def test_check_names_a_monomial_that_is_not_integral(files, tmp_path, capsys, key):
     # a monomial key that int() refuses is a usage error naming its entry

@@ -21,13 +21,15 @@ def numpy_ran():
     return any(name.startswith("numpy.") for name in sys.modules)
 """
 
-# a chain verdict, its re-check and a two-pencil run no numpy; a refutation
-# (the exact kernel) and ALS (the float evaluator) load it
+# a chain verdict, its re-check, a two-pencil and a refutation whose kernels
+# lie below the pencil degree (closed form) run no numpy; an eliminated
+# kernel and ALS (the float evaluator) load it
 EXACT_FIRST = PRELUDE + """
 import freelines
 from freelines import fixtures
 from freelines.arrangement import candidate_exponents
 from freelines.certify import Certified, NotFreeAtExponents, check_certificate, verify_free
+from freelines.derivations import derivation_matrix, null_space_exact
 from freelines.search import construct_certified
 
 assert not numpy_ran(), "import freelines ran numpy"
@@ -42,6 +44,10 @@ mutant = fixtures.disjoint_pencils(9, 4)
 exps = candidate_exponents(mutant)
 refuted = verify_free(mutant, exps.d1, exps.d2)
 assert isinstance(refuted, NotFreeAtExponents) and refuted.pairs_scanned == 30
+assert not numpy_ran(), "a refutation with kernels below the pencil degree ran numpy"
+
+# free_13 has top multiplicity 5, so its kernel at d = 6 is eliminated
+assert null_space_exact(derivation_matrix(free13, 6)).nullity == 23
 assert "numpy._core" in sys.modules or "numpy.core" in sys.modules
 """ + """
 from freelines.derivations import assemble_saito_tensor, null_space_from_fields
